@@ -1,0 +1,135 @@
+"""CLI outputs at desk sizes, pinned against ``tests/golden/outputs.json``.
+
+Each command runs in-process through ``cli.main``.  Exit codes must match, and
+stdout and stderr must match around their numbers: integers exactly, floats
+within a relative 1e-9.  For ``c2`` only ``value`` is compared, within the
+command's tol, because the bracket is not a certified output yet.
+
+After an intended output change, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from cayleydist.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
+FLOAT_RTOL = 1e-9
+
+COMMANDS = (
+    "group info --family lamplighter-fin --m 2 --n 5",
+    "group info --family bs-fin --m 2 --n 5 --format csv",
+    "group info --family sol-fin --n 5",
+    "cayley ball --family lamplighter-fin --m 2 --n 5",
+    "cayley ball --family bs-fin --m 2 --n 5 --radius 4 --format json",
+    "cayley ball --family sol-fin --n 5 --format json",
+    "cayley diam --family lamplighter-fin --m 2 --n 6",
+    "cayley diam --family bs-fin --m 2 --n 6 --format csv",
+    "cayley diam --family sol-fin --n 7",
+    "girth --family lamplighter-fin --m 2 --n 5 --cap 4",
+    "girth --family lamplighter-fin --m 2 --n 8 --cap 3",
+    "girth --family bs-fin --m 2 --n 5 --cap 5",
+    "girth --family bs-fin --m 2 --n 8 --cap 3 --format csv",
+    "girth --family sol-fin --n 7 --cap 3",
+    "expradical --family sol-fin --n 7 --radius 8",
+    "expradical --family sol-fin --n 13 --radius 20 --format json",
+    "expradical --family sol-inf --radius 8",
+    "profile --family lamplighter-fin --m 2 --n 8 --radius 1,2,4",
+    "profile --family bs-fin --m 2 --n 6 --radius 1,2 --p 3 --format json",
+    "profile --family sol-fin --n 7 --radius 1,2 --p 2.5",
+    "embed --family lamplighter-fin --m 2 --n 6",
+    "embed --family bs-fin --m 2 --n 6 --format csv",
+    "embed --family sol-fin --n 5 --p 3",
+    "distort --family lamplighter-fin --m 2 --n 6",
+    "distort --family lamplighter-fin --m 2 --n 6 --zero-block 2",
+    "distort --family bs-fin --m 2 --n 6 --format csv",
+    "distort --family bs-fin --m 2 --n 6 --radius 4 --p 4",
+    "distort --family bs-fin --m 2 --n 3 --zero-block 0",
+    "distort --family sol-fin --n 5",
+    "distort --family sol-fin --n 7 --zero-block 1 --p 3",
+    "c2 --family lamplighter-fin --m 2 --n 2",
+    "c2 --family bs-fin --m 2 --n 2",
+    "c2 --family sol-fin --n 2 --tol 1e-4",
+    "scan --family lamplighter-fin --m 2 --n 3,4,5",
+    "scan --family bs-fin --m 2 --n 3,4,5 --format json",
+    "scan --family sol-fin --n 3,5 --format json",
+)
+
+_NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
+
+
+def _run(line: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(line.split())
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _numbers_match(a: str, b: str) -> bool:
+    if re.fullmatch(r"-?\d+", a) or re.fullmatch(r"-?\d+", b):
+        return a == b
+    x, y = float(a), float(b)
+    return abs(x - y) <= FLOAT_RTOL * max(abs(x), abs(y))
+
+
+def text_matches(got: str, want: str) -> bool:
+    """Same text around the numbers; integers equal, floats within FLOAT_RTOL."""
+    g, w = _NUMBER.split(got), _NUMBER.split(want)
+    # a split on one capture group alternates text (even) and numbers (odd)
+    return len(g) == len(w) and all(
+        x == y if i % 2 == 0 else _numbers_match(x, y)
+        for i, (x, y) in enumerate(zip(g, w)))
+
+
+def _c2_value_matches(line: str, got: str, want: str) -> bool:
+    args = line.split()
+    tol = float(args[args.index("--tol") + 1]) if "--tol" in args else 1e-6
+    a, b = json.loads(got)["value"], json.loads(want)["value"]
+    return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_every_command(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_cli_output(golden, line):
+    got, want = _run(line), golden[line]
+    assert got["exit"] == want["exit"]
+    assert text_matches(got["stderr"], want["stderr"]), got["stderr"]
+    if line.startswith("c2 "):
+        assert _c2_value_matches(line, got["stdout"], want["stdout"]), got["stdout"]
+    else:
+        assert text_matches(got["stdout"], want["stdout"]), got["stdout"]
+
+
+@pytest.mark.parametrize("got, want, same", [
+    ("dist 6.5975963466900245\n", "dist 6.597596346690025\n", True),
+    ("dist 6.5975963\n", "dist 6.5975964\n", False),
+    ("R 13\n", "R 14\n", False),
+    ("R 13\n", "R 13.0\n", False),
+    ("pos:-2\n", "pos:2\n", False),
+])
+def test_text_matches(got, want, same):
+    assert text_matches(got, want) is same
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({line: _run(line) for line in COMMANDS}, indent=1) + "\n")
+    print(f"wrote {len(COMMANDS)} outputs to {GOLDEN}")
