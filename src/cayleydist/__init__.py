@@ -47,7 +47,6 @@ from .embed import (
     apriori_bound,
     build_bundle,
     bundle_json,
-    circle_embed,
     cocycle_defect,
     embed_dim,
     embed_norm,

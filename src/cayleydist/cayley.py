@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius
 from .groups import Element, GroupSpec, generators, identity, inv, mul, project
@@ -49,6 +49,26 @@ class BallTable:
 
     def ball_size(self, r: int) -> int:
         return sum(self.sphere_sizes[: r + 1])
+
+    def ball(self, r: int) -> BallTable:
+        """The radius-r ball, equal to ``bfs_ball(spec, r, gens=self.gens)``.
+
+        BFS lists elements by word length, so the ball is a prefix of this
+        table; r may exceed the radius only when the table is complete.
+        """
+        if r < 0 or (r > self.radius and not self.complete):
+            raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
+        n = self.ball_size(r)
+        elements = self.elements[:n]
+        return replace(self, radius=r, elements=elements,
+                       index={x: i for i, x in enumerate(elements)},
+                       dists=self.dists[:n], sphere_sizes=self.sphere_sizes[: r + 1],
+                       complete=self.spec.finite and n == self.spec.order)
+
+    def require_spec(self, spec: GroupSpec) -> None:
+        """Reject a table enumerating another group than ``spec``."""
+        if self.spec != spec:
+            raise BadParam(f"table enumerates {self.spec}, not {spec}")
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
@@ -115,11 +135,10 @@ class DiameterReport:
     diam_N: int | None = None
 
 
-def diameter(spec: GroupSpec, gens: tuple[Element, ...] | None = None,
-             cap: int = VERTEX_CAP) -> DiameterReport:
+def diameter(spec: GroupSpec) -> DiameterReport:
     if not spec.finite:
         raise BadParam(f"diameter needs a finite family, got {spec.family}")
-    table = bfs_ball(spec, None, gens=gens, cap=cap)
+    table = bfs_ball(spec, None)
     diam = len(table.sphere_sizes) - 1
     diam_N = None
     if spec.family == "sol-fin":
@@ -149,7 +168,7 @@ class GirthReport:
 
 def _ball_isometric(parent, quotient, big: BallTable, qtable: BallTable, r: int):
     """Check the radius-r balls match through project; big has radius 2r."""
-    elems_r = [x for x, d in zip(big.elements, big.dists) if d <= r]
+    elems_r = big.elements[: big.ball_size(r)]
     qcount = qtable.ball_size(min(r, len(qtable.sphere_sizes) - 1))
 
     all_images = [project(parent, quotient, x) for x in big.elements]
@@ -175,14 +194,13 @@ def _ball_isometric(parent, quotient, big: BallTable, qtable: BallTable, r: int)
     return True, None
 
 
-def girth(parent: GroupSpec, quotient: GroupSpec, cap: int,
-          vertex_cap: int = VERTEX_CAP) -> GirthReport:
+def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
     """Girth of the quotient map, capped; see GirthReport for both readings."""
     if cap < 1:
         raise BadParam(f"cap {cap} must be >= 1")
     project(parent, quotient, identity(parent))  # validates the pair
 
-    ptable = bfs_ball(parent, cap, cap=vertex_cap)
+    ptable = bfs_ball(parent, cap)
     e_q = identity(quotient)
     kernel_witness = None
     shortest = None
@@ -196,8 +214,9 @@ def girth(parent: GroupSpec, quotient: GroupSpec, cap: int,
     iso_lower = 0
     iso_witness = None
     for r in range(1, cap + 1):
-        big = bfs_ball(parent, 2 * r, cap=vertex_cap)
-        ok, witness = _ball_isometric(parent, quotient, big, qtable, r)
+        if 2 * r > ptable.radius:
+            ptable = bfs_ball(parent, 2 * r)
+        ok, witness = _ball_isometric(parent, quotient, ptable.ball(2 * r), qtable, r)
         if not ok:
             iso_witness = witness
             break

@@ -7,8 +7,7 @@ distort, c2, scan.  Flags can also arrive through a JSON config file
 
 Outputs are deterministic for a fixed config: repeated runs emit bit-identical
 bytes.  Every number printed here is reproducible by calling the library
-directly.  THREADS (environment, optional) parallelizes scan sweeps; rows are
-emitted in sweep order either way.
+directly.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .cayley import (
@@ -36,10 +33,7 @@ from .errors import (
     BadParam,
     CapExceeded,
     CayleyDistError,
-    DegenerateGenerators,
     DegenerateInput,
-    FamilyMismatch,
-    IncompatibleSpecs,
     NoConvergence,
     Overflow,
     ZeroGradient,
@@ -48,7 +42,6 @@ from .errors import (
 from .groups import generators, make_spec, spec_to_dict, to_string
 from .profile import profile_csv, profile_curve
 
-_USAGE_ERRORS = (BadParam, FamilyMismatch, IncompatibleSpecs, DegenerateGenerators)
 _NUMERIC_ERRORS = (NoConvergence, ZeroNorm, ZeroGradient, DegenerateInput)
 _CAP_ERRORS = (CapExceeded, Overflow)
 
@@ -84,7 +77,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--n")
     common.add_argument("--p", type=float)
     common.add_argument("--radius")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float)
     common.add_argument("--cap", type=int)
     common.add_argument("--out")
@@ -123,11 +115,8 @@ def _full_command(args) -> str:
 
 
 def _apply_config(args) -> None:
+    args.A = args.metric = None
     if args.config is None:
-        if getattr(args, "A", None) is None:
-            args.A = None
-        if getattr(args, "metric", None) is None:
-            args.metric = None
         return
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -306,11 +295,12 @@ def _run_profile(args) -> str:
 def _bundle_from_args(args, p):
     spec = _spec_from_args(args)
     R = _int_arg(args.radius, "radius") if args.radius is not None else None
-    return spec, build_bundle(spec, p, R=R)
+    table = bfs_ball(spec, None) if spec.finite else None
+    return spec, table, build_bundle(spec, p, R=R, table=table)
 
 
 def _run_embed(args) -> str:
-    _, bundle = _bundle_from_args(args, _embed_exponent(args))
+    _, _, bundle = _bundle_from_args(args, _embed_exponent(args))
     if args.format == "csv":
         lines = ["radius,certified_J,coef,support_size"]
         for blk in bundle_json(bundle)["blocks"]:
@@ -321,7 +311,7 @@ def _run_embed(args) -> str:
 
 
 def _run_distort(args) -> str:
-    spec, bundle = _bundle_from_args(args, _embed_exponent(args))
+    spec, table, bundle = _bundle_from_args(args, _embed_exponent(args))
     zero = getattr(args, "zero_block", None)
     if zero is not None:
         zero = _int_arg(zero, "zero-block")
@@ -329,7 +319,7 @@ def _run_distort(args) -> str:
             raise BadParam(f"--zero-block {zero} outside blocks 0..{bundle.K}")
         coefs = tuple(0.0 if k == zero else c for k, c in enumerate(bundle.coefs))
         bundle = replace(bundle, coefs=coefs)
-    report = distortion_equivariant(bundle)
+    report = distortion_equivariant(bundle, table)
     bound = apriori_bound(bundle)
     if args.format == "csv":
         return _kv_csv([("R", report.R), ("expansion", report.expansion),
@@ -420,12 +410,7 @@ def _run_scan(args) -> str:
         raise BadParam("--n lists no sweep values")
     p = _embed_exponent(args)
 
-    workers = int(os.environ.get("THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _scan_row(args.family, args.m, n, p), ns))
-    else:
-        rows = [_scan_row(args.family, args.m, n, p) for n in ns]
+    rows = [_scan_row(args.family, args.m, n, p) for n in ns]
 
     if args.plot_script is not None:
         script = _PLOT_SCRIPT.format(
@@ -476,9 +461,6 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CayleyDistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

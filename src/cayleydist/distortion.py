@@ -105,6 +105,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, table: BallTable | None = No
     """
     if table is None:
         table = bfs_ball(bundle.spec, None)
+    table.require_spec(bundle.spec)
     if not table.complete:
         raise BadParam("equivariant distortion needs a complete enumeration")
     spec = bundle.spec

@@ -55,11 +55,6 @@ class CircleMap:
         return 2.0 * self.q * math.sin(math.pi * (abs(k) % self.q) / self.q) / self.c_q
 
 
-def circle_embed(q: int, t: int) -> np.ndarray:
-    """Planar image of t under the normalized circle map on Z/q."""
-    return CircleMap(q).point(t)
-
-
 @dataclass(frozen=True)
 class EmbeddingBundle:
     """Frozen description of one embedding: certificates, coefficients, and
@@ -111,6 +106,7 @@ def build_bundle(spec: GroupSpec, p: float = 2.0, R: int | None = None,
         raise BadParam(f"exponent p = {p} outside [2, inf)")
     if table is None:
         table = bfs_ball(spec, None)
+    table.require_spec(spec)
     diam = len(table.sphere_sizes) - 1
     if R is None:
         if spec.family == "sol-fin":

@@ -31,7 +31,7 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import Element, GroupSpec, identity, inv, mul, spec_to_dict, to_string
+from .groups import Element, GroupSpec, generators, identity, inv, mul, spec_to_dict, to_string
 
 
 def lp_norm(values, p: float) -> float:
@@ -64,8 +64,6 @@ def _gradient_norms(spec: GroupSpec, f: dict, p: float, gens) -> list[float]:
 def rayleigh(spec: GroupSpec, f: dict, p: float, gens=None):
     """(max_form, sum_form) Rayleigh values of a finitely supported function."""
     if gens is None:
-        from .groups import generators
-
         gens = generators(spec)
     norm = lp_norm(f.values(), p)
     if norm == 0.0:
@@ -281,6 +279,7 @@ def profile_curve(spec: GroupSpec, p: float, radii,
         raise BadParam(f"radius {radii[0]} must be >= 1")
     if table is None:
         table = bfs_ball(spec, None)
+    table.require_spec(spec)
     diam = len(table.sphere_sizes) - 1
     if radii[-1] > diam / 2:
         raise BadScale(f"radius {radii[-1]} exceeds diameter/2 = {diam / 2}")
@@ -288,8 +287,7 @@ def profile_curve(spec: GroupSpec, p: float, radii,
     points, vectors = [], []
     best: TestVector | None = None
     for r in radii:
-        ball = bfs_ball(spec, r - 1, gens=table.gens)
-        tv = optimize_profile(ball, p)
+        tv = optimize_profile(table.ball(r - 1), p)
         if best is not None and tv.certified_J < best.certified_J:
             tv = replace(best, radius=r)
         best = tv
@@ -306,13 +304,17 @@ def revalidate(tv: TestVector, table: BallTable | None = None) -> dict:
     """Recompute a certificate's claims from scratch.
 
     Returns support_ok (support inside the open ball), gradient_max, and
-    max_form; callers compare against the stored fields.
+    max_form; callers compare against the stored fields.  A given table may
+    be any ball of the group at least as large as the open ball.
     """
     if table is None:
-        table = bfs_ball(tv.spec, tv.radius - 1)
-    support_ok = all(x in table.index for x in tv.values)
-    max_form, _ = rayleigh(tv.spec, tv.values, tv.p, gens=table.gens)
-    gmax = max(_gradient_norms(tv.spec, tv.values, tv.p, table.gens))
+        ball = bfs_ball(tv.spec, tv.radius - 1)
+    else:
+        table.require_spec(tv.spec)
+        ball = table.ball(tv.radius - 1)
+    support_ok = all(x in ball.index for x in tv.values)
+    max_form, _ = rayleigh(tv.spec, tv.values, tv.p, gens=ball.gens)
+    gmax = max(_gradient_norms(tv.spec, tv.values, tv.p, ball.gens))
     return {"support_ok": support_ok, "gradient_max": gmax, "max_form": max_form}
 
 

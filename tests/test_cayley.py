@@ -9,7 +9,9 @@ from cayleydist import (
     FamilyMismatch,
     InfiniteNeedsRadius,
     bfs_ball,
+    build_bundle,
     diameter,
+    distortion_equivariant,
     exp_radical_csv,
     exp_radical_scan,
     generators,
@@ -18,9 +20,17 @@ from cayleydist import (
     inv,
     make_spec,
     mul,
+    optimize_profile,
+    profile_curve,
     project,
+    revalidate,
     sphere_csv,
 )
+
+SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
+                make_spec("sol-fin", n=5), make_spec("lamplighter-inf", m=2),
+                make_spec("bs-inf", m=3), make_spec("sol-inf")]
+B25, B24 = make_spec("bs-fin", m=2, n=5), make_spec("bs-fin", m=2, n=4)
 
 
 class TestBfsBall:
@@ -90,6 +100,32 @@ class TestBfsBall:
     def test_negative_radius(self):
         with pytest.raises(BadParam):
             bfs_ball(make_spec("bs-fin", m=2, n=3), -1)
+
+
+class TestBallPrefix:
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=str)
+    def test_prefix_equals_fresh_bfs(self, spec):
+        table = bfs_ball(spec, None if spec.finite else 6)
+        top = table.radius + 2 if spec.finite else table.radius
+        for r in range(top + 1):
+            assert table.ball(r) == bfs_ball(spec, r, gens=table.gens), r
+
+    def test_incomplete_table_cannot_grow(self):
+        table = bfs_ball(make_spec("bs-inf", m=2), 3)
+        with pytest.raises(BadParam):
+            table.ball(4)
+        with pytest.raises(BadParam):
+            table.ball(-1)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: build_bundle(B25, 2.0, table=t),
+        lambda t: profile_curve(B25, 2.0, [1, 2], table=t),
+        lambda t: distortion_equivariant(build_bundle(B25, 2.0), t),
+        lambda t: revalidate(optimize_profile(bfs_ball(B25, 1), 2.0), table=t),
+    ], ids=["build_bundle", "profile_curve", "distortion_equivariant", "revalidate"])
+    def test_table_of_another_group_rejected(self, call):
+        with pytest.raises(BadParam, match="table enumerates"):
+            call(bfs_ball(B24, None))
 
 
 class TestDiameter:

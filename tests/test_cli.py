@@ -214,13 +214,6 @@ class TestScan:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        argv = ("scan", "--family", "lamplighter-fin", "--m", "2", "--n", "4,5")
-        _, serial, _ = run(capsys, *argv)
-        monkeypatch.setenv("THREADS", "2")
-        _, threaded, _ = run(capsys, *argv)
-        assert serial == threaded
-
     def test_plot_script(self, capsys, tmp_path):
         script = tmp_path / "plot.py"
         code, _, _ = run(capsys, "scan", "--family", "lamplighter-fin", "--m", "2",

@@ -7,13 +7,13 @@ import pytest
 from cayleydist import (
     BadParam,
     BadScale,
+    CircleMap,
     DegenerateInput,
     MetricTable,
     ZeroNorm,
     apriori_bound,
     bfs_ball,
     build_bundle,
-    circle_embed,
     distortion_equivariant,
     distortion_pairwise,
     embed_norm,
@@ -110,12 +110,12 @@ class TestPairwise:
 
     def test_circle_map_near_half_pi(self):
         q = 101
-        pts = [circle_embed(q, t) for t in range(q)]
+        pts = [CircleMap(q).point(t) for t in range(q)]
         report = distortion_pairwise(pts, cycle_metric(q), 2)
         assert 1.5 <= report.dist <= 1.58
 
     def test_witnesses_reproduce_ratios(self):
-        pts = [circle_embed(9, t) for t in range(9)]
+        pts = [CircleMap(9).point(t) for t in range(9)]
         report = distortion_pairwise(pts, cycle_metric(9), 2)
         D = MetricTable(cycle_metric(9)).matrix
         i, j = report.witness_expand

@@ -15,7 +15,6 @@ from cayleydist import (
     bfs_ball,
     build_bundle,
     bundle_json,
-    circle_embed,
     cocycle_defect,
     embed_dim,
     embed_norm,
@@ -88,9 +87,6 @@ class TestCircleMap:
         assert max(ch / w for ch, w in zip(chords, word)) <= 1.0 + 1e-12
         contraction = max(w / ch for ch, w in zip(chords, word))
         assert 1.5 <= contraction <= math.pi / 2 + 1e-6
-
-    def test_function_form_matches(self):
-        assert np.array_equal(circle_embed(8, 3), CircleMap(8).point(3))
 
 
 class TestBuildBundle:

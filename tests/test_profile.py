@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -122,6 +123,16 @@ class TestOptimizeProfile:
         assert tv.radius == 1
         assert tv.certified_J == pytest.approx(2 ** (-1 / p), rel=1e-12)
         assert tv.gradient_max == pytest.approx(1.0, rel=1e-12)
+
+    def test_support_outside_ball_fails_against_full_table(self):
+        tv = optimize_profile(bfs_ball(L28, 1), 2)
+        full = bfs_ball(L28, None)
+        far = full.elements[-1]
+        assert full.word_length(far) == 18
+        assert revalidate(tv, table=full)["support_ok"]
+        stray = replace(tv, values={**tv.values, far: 0.1})
+        assert not revalidate(stray)["support_ok"]
+        assert not revalidate(stray, table=full)["support_ok"]
 
     def test_certificate_recomputes(self):
         ball = bfs_ball(L28, 3)
