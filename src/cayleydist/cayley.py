@@ -9,7 +9,6 @@ order, distances, and every downstream report are deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius
@@ -87,37 +86,35 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
 
     e = identity(spec)
-    dist: dict[Element, int] = {e: 0}
     elements: list[Element] = [e]
-    queue: deque[Element] = deque([e])
-    while queue:
-        x = queue.popleft()
-        d = dist[x]
-        if radius is not None and d == radius:
-            continue
+    index: dict[Element, int] = {e: 0}
+    dists: list[int] = [0]
+    # elements doubles as the FIFO queue: the loop reaches what it appends
+    for i, x in enumerate(elements):
+        d = dists[i]
+        if d == radius:
+            break
         for g in gens:
             y = mul(spec, x, g)
-            if y not in dist:
-                if len(dist) >= cap:
+            if y not in index:
+                if len(elements) >= cap:
                     raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                dist[y] = d + 1
+                index[y] = len(elements)
                 elements.append(y)
-                queue.append(y)
+                dists.append(d + 1)
 
-    dists = tuple(dist[x] for x in elements)
-    maxd = dists[-1] if elements else 0
+    maxd = dists[-1]
     sphere = [0] * (maxd + 1)
     for d in dists:
         sphere[d] += 1
-    complete = spec.finite and len(elements) == spec.order
     return BallTable(
         spec=spec,
         radius=radius if radius is not None else maxd,
         elements=tuple(elements),
-        index={x: i for i, x in enumerate(elements)},
-        dists=dists,
+        index=index,
+        dists=tuple(dists),
         sphere_sizes=tuple(sphere),
-        complete=complete,
+        complete=spec.finite and len(elements) == spec.order,
         gens=tuple(gens),
     )
 
@@ -210,7 +207,7 @@ def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
             break
     g_lower = cap if shortest is None else min(cap, shortest)
 
-    qtable = bfs_ball(quotient, None)
+    qtable = bfs_ball(quotient, 2 * cap)  # pair distances in an r-ball are at most 2r
     iso_lower = 0
     iso_witness = None
     for r in range(1, cap + 1):

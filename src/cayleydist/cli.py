@@ -1,9 +1,9 @@
 """Command-line workbench over the library.
 
 Subcommands: group info, cayley ball|diam, girth, expradical, profile, embed,
-distort, c2, scan.  Flags can also arrive through a JSON config file
-(--config); explicit flags win, unknown config keys are rejected.  Exit codes:
-0 success, 1 usage or config error, 2 numerical failure, 3 cap exceeded.
+distort, c2, scan, each taking only the flags it reads, or the same keys from a
+JSON config file (--config); explicit flags win.  Exit codes: 0 success,
+1 usage or config error, 2 numerical failure, 3 cap exceeded.
 
 Outputs are deterministic for a fixed config: repeated runs emit bit-identical
 bytes.  Every number printed here is reproducible by calling the library
@@ -51,117 +51,92 @@ _PARENT = {
     "sol-fin": "sol-inf",
 }
 
-_CONFIG_KEYS = {
-    "group info": {"family", "m", "n", "A", "format", "out"},
-    "cayley ball": {"family", "m", "n", "A", "radius", "cap", "format", "out"},
-    "cayley diam": {"family", "m", "n", "A", "format", "out"},
-    "girth": {"family", "m", "n", "A", "cap", "format", "out"},
-    "expradical": {"family", "m", "n", "A", "radius", "cap", "format", "out"},
-    "profile": {"family", "m", "n", "A", "p", "radius", "format", "out"},
-    "embed": {"family", "m", "n", "A", "p", "radius", "format", "out"},
-    "distort": {"family", "m", "n", "A", "p", "radius", "zero_block", "format", "out"},
-    "c2": {"family", "m", "n", "A", "metric", "tol", "format", "out"},
-    "scan": {"family", "m", "n", "p", "format", "out", "plot_script"},
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise BadParam(message)
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family")
-    common.add_argument("--m", type=int)
-    common.add_argument("--n")
-    common.add_argument("--p", type=float)
-    common.add_argument("--radius")
-    common.add_argument("--tol", type=float)
-    common.add_argument("--cap", type=int)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--config")
+# argparse reports a ValueError from a type as "invalid <name> value"
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok != ""]
+
+
+def _build_parser() -> _Parser:
     top = _Parser(prog="cayleydist", description=__doc__.split("\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    group = sub.add_parser("group", parents=[], help="family member inspection")
-    gsub = group.add_subparsers(dest="subcommand", required=True)
-    gsub.add_parser("info", parents=[common], help="parameters and derived constants")
-
-    cayley = sub.add_parser("cayley", parents=[], help="ball and diameter scans")
-    csub = cayley.add_subparsers(dest="subcommand", required=True)
-    csub.add_parser("ball", parents=[common], help="sphere sizes out to a radius")
-    csub.add_parser("diam", parents=[common], help="diameter (and kernel diameter)")
-
-    sub.add_parser("girth", parents=[common],
-                   help="finite member against its infinite parent")
-    sub.add_parser("expradical", parents=[common], help="kernel norm growth (sol)")
-    sub.add_parser("profile", parents=[common], help="certified profile lower bounds")
-    sub.add_parser("embed", parents=[common], help="embedding manifest")
-    distort = sub.add_parser("distort", parents=[common],
-                             help="measured distortion against the certified bound")
-    distort.add_argument("--zero-block", type=int, dest="zero_block")
-    sub.add_parser("c2", parents=[common], help="exact Euclidean distortion, tiny metrics")
-    scan = sub.add_parser("scan", parents=[common], help="n-sweep distortion table")
-    scan.add_argument("--plot-script", dest="plot_script")
+    nested = {head: sub.add_parser(head, help=text).add_subparsers(dest="command",
+                                                                    required=True)
+              for head, text in (("group", "family member inspection"),
+                                 ("cayley", "ball and diameter scans"))}
+    for command, (_, text, flags) in _COMMANDS.items():
+        head, _, tail = command.partition(" ")
+        parser = (nested[head].add_parser(tail, help=text) if tail
+                  else sub.add_parser(head, help=text))
+        for key, kind in flags.items():
+            if kind is None:
+                continue
+            kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
+        parser.add_argument("--config")
+        parser.set_defaults(command=command)  # leaf defaults apply last: "group info"
     return top
 
 
-def _full_command(args) -> str:
-    sub = getattr(args, "subcommand", None)
-    return f"{args.command} {sub}" if sub else args.command
-
-
-def _apply_config(args) -> None:
-    args.A = args.metric = None
-    if args.config is None:
-        return
+def _read_config(path: str) -> dict:
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise BadParam(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
         raise BadParam(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BadParam("config must be a JSON object")
-    allowed = _CONFIG_KEYS[_full_command(args)]
-    unknown = set(data) - allowed
+    return data
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv, reading a config file's keys as flags given before argv's own.
+
+    Config values thus pass the same types and choices as flags, and an
+    explicit flag wins because argparse keeps the last value given.  A null
+    value leaves its key unset.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    flags = _COMMANDS[args.command][2]
+    data = {} if args.config is None else _read_config(args.config)
+    unknown = data.keys() - flags.keys()
     if unknown:
         raise BadParam(f"unknown config keys {sorted(unknown)}")
-    args.A = data.pop("A", None)
-    args.metric = data.pop("metric", None)
-    for key, value in data.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-
-
-def _int_arg(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise BadParam(f"--{name} must be an integer, got {value!r}") from None
-
-
-def _int_list(value, name: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(value).split(",") if tok != ""]
-    except ValueError:
-        raise BadParam(f"--{name} must be comma-separated integers, got {value!r}") from None
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in data.items()
+              if value is not None and flags[key] is not None]
+    if tokens:
+        k = len(args.command.split())
+        args = parser.parse_args(argv[:k] + tokens + argv[k:])
+    for key, kind in flags.items():
+        if kind is None:
+            setattr(args, key, data.get(key))
+    return args
 
 
 def _spec_from_args(args):
     if args.family is None:
         raise BadParam("--family is required")
-    n = _int_arg(args.n, "n") if args.n is not None else None
-    A = tuple(tuple(row) for row in args.A) if args.A is not None else None
-    return make_spec(args.family, m=args.m, n=n, A=A)
+    return make_spec(args.family, m=args.m, n=args.n, A=args.A)
 
 
 def _embed_exponent(args) -> float:
-    p = 2.0 if args.p is None else float(args.p)
+    p = 2.0 if args.p is None else args.p
     if not 2 <= p <= 8:
         raise BadParam(f"p = {p} outside the supported range [2, 8]")
     return p
@@ -214,8 +189,7 @@ def _run_group_info(args) -> str:
 
 def _run_cayley_ball(args) -> str:
     spec = _spec_from_args(args)
-    radius = _int_arg(args.radius, "radius") if args.radius is not None else None
-    table = bfs_ball(spec, radius, cap=args.cap or VERTEX_CAP)
+    table = bfs_ball(spec, args.radius, cap=VERTEX_CAP if args.cap is None else args.cap)
     if args.format == "json":
         sizes = list(table.sphere_sizes)
         return _emit_json({
@@ -261,8 +235,8 @@ def _run_expradical(args) -> str:
     spec = _spec_from_args(args)
     if args.radius is None:
         raise BadParam("--radius (maximal word length) is required")
-    report = exp_radical_scan(spec, _int_arg(args.radius, "radius"),
-                              cap=args.cap or VERTEX_CAP)
+    report = exp_radical_scan(spec, args.radius,
+                              cap=VERTEX_CAP if args.cap is None else args.cap)
     if args.format == "json":
         return _emit_json({
             "r_max": report.r_max,
@@ -276,12 +250,12 @@ def _run_expradical(args) -> str:
 
 def _run_profile(args) -> str:
     spec = _spec_from_args(args)
-    p = 2.0 if args.p is None else float(args.p)
+    p = 2.0 if args.p is None else args.p
     if not 1 <= p <= 8:
         raise BadParam(f"p = {p} outside the supported range [1, 8]")
     if args.radius is None:
         raise BadParam("--radius (comma-separated radii) is required")
-    curve = profile_curve(spec, p, _int_list(args.radius, "radius"))
+    curve = profile_curve(spec, p, args.radius)
     if args.format == "json":
         return _emit_json({
             "p": curve.p,
@@ -294,9 +268,8 @@ def _run_profile(args) -> str:
 
 def _bundle_from_args(args, p):
     spec = _spec_from_args(args)
-    R = _int_arg(args.radius, "radius") if args.radius is not None else None
     table = bfs_ball(spec, None) if spec.finite else None
-    return spec, table, build_bundle(spec, p, R=R, table=table)
+    return spec, table, build_bundle(spec, p, R=args.radius, table=table)
 
 
 def _run_embed(args) -> str:
@@ -312,9 +285,8 @@ def _run_embed(args) -> str:
 
 def _run_distort(args) -> str:
     spec, table, bundle = _bundle_from_args(args, _embed_exponent(args))
-    zero = getattr(args, "zero_block", None)
+    zero = args.zero_block
     if zero is not None:
-        zero = _int_arg(zero, "zero-block")
         if not 0 <= zero <= bundle.K:
             raise BadParam(f"--zero-block {zero} outside blocks 0..{bundle.K}")
         coefs = tuple(0.0 if k == zero else c for k, c in enumerate(bundle.coefs))
@@ -341,8 +313,7 @@ def _run_c2(args) -> str:
         if not spec.finite:
             raise BadParam("c2 on a group needs a finite family")
         metric = metric_from_table(bfs_ball(spec, None))
-    tol = args.tol if args.tol is not None else 1e-6
-    result = exact_c2(metric, tol=tol)
+    result = exact_c2(metric, tol=1e-6 if args.tol is None else args.tol)
     pairs = [("value", result.value), ("bracket_lo", result.bracket[0]),
              ("bracket_hi", result.bracket[1])]
     if args.format == "csv":
@@ -403,14 +374,11 @@ def _run_scan(args) -> str:
         raise BadParam("--family is required")
     if args.family not in _PARENT:
         raise BadParam(f"scan sweeps finite families, got {args.family}")
-    if args.n is None:
+    if not args.n:
         raise BadParam("--n (comma-separated sweep values) is required")
-    ns = _int_list(args.n, "n")
-    if not ns:
-        raise BadParam("--n lists no sweep values")
     p = _embed_exponent(args)
 
-    rows = [_scan_row(args.family, args.m, n, p) for n in ns]
+    rows = [_scan_row(args.family, args.m, n, p) for n in args.n]
 
     if args.plot_script is not None:
         script = _PLOT_SCRIPT.format(
@@ -430,25 +398,40 @@ def _run_scan(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "group info": _run_group_info,
-    "cayley ball": _run_cayley_ball,
-    "cayley diam": _run_cayley_diam,
-    "girth": _run_girth,
-    "expradical": _run_expradical,
-    "profile": _run_profile,
-    "embed": _run_embed,
-    "distort": _run_distort,
-    "c2": _run_c2,
-    "scan": _run_scan,
+# The flags each command reads and their types; a config file's keys are the
+# same names.  None marks a key only a config file sets, to a JSON value.
+_GROUP = {"family": str, "m": int, "n": int, "A": None}
+_OUTPUT = {"format": ("json", "csv"), "out": str}
+
+_COMMANDS = {
+    "group info": (_run_group_info, "parameters and derived constants",
+                   {**_GROUP, **_OUTPUT}),
+    "cayley ball": (_run_cayley_ball, "sphere sizes out to a radius",
+                    {**_GROUP, "radius": int, "cap": int, **_OUTPUT}),
+    "cayley diam": (_run_cayley_diam, "diameter (and kernel diameter)",
+                    {**_GROUP, **_OUTPUT}),
+    "girth": (_run_girth, "finite member against its infinite parent",
+              {**_GROUP, "cap": int, **_OUTPUT}),
+    "expradical": (_run_expradical, "kernel norm growth (sol)",
+                   {**_GROUP, "radius": int, "cap": int, **_OUTPUT}),
+    "profile": (_run_profile, "certified profile lower bounds",
+                {**_GROUP, "p": _finite, "radius": _ints, **_OUTPUT}),
+    "embed": (_run_embed, "embedding manifest",
+              {**_GROUP, "p": _finite, "radius": int, **_OUTPUT}),
+    "distort": (_run_distort, "measured distortion against the certified bound",
+                {**_GROUP, "p": _finite, "radius": int, "zero_block": int, **_OUTPUT}),
+    "c2": (_run_c2, "exact Euclidean distortion, tiny metrics",
+           {**_GROUP, "metric": None, "tol": _finite, **_OUTPUT}),
+    "scan": (_run_scan, "n-sweep distortion table",
+             {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": str,
+              **_OUTPUT}),
 }
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        _apply_config(args)
-        text = _HANDLERS[_full_command(args)](args)
+        args = _parse(argv)
+        text = _COMMANDS[args.command][0](args)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -461,7 +444,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CayleyDistError as exc:
+    except (CayleyDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

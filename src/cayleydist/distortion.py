@@ -53,7 +53,12 @@ class MetricTable:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        D = np.array(matrix, dtype=float)
+        try:
+            D = np.array(matrix, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadParam(f"distance matrix must be numeric: {exc}") from None
+        if not np.isfinite(D).all():
+            raise BadParam("distances must be finite")
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise BadParam(f"distance matrix must be square, got {D.shape}")
         n = D.shape[0]
@@ -337,7 +342,7 @@ def exact_c2(metric, tol: float = 1e-6) -> C2Result:
     M = _as_metric(metric)
     if M.n > C2_CAP:
         raise BadParam(f"point count {M.n} exceeds {C2_CAP}")
-    if tol < 1e-6:
+    if not tol >= 1e-6:
         raise BadParam(f"tol {tol} below the supported floor 1e-6")
     if M.n < 2:
         return C2Result(value=1.0, gram=np.zeros((M.n, M.n)), bracket=(1.0, 1.0))

@@ -25,6 +25,7 @@ the relevant twist; residue payloads stay reduced into [0, modulus).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,7 +90,7 @@ class GroupSpec:
 
 def _as_matrix(A) -> Matrix:
     try:
-        rows = tuple(tuple(int(v) for v in row) for row in A)
+        rows = tuple(tuple(operator.index(v) for v in row) for row in A)
     except (TypeError, ValueError) as exc:
         raise BadMatrix(f"matrix must be a 2x2 integer array, got {A!r}") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
@@ -176,13 +177,23 @@ def make_spec(family: str, m: int | None = None, n: int | None = None,
         raise BadParam(f"family {family} takes no twist matrix")
 
     q = oA = order = None
+    too_big = f"group order of {family} exceeds cap {cap}"
+    # (bit_length(m) - 1) * n <= log2(m^n): reject m^n > cap before building it
+    if (family in ("lamplighter-fin", "bs-fin")
+            and (m.bit_length() - 1) * n >= cap.bit_length()):
+        raise CapExceeded(f"{too_big}: m^n alone does")
     if family == "lamplighter-fin":
         order = m**n * n
     elif family == "bs-fin":
         q = m**n - 1
         order = q * n
     elif family == "sol-fin":
-        oA = matrix_order(A, n)
+        if n * n > cap:
+            raise CapExceeded(f"{too_big}: n^2 alone does")
+        try:
+            oA = matrix_order(A, n, cap=cap // (n * n))
+        except CapExceeded:
+            raise CapExceeded(f"{too_big}: o(A, n) exceeds cap / n^2") from None
         order = n * n * oA
     if order is not None and order > cap:
         raise CapExceeded(f"group order {order} exceeds cap {cap}")

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cayleydist.cli import main
 
@@ -283,3 +285,134 @@ class TestConfigAndErrors:
                            "--radius", "41")
         assert code == 3
         assert "cap" in err.lower() or "40" in err
+
+
+def _config(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    return ["--config", str(cfg)]
+
+
+# (command line, config or None, exit code, text the one stderr line must contain)
+REGRESSIONS = [
+    ("group info", {"family": "bs-fin", "m": "x", "n": 4}, 1, "--m"),
+    ("profile --radius 1", {"family": "lamplighter-fin", "m": 2, "n": 4, "p": "x"}, 1, "--p"),
+    ("c2", {"family": "bs-fin", "m": 2, "n": 2, "tol": "x"}, 1, "--tol"),
+    ("cayley ball --radius 2", {"family": "lamplighter-fin", "m": 2, "n": 4, "cap": "x"},
+     1, "--cap"),
+    ("group info", {"family": "bs-fin", "m": 2.7, "n": 4}, 1, "2.7"),
+    ("distort", {"family": "lamplighter-fin", "m": 2, "n": 4, "radius": 2.5}, 1, "2.5"),
+    ("group info", {"family": "bs-fin", "m": 2, "n": 4, "format": "xml"}, 1, "xml"),
+    ("c2", {"metric": [[0, 1], [1, "a"]]}, 1, "numeric"),
+    ("c2", {"metric": [[0, math.inf], [math.inf, 0]]}, 1, "finite"),
+    ("group info", {"family": "sol-fin", "n": 5, "A": [[2, 1], [1, 1.5]]}, 1, "integer"),
+    ("c2 --family bs-fin --m 2 --n 2 --tol nan", None, 1, "finite"),
+    ("cayley ball --family lamplighter-fin --m 2 --n 4 --cap 0", None, 3, "cap 0"),
+    ("cayley diam --family bs-fin --m 2 --n 4 --cap 1", None, 1, "--cap"),
+    ("group info --family bs-fin --m 2 --n 20000", None, 3, "group order"),
+    ("group info --family sol-fin --n 2000", None, 3, "group order"),
+    ("group info --family sol-fin --n 1000003", None, 3, "group order"),
+    ("group info --family sol-fin --n 99999999999999999999", None, 3, "group order"),
+    ("group info --family bs-fin --m 2 --n 4 --out {tmp}/missing/out.json", None, 1,
+     "missing"),
+]
+
+
+@pytest.mark.parametrize("line,config,code,text", REGRESSIONS)
+def test_regressions(capsys, tmp_path, line, config, code, text):
+    argv = line.format(tmp=tmp_path).split()
+    if config is not None:
+        argv += _config(tmp_path, config)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and text in err
+
+
+# Each fuzz case starts from a valid desk-scale invocation, split at random
+# between flags and a config file, then overrides a few keys with values from
+# these pools, which mix valid and malformed ones.  The only huge sizes are
+# ones the group-order cap rejects.  c2 always gets a tol, so exact_c2 stays quick.
+FLAG_VALUES = {
+    "m": ["2", "3", "1", "x", "2.5", "10" * 15],
+    "n": ["2", "3", "4", "0", "x", "2,3", "99999999999999999999"],
+    "radius": ["0", "1", "2", "3", "-1", "x", "1,2", "41"],
+    "cap": ["0", "1", "2", "3", "x", "41"],
+    "p": ["1", "2", "3", "2.5", "9", "nan", "inf", "x"],
+    "tol": ["0.01", "0.1", "1e-7", "nan", "x"],
+    "format": ["json", "csv", "xml"],
+    "zero_block": ["0", "1", "7", "-1", "x"],
+}
+FINITE = ["lamplighter-fin", "bs-fin", "sol-fin"]
+OTHER = ["lamplighter-inf", "bs-inf", "sol-inf", "heisenberg"]
+GROUP = ["m", "n", "format"]
+READS = {
+    "group info": GROUP,
+    "cayley ball": GROUP + ["radius", "cap"],
+    "cayley diam": GROUP,
+    "girth": GROUP + ["cap"],
+    "expradical": GROUP + ["radius", "cap"],
+    "profile": GROUP + ["p", "radius"],
+    "embed": GROUP + ["p", "radius"],
+    "distort": GROUP + ["p", "radius", "zero_block"],
+    "c2": GROUP + ["tol"],
+    "scan": GROUP + ["p"],
+}
+REQUIRED = {"expradical": {"radius": "3"}, "profile": {"radius": "1,2"},
+            "scan": {"n": "2,3"}, "c2": {"tol": "0.01"}}
+JSON_VALUES = {
+    "A": [[[2, 1], [1, 1]], [[1, 1], [1, 0]], [[2, 1], [1, 1.5]], [[1, 0], [0, 1]], 5],
+    "metric": [[[0, 1], [1, 0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]], [[0, 1], [2, 0]],
+               [[0, 1], [1, "a"]], []],
+    "colour": [1],
+}
+JSON_ODDITIES = [None, True, 2.7, -1, [2, 3], {"a": 1}]
+JSON_KEYS = {"c2": ["A", "metric"], "scan": []}
+RARELY = [False] * 4 + [True]
+
+
+def _json_form(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@st.composite
+def _invocation(draw):
+    command = draw(st.sampled_from(sorted(READS)))
+    reads = READS[command]
+    family = draw(st.one_of(st.sampled_from(FINITE), st.sampled_from(OTHER)))
+    chosen = {"family": family}
+    if family.startswith(("lamplighter", "bs")):
+        chosen["m"] = draw(st.sampled_from(["2", "3"]))
+    if family.endswith("-fin"):
+        chosen["n"] = draw(st.sampled_from(["2", "3", "4"]))
+    chosen.update(REQUIRED.get(command, {}))
+    for key in draw(st.lists(st.sampled_from(reads), unique=True, max_size=2)):
+        chosen[key] = draw(st.sampled_from(FLAG_VALUES[key]))
+    if draw(st.sampled_from(RARELY)):  # a key the command does not read
+        key = draw(st.sampled_from(sorted(set(FLAG_VALUES) - set(reads))))
+        chosen[key] = draw(st.sampled_from(FLAG_VALUES[key]))
+    argv, config = command.split(), {}
+    for key, value in chosen.items():
+        if draw(st.booleans()):
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            config[key] = _json_form(value)
+    if draw(st.sampled_from(RARELY)):
+        key = draw(st.sampled_from(JSON_KEYS.get(command, ["A"]) + reads + ["colour"]))
+        config[key] = draw(st.sampled_from(JSON_VALUES.get(key, JSON_ODDITIES)))
+    return argv, config
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_invocation())
+def test_fuzz_exit_codes(capsys, tmp_path, invocation):
+    """Every input ends in a documented exit code with at most one stderr line."""
+    argv, config = invocation
+    if config:
+        argv = argv + _config(tmp_path, config)
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1
