@@ -65,6 +65,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    if "\0" in text:  # open() would raise ValueError: embedded null byte
+        raise ValueError(text)
+    return text
+
+
 def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
@@ -85,7 +91,7 @@ def _build_parser() -> _Parser:
                 continue
             kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             parser.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
-        parser.add_argument("--config")
+        parser.add_argument("--config", type=_path)
         parser.set_defaults(command=command)  # leaf defaults apply last: "group info"
     return top
 
@@ -401,7 +407,7 @@ def _run_scan(args) -> str:
 # The flags each command reads and their types; a config file's keys are the
 # same names.  None marks a key only a config file sets, to a JSON value.
 _GROUP = {"family": str, "m": int, "n": int, "A": None}
-_OUTPUT = {"format": ("json", "csv"), "out": str}
+_OUTPUT = {"format": ("json", "csv"), "out": _path}
 
 _COMMANDS = {
     "group info": (_run_group_info, "parameters and derived constants",
@@ -423,7 +429,7 @@ _COMMANDS = {
     "c2": (_run_c2, "exact Euclidean distortion, tiny metrics",
            {**_GROUP, "metric": None, "tol": _finite, **_OUTPUT}),
     "scan": (_run_scan, "n-sweep distortion table",
-             {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": str,
+             {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": _path,
               **_OUTPUT}),
 }
 

@@ -6,9 +6,18 @@ certified profile witness at radius 2^k with coefficient 2^k / certified_J_k.
 For the sol family a planar circle coordinate driven by the time component is
 appended, normalized so adjacent points sit at distance exactly 1.
 
-Distances are equivariant (||F(g) - F(h)|| depends only on h^-1 g), so
-embed_norm is the production path; embed_point materializes coordinates for
-desk-scale verification only.
+Distances are equivariant (||F(g) - F(h)|| depends only on h^-1 g), so one
+norm per group element describes the whole map.  embed_norms_all computes them
+all at once; embed_norm, one element at a time, is its oracle, and embed_point
+materializes coordinates for desk-scale verification only.
+
+Each block's gap vector ||f - lambda(g)f||_p^p over all g takes one of two
+paths.  The pair path sums over support pairs, O(|supp|^2).  At p = 2 a block
+with |supp|^2 > |G| |T| takes the Fourier path instead: every family is
+N x| T with N abelian, so the inner products <f, lambda(g)f> for all g are |T|
+correlations over N, which cost O(|T| |G|) whatever the support size.  Other p
+stay on pairs: expanding even powers binomially into correlations cancels
+large terms and loses digits.
 """
 
 from __future__ import annotations
@@ -156,13 +165,89 @@ def embed_norm(bundle: EmbeddingBundle, g: Element) -> float:
     return total ** (1.0 / p)
 
 
-def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
-    """||F(g)|| for every group element, indexed by CodeSpace code.
+def _wht(x: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform along the last axis, in place.
+
+    The axis length is a power of 2; applying the transform twice multiplies
+    by that length.
+    """
+    h = 1
+    while h < x.shape[-1]:
+        v = x.reshape(-1, 2, h)
+        v[:, 0] += v[:, 1]
+        v[:, 1] *= -2.0
+        v[:, 1] += v[:, 0]
+        h *= 2
+
+
+def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
+    """||f - lambda(g)f||_2^2 for every g, indexed by code, before any clamp.
+
+    The gap is 2||f||^2 - 2<f, lambda(g)f>, and for g = (b, s) the inner
+    product is sum_t sum_a f_t(a) f_{t-s}(phi_-s(a - b)): per t, a correlation
+    over N.  One batched forward transform of the rows f_t, |T|^2 pointwise
+    products and |T| inverse transforms give it for every g.  For m = 2
+    lamplighters the transform is the real Walsh-Hadamard one, in place.
+    """
+    cs = _codespace(spec)
+    T = cs.time_order
+    size = spec.order // T
+    codes = cs.encode_many(list(values))
+    v = np.fromiter(values.values(), dtype=float, count=len(values))
+    rows = np.zeros((T, size))
+    rows[codes % T, codes // T] = v
+    shape = cs.normal_shape
+    wht = spec.family == "lamplighter-fin" and spec.m == 2
+    if wht:
+        _wht(rows)
+    else:
+        axes = tuple(range(1, len(shape) + 1))
+        rows = np.fft.fftn(rows.reshape((T,) + shape), axes=axes).reshape(T, size)
+    gap = np.empty(spec.order)
+    twice_norm = 2.0 * float(v @ v)
+    acc = np.empty(size, dtype=rows.dtype)
+    for s in range(T):
+        twist = cs.dual_twist(s)
+        acc.fill(0.0)
+        for t in range(T):
+            acc += rows[t] * np.conj(rows[(t - s) % T][twist])
+        if wht:
+            _wht(acc)
+            corr = acc / size
+        else:
+            corr = np.fft.ifftn(acc.reshape(shape)).real.ravel()
+        gap[s::T] = twice_norm - 2.0 * corr
+    return gap
+
+
+def _gap_pow_pairs(spec: GroupSpec, values: dict, p: float) -> np.ndarray:
+    """||f - lambda(g)f||_p^p for every g, indexed by code, before any clamp.
 
     Uses the correlation identity ||f - lambda(g)f||_p^p =
     2||f||_p^p + sum over support pairs (x, y) with x y^-1 = g of
     |f(x) - f(y)|^p - |f(x)|^p - |f(y)|^p, which costs one vectorized pass
     per support element instead of one per group element.
+    """
+    cs = _codespace(spec)
+    supp = list(values)
+    v = np.array([values[x] for x in supp])
+    inv_codes = cs.encode_many([inv(spec, x) for x in supp])
+    payload = cs.payload(inv_codes)
+    vpow = np.abs(v) ** p
+    corr = np.full(spec.order, 2.0 * vpow.sum())
+    for i, x in enumerate(supp):
+        prod = cs.act_left(x, inv_codes, payload)
+        np.add.at(corr, prod, np.abs(v[i] - v) ** p - vpow[i] - vpow)
+    return corr
+
+
+def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
+    """||F(g)|| for every group element, indexed by CodeSpace code.
+
+    A block's gap vector comes from the Fourier path when p = 2 and
+    |supp|^2 > |G| |T|, where the pair sums would cost more than the |T|
+    correlations over N; every other block, and every p != 2, takes the pair
+    path.  Both leave rounding residue around 0, which is clamped.
     """
     spec = bundle.spec
     p = bundle.p
@@ -170,16 +255,11 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     order = spec.order
     total = np.zeros(order)
     for _, coef, values in bundle.blocks():
-        supp = list(values)
-        v = np.array([values[x] for x in supp])
-        inv_codes = cs.encode_many([inv(spec, x) for x in supp])
-        payload = cs.payload(inv_codes)
-        vpow = np.abs(v) ** p
-        corr = np.full(order, 2.0 * vpow.sum())
-        for i, x in enumerate(supp):
-            prod = cs.act_left(x, inv_codes, payload)
-            np.add.at(corr, prod, np.abs(v[i] - v) ** p - vpow[i] - vpow)
-        total += coef ** p * np.maximum(corr, 0.0)
+        if p == 2 and len(values) ** 2 > order * cs.time_order:
+            gap = _gap_sq_fourier(spec, values)
+        else:
+            gap = _gap_pow_pairs(spec, values, p)
+        total += coef ** p * np.maximum(gap, 0.0)
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
         total += chords[np.arange(order) % spec.oA] ** p

@@ -563,9 +563,11 @@ def spec_from_dict(data: dict) -> GroupSpec:
 class CodeSpace:
     """Perfect integer coding of a finite family's elements.
 
-    Codes run over range(order).  ``act_left`` maps an array of codes x to the
-    codes of g * x in one vectorized pass; ``payload`` exposes the decoded
-    arrays so repeated actions on a fixed support skip the decode.
+    Codes run over range(order).  Every family is N x| T with N abelian, and
+    the code of (a, t) is t + time_order * a, where a indexes N as an array of
+    shape ``normal_shape`` in C order.  ``act_left`` maps an array of codes x
+    to the codes of g * x in one vectorized pass; ``payload`` exposes the
+    decoded arrays so repeated actions on a fixed support skip the decode.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -576,10 +578,13 @@ class CodeSpace:
         f = spec.family
         if f == "lamplighter-fin":
             self._mpows = np.array([spec.m**i for i in range(spec.n)], dtype=np.int64)
+            self.time_order, self.normal_shape = spec.n, (spec.m,) * spec.n
         elif f == "bs-fin":
             self._bpows = np.array(_bs_pows(spec), dtype=np.int64)
+            self.time_order, self.normal_shape = spec.n, (spec.q,)
         else:
             self._apows = _sol_pows(spec)
+            self.time_order, self.normal_shape = spec.oA, (spec.n, spec.n)
 
     def encode(self, x: Element) -> int:
         f = self.spec.family
@@ -660,3 +665,24 @@ class CodeSpace:
         u1 = (w1 + M[0][0] * v1 + M[0][1] * v2) % n
         u2 = (w2 + M[1][0] * v1 + M[1][1] * v2) % n
         return (t + s) % oA + oA * (u2 + n * u1)
+
+    def dual_twist(self, s: int) -> np.ndarray:
+        """phi_s^T on the characters of N, as an index array.
+
+        Characters k are indexed like N itself, and the Fourier transform of
+        f o phi_-s over N is the transform of f read at phi_s^T k: phi_-s for
+        the lamp shift, multiplication by m^s for bs, and the transpose of
+        A^s (not A^s) for sol.
+        """
+        f = self.spec.family
+        k = np.arange(self.order // self.time_order, dtype=np.int64)
+        if f == "lamplighter-fin":
+            m, n = self.spec.m, self.spec.n
+            low = m**s  # digit j of the result is digit j + s of k
+            return k // low + (k % low) * m ** (n - s)
+        if f == "bs-fin":
+            return (int(self._bpows[s]) * k) % self.spec.q
+        n = self.spec.n
+        k1, k2 = np.divmod(k, n)
+        (a, b), (c, d) = self._apows[s]
+        return (b * k1 + d * k2) % n + n * ((a * k1 + c * k2) % n)

@@ -287,6 +287,21 @@ class TestConfigAndErrors:
         assert "cap" in err.lower() or "40" in err
 
 
+def test_distort_at_the_fourier_path_size(capsys):
+    """lamplighter m=2 n=14 has a radius-16 block whose p = 2 norms take the
+    Fourier path; values recorded on the pair path."""
+    code, out, _ = run(capsys, "distort", "--family", "lamplighter-fin", "--m", "2",
+                       "--n", "14")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["expansion"] == pytest.approx(6.110172268011218, rel=1e-9)
+    assert blob["contraction"] == pytest.approx(1.2636353087613477, rel=1e-9)
+    assert blob["witness_expand"] == ["lamps:00000000000000|pos:0",
+                                      "lamps:00000000000000|pos:1"]
+    assert blob["witness_contract"] == ["lamps:00000000000000|pos:0",
+                                        "lamps:11111111111111|pos:7"]
+
+
 def _config(tmp_path, data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
@@ -315,6 +330,8 @@ REGRESSIONS = [
     ("group info --family sol-fin --n 99999999999999999999", None, 3, "group order"),
     ("group info --family bs-fin --m 2 --n 4 --out {tmp}/missing/out.json", None, 1,
      "missing"),
+    ("group info", {"family": "bs-fin", "m": 2, "n": 3, "out": "a\u0000b"}, 1, "--out"),
+    ("scan --family bs-fin --m 2 --n 2", {"plot_script": "a\u0000b"}, 1, "--plot-script"),
 ]
 
 

@@ -26,6 +26,7 @@ from cayleydist import (
     make_spec,
     mul,
 )
+from cayleydist.embed import _gap_pow, _gap_sq_fourier
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 L28 = make_spec("lamplighter-fin", m=2, n=8)
@@ -165,6 +166,49 @@ class TestEmbedNorm:
         table = bfs_ball(spec, None)
         for x in table.elements:
             assert norms[cs.encode(x)] == pytest.approx(embed_norm(bundle, x), abs=1e-10)
+
+
+FOURIER_SPECS = [
+    make_spec("lamplighter-fin", m=2, n=6),
+    make_spec("lamplighter-fin", m=3, n=5),
+    make_spec("bs-fin", m=2, n=7),
+    make_spec("sol-fin", n=12),
+    make_spec("sol-fin", n=10, A=((3, 1), (2, 1))),  # A not symmetric: A^s != (A^s)^T
+]
+
+
+class TestFourierGap:
+    """The p = 2 correlation path against the per-element oracle, called
+    directly: desk-size blocks never reach the cost rule in embed_norms_all.
+    """
+
+    @pytest.mark.parametrize("spec", FOURIER_SPECS, ids=str)
+    def test_matches_gap_pow_for_every_element(self, spec):
+        cs = CodeSpace(spec)
+        elements = [cs.decode(code) for code in range(spec.order)]
+        bundle = build_bundle(spec, 2)
+        assert bundle.K >= 1
+        for _, _, values in bundle.blocks():
+            norm2 = sum(v * v for v in values.values())
+            gap = _gap_sq_fourier(spec, values)
+            want = np.array([_gap_pow(spec, values, g, 2) for g in elements])
+            assert np.abs(gap - want).max() <= 1e-12 * norm2
+            # the clamp in embed_norms_all removes rounding residue only
+            assert gap.min() >= -1e-12 * norm2
+
+    @pytest.mark.parametrize("spec", FOURIER_SPECS, ids=str)
+    def test_matches_gap_pow_for_asymmetric_f(self, spec):
+        # profile witnesses are symmetric under a -> -a on N, which hides a
+        # correlation computed as a convolution; random values do not
+        cs = CodeSpace(spec)
+        rng = np.random.default_rng(3)
+        codes = rng.choice(spec.order, size=40, replace=False)
+        values = {cs.decode(int(c)): float(v)
+                  for c, v in zip(codes, rng.standard_normal(40))}
+        norm2 = sum(v * v for v in values.values())
+        gap = _gap_sq_fourier(spec, values)
+        want = [_gap_pow(spec, values, cs.decode(code), 2) for code in range(spec.order)]
+        assert np.abs(gap - want).max() <= 1e-12 * norm2
 
 
 class TestEmbedPoint:
