@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
                 continue
             kw = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             parser.add_argument("--" + key.replace("_", "-"), dest=key, **kw)
-        parser.add_argument("--config", type=_path)
+        parser.add_argument("--config")
         parser.set_defaults(command=command)  # leaf defaults apply last: "group info"
     return top
 

@@ -165,57 +165,34 @@ def embed_norm(bundle: EmbeddingBundle, g: Element) -> float:
     return total ** (1.0 / p)
 
 
-def _wht(x: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform along the last axis, in place.
-
-    The axis length is a power of 2; applying the transform twice multiplies
-    by that length.
-    """
-    h = 1
-    while h < x.shape[-1]:
-        v = x.reshape(-1, 2, h)
-        v[:, 0] += v[:, 1]
-        v[:, 1] *= -2.0
-        v[:, 1] += v[:, 0]
-        h *= 2
-
-
 def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
     """||f - lambda(g)f||_2^2 for every g, indexed by code, before any clamp.
 
     The gap is 2||f||^2 - 2<f, lambda(g)f>, and for g = (b, s) the inner
     product is sum_t sum_a f_t(a) f_{t-s}(phi_-s(a - b)): per t, a correlation
-    over N.  One batched forward transform of the rows f_t, |T|^2 pointwise
-    products and |T| inverse transforms give it for every g.  For m = 2
-    lamplighters the transform is the real Walsh-Hadamard one, in place.
+    over N.  One forward transform per row f_t, |T|^2 pointwise products and
+    |T| inverse transforms give it for every g.  The rows are transformed one
+    at a time into the complex table that holds them, so that table is the
+    only array of size |G| besides the output.
     """
     cs = _codespace(spec)
     T = cs.time_order
-    size = spec.order // T
-    codes = cs.encode_many(list(values))
-    v = np.fromiter(values.values(), dtype=float, count=len(values))
-    rows = np.zeros((T, size))
-    rows[codes % T, codes // T] = v
     shape = cs.normal_shape
-    wht = spec.family == "lamplighter-fin" and spec.m == 2
-    if wht:
-        _wht(rows)
-    else:
-        axes = tuple(range(1, len(shape) + 1))
-        rows = np.fft.fftn(rows.reshape((T,) + shape), axes=axes).reshape(T, size)
+    t_of, a_of = cs.split(cs.encode_many(list(values)))
+    v = np.fromiter(values.values(), dtype=float, count=len(values))
+    rows = np.zeros((T, spec.order // T), dtype=complex)
+    rows[t_of, a_of] = v
+    for t in range(T):
+        rows[t] = np.fft.fftn(rows[t].reshape(shape)).ravel()
     gap = np.empty(spec.order)
     twice_norm = 2.0 * float(v @ v)
-    acc = np.empty(size, dtype=rows.dtype)
+    acc = np.empty(rows.shape[1], dtype=complex)
     for s in range(T):
         twist = cs.dual_twist(s)
         acc.fill(0.0)
         for t in range(T):
             acc += rows[t] * np.conj(rows[(t - s) % T][twist])
-        if wht:
-            _wht(acc)
-            corr = acc / size
-        else:
-            corr = np.fft.ifftn(acc.reshape(shape)).real.ravel()
+        corr = np.fft.ifftn(acc.reshape(shape)).real.ravel()
         gap[s::T] = twice_norm - 2.0 * corr
     return gap
 
@@ -245,9 +222,12 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     """||F(g)|| for every group element, indexed by CodeSpace code.
 
     A block's gap vector comes from the Fourier path when p = 2 and
-    |supp|^2 > |G| |T|, where the pair sums would cost more than the |T|
-    correlations over N; every other block, and every p != 2, takes the pair
-    path.  Both leave rounding residue around 0, which is clamped.
+    |supp|^2 > |G| |T|, an operation-count line between the pair sums and the
+    |T| correlations over N (timed on all three families, the paths cross
+    between |G| |T| / 4 and |G| |T|, so some blocks below the line would
+    already run faster on the Fourier path);
+    every other block, and every p != 2, takes the pair path.  Both leave
+    rounding residue around 0, which is clamped.
     """
     spec = bundle.spec
     p = bundle.p

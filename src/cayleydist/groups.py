@@ -666,6 +666,11 @@ class CodeSpace:
         u2 = (w2 + M[1][0] * v1 + M[1][1] * v2) % n
         return (t + s) % oA + oA * (u2 + n * u1)
 
+    def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, a) of each code: the time index and the flat index into N."""
+        a, t = np.divmod(codes, self.time_order)
+        return t, a
+
     def dual_twist(self, s: int) -> np.ndarray:
         """phi_s^T on the characters of N, as an index array.
 

@@ -296,8 +296,10 @@ def test_distort_at_the_fourier_path_size(capsys):
     blob = json.loads(out)
     assert blob["expansion"] == pytest.approx(6.110172268011218, rel=1e-9)
     assert blob["contraction"] == pytest.approx(1.2636353087613477, rel=1e-9)
-    assert blob["witness_expand"] == ["lamps:00000000000000|pos:0",
-                                      "lamps:00000000000000|pos:1"]
+    # pos:1 and its inverse pos:13 tie in exact arithmetic; rounding picks one
+    assert blob["witness_expand"] in (
+        ["lamps:00000000000000|pos:0", "lamps:00000000000000|pos:1"],
+        ["lamps:00000000000000|pos:0", "lamps:00000000000000|pos:13"])
     assert blob["witness_contract"] == ["lamps:00000000000000|pos:0",
                                         "lamps:11111111111111|pos:7"]
 
