@@ -1,15 +1,16 @@
 """Word metrics on Cayley graphs: balls, diameters, quotient girth, kernel growth.
 
 All metric data is derived from breadth-first search over the generating set
-returned by :func:`cayleydist.groups.generators` (or one passed explicitly).
-BFS expands neighbors in generator-list order with a FIFO queue, so element
-order, distances, and every downstream report are deterministic.
+returned by :func:`cayleydist.groups.generators`.  BFS expands each level in
+discovery order and each element's neighbors in generator-list order, so
+element order, distances, and every downstream report are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius
 from .groups import Element, GroupSpec, generators, identity, inv, mul, project
@@ -22,25 +23,23 @@ INF_RADIUS_CAP = 40
 class BallTable:
     """Closed ball of a given radius around the identity, with exact distances.
 
-    ``elements`` is in BFS discovery order, so word lengths are nondecreasing;
-    ``index`` inverts it.  ``complete`` marks a table covering the whole group.
+    ``dist`` maps each element to its word length in BFS discovery order, so
+    lengths are nondecreasing along it; equality ignores that order.
+    ``complete`` marks a table covering the whole group.
     """
 
     spec: GroupSpec
     radius: int
-    elements: tuple[Element, ...]
-    index: dict
-    dists: tuple[int, ...]
+    dist: dict
     sphere_sizes: tuple[int, ...]
     complete: bool
     gens: tuple[Element, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.dist)
 
     def word_length(self, x: Element, default=None):
-        i = self.index.get(x)
-        return self.dists[i] if i is not None else default
+        return self.dist.get(x, default)
 
     def pair_distance(self, x: Element, y: Element, default=None):
         """d(x, y) = word length of x^-1 y, when that element lies in the table."""
@@ -50,7 +49,7 @@ class BallTable:
         return sum(self.sphere_sizes[: r + 1])
 
     def ball(self, r: int) -> BallTable:
-        """The radius-r ball, equal to ``bfs_ball(spec, r, gens=self.gens)``.
+        """The radius-r ball, equal to ``bfs_ball(spec, r)``.
 
         BFS lists elements by word length, so the ball is a prefix of this
         table; r may exceed the radius only when the table is complete.
@@ -58,10 +57,8 @@ class BallTable:
         if r < 0 or (r > self.radius and not self.complete):
             raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
         n = self.ball_size(r)
-        elements = self.elements[:n]
-        return replace(self, radius=r, elements=elements,
-                       index={x: i for i, x in enumerate(elements)},
-                       dists=self.dists[:n], sphere_sizes=self.sphere_sizes[: r + 1],
+        return replace(self, radius=r, dist=dict(islice(self.dist.items(), n)),
+                       sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
 
     def require_spec(self, spec: GroupSpec) -> None:
@@ -71,11 +68,11 @@ class BallTable:
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
-             gens: tuple[Element, ...] | None = None,
              cap: int = VERTEX_CAP) -> BallTable:
-    """Enumerate the closed ball of the given radius (whole group if None)."""
-    if gens is None:
-        gens = generators(spec)
+    """Enumerate the closed ball of the given radius (whole group if None),
+    level by level, into ``dist`` in FIFO discovery order.
+    """
+    gens = generators(spec)
     if radius is None:
         if not spec.finite:
             raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
@@ -86,37 +83,38 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
 
     e = identity(spec)
-    elements: list[Element] = [e]
-    index: dict[Element, int] = {e: 0}
-    dists: list[int] = [0]
-    # elements doubles as the FIFO queue: the loop reaches what it appends
-    for i, x in enumerate(elements):
-        d = dists[i]
-        if d == radius:
+    dist: dict[Element, int] = {e: 0}
+    sphere = [1]
+    level = [e]
+    while len(sphere) - 1 != radius:
+        d = len(sphere)
+        nxt: list[Element] = []
+        for x in level:
+            for g in gens:
+                y = mul(spec, x, g)
+                if y not in dist:
+                    if len(dist) >= cap:
+                        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+                    dist[y] = d
+                    nxt.append(y)
+        if not nxt:
             break
-        for g in gens:
-            y = mul(spec, x, g)
-            if y not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                index[y] = len(elements)
-                elements.append(y)
-                dists.append(d + 1)
+        sphere.append(len(nxt))
+        level = nxt
 
-    maxd = dists[-1]
-    sphere = [0] * (maxd + 1)
-    for d in dists:
-        sphere[d] += 1
     return BallTable(
         spec=spec,
-        radius=radius if radius is not None else maxd,
-        elements=tuple(elements),
-        index=index,
-        dists=tuple(dists),
+        radius=radius if radius is not None else len(sphere) - 1,
+        dist=dist,
         sphere_sizes=tuple(sphere),
-        complete=spec.finite and len(elements) == spec.order,
-        gens=tuple(gens),
+        complete=spec.finite and len(dist) == spec.order,
+        gens=gens,
     )
+
+
+def kernel_diameter(table: BallTable) -> int:
+    """Largest word length over the sol plane subgroup {(v, 0)} in the table."""
+    return max(d for x, d in table.dist.items() if x[1] == 0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def diameter(spec: GroupSpec) -> DiameterReport:
     diam = len(table.sphere_sizes) - 1
     diam_N = None
     if spec.family == "sol-fin":
-        diam_N = max(d for x, d in zip(table.elements, table.dists) if x[1] == 0)
+        diam_N = kernel_diameter(table)
     return DiameterReport(spec=spec, diameter=diam, diam_N=diam_N)
 
 
@@ -165,10 +163,10 @@ class GirthReport:
 
 def _ball_isometric(parent, quotient, big: BallTable, qtable: BallTable, r: int):
     """Check the radius-r balls match through project; big has radius 2r."""
-    elems_r = big.elements[: big.ball_size(r)]
+    elems_r = list(islice(big.dist, big.ball_size(r)))
     qcount = qtable.ball_size(min(r, len(qtable.sphere_sizes) - 1))
 
-    all_images = [project(parent, quotient, x) for x in big.elements]
+    all_images = [project(parent, quotient, x) for x in big.dist]
     if len(set(all_images)) == len(all_images) and len(elems_r) == qcount:
         # injectivity on the double ball forces distance preservation:
         # a dropped distance would lift to a second preimage inside it
@@ -201,7 +199,7 @@ def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
     e_q = identity(quotient)
     kernel_witness = None
     shortest = None
-    for x, d in zip(ptable.elements[1:], ptable.dists[1:]):
+    for x, d in islice(ptable.dist.items(), 1, None):
         if project(parent, quotient, x) == e_q:
             kernel_witness, shortest = x, d
             break
@@ -261,15 +259,12 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     if spec.family == "sol-inf" and r_max > 20:
         raise CapExceeded(f"r_max {r_max} > 20 on the infinite family")
 
-    if spec.finite:
-        table = bfs_ball(spec, None, cap=cap)
-        r_max = min(r_max, len(table.sphere_sizes) - 1)
-    else:
-        table = bfs_ball(spec, r_max, cap=cap)
+    table = bfs_ball(spec, r_max, cap=cap)
+    r_max = min(r_max, len(table.sphere_sizes) - 1)
 
     extremes: dict[int, tuple[int, int]] = {}
-    for x, d in zip(table.elements, table.dists):
-        if d == 0 or d > r_max or x[1] != 0:
+    for x, d in table.dist.items():
+        if d == 0 or x[1] != 0:
             continue
         norm = _sol_norm_inf(spec, x[0])
         lo, hi = extremes.get(d, (norm, norm))

@@ -27,7 +27,8 @@ from .cayley import (
     girth,
     sphere_csv,
 )
-from .distortion import distortion_equivariant, exact_c2, metric_from_table, report_json
+from .distortion import (C2_CAP, distortion_equivariant, exact_c2, metric_from_table,
+                          report_json)
 from .embed import apriori_bound, build_bundle, bundle_json
 from .errors import (
     BadParam,
@@ -318,6 +319,8 @@ def _run_c2(args) -> str:
         spec = _spec_from_args(args)
         if not spec.finite:
             raise BadParam("c2 on a group needs a finite family")
+        if spec.order > C2_CAP:  # the metric alone costs order^3
+            raise BadParam(f"point count {spec.order} exceeds {C2_CAP}")
         metric = metric_from_table(bfs_ball(spec, None))
     result = exact_c2(metric, tol=1e-6 if args.tol is None else args.tol)
     pairs = [("value", result.value), ("bracket_lo", result.bracket[0]),

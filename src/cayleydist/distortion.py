@@ -23,6 +23,10 @@ from .groups import CodeSpace, identity, inv, mul, to_string
 
 PAIRWISE_CAP = 512
 C2_CAP = 16
+EMBED_RESTARTS = 8  # optimize_embedding: the scaling start plus seeded random starts
+EMBED_ITERS = 150  # descent steps per temperature
+C2_SWEEPS = 1500  # alternating projections per feasibility test
+C2_RESID_TOL = 1e-9  # residual that counts as feasible
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,13 @@ def metric_from_table(table: BallTable) -> MetricTable:
     if not table.complete:
         raise BadParam("metric extraction needs a complete enumeration")
     spec = table.spec
-    n = len(table)
+    elements = list(table.dist)
+    n = len(elements)
     D = np.zeros((n, n))
-    for i, x in enumerate(table.elements):
+    for i, x in enumerate(elements):
         xi = inv(spec, x)
         for j in range(i + 1, n):
-            d = table.word_length(mul(spec, xi, table.elements[j]))
+            d = table.word_length(mul(spec, xi, elements[j]))
             D[i, j] = D[j, i] = float(d)
     return MetricTable(D)
 
@@ -125,7 +130,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, table: BallTable | None = No
     cs = CodeSpace(spec)
     norms = embed_norms_all(bundle)
     lengths = np.empty(spec.order, dtype=np.int64)
-    lengths[cs.encode_many(table.elements)] = table.dists
+    lengths[cs.encode_many(table.dist)] = np.fromiter(table.dist.values(), np.int64, len(table))
     mask = (lengths >= 1) & (lengths <= R)
     if (norms[mask] == 0.0).any():
         bad = cs.decode(int(np.flatnonzero(mask & (norms == 0.0))[0]))
@@ -237,8 +242,7 @@ def _softmax(v):
     return m / m.sum()
 
 
-def optimize_embedding(metric, p: float = 2.0, dim: int = 2, seed: int = 0,
-                       restarts: int = 8, iters: int = 150):
+def optimize_embedding(metric, p: float = 2.0, dim: int = 2, seed: int = 0):
     """Heuristic low-distortion embedding into R^dim under the lp norm.
 
     Descends a soft-max distortion surrogate with a rising temperature
@@ -259,12 +263,12 @@ def optimize_embedding(metric, p: float = 2.0, dim: int = 2, seed: int = 0,
     scale = float(D.max())
 
     best_points, best_report = None, None
-    for trial in range(max(1, restarts)):
+    for trial in range(EMBED_RESTARTS):
         X = _mds_init(D, dim) if trial == 0 else rng.normal(0.0, scale, (M.n, dim))
         for beta in (4.0, 16.0, 64.0):
             step = 0.1 * scale
             loss, grad = _soft_loss_grad(X, D, p, beta, iu)
-            for _ in range(iters):
+            for _ in range(EMBED_ITERS):
                 while step > 1e-12:
                     cand = X - step * grad
                     new_loss, new_grad = _soft_loss_grad(cand, D, p, beta, iu)
@@ -299,8 +303,7 @@ class C2Result:
     bracket: tuple[float, float]
 
 
-def _project_feasible(D2: np.ndarray, T: float, Q0: np.ndarray,
-                      sweeps: int = 1500, resid_tol: float = 1e-9):
+def _project_feasible(D2: np.ndarray, T: float, Q0: np.ndarray):
     """Alternating projections onto {PSD} and the per-pair slabs.
 
     Returns (feasible, Q).  Infeasibility is declared on residual stagnation.
@@ -310,7 +313,7 @@ def _project_feasible(D2: np.ndarray, T: float, Q0: np.ndarray,
     Q = Q0.copy()
     best_resid = math.inf
     since_improve = 0
-    for _ in range(sweeps):
+    for _ in range(C2_SWEEPS):
         w, V = np.linalg.eigh((Q + Q.T) / 2)
         Q = (V * np.maximum(w, 0.0)) @ V.T
         slab_gap = 0.0
@@ -326,7 +329,7 @@ def _project_feasible(D2: np.ndarray, T: float, Q0: np.ndarray,
                 Q[j, i] -= delta
         neg = max(0.0, -float(np.linalg.eigvalsh((Q + Q.T) / 2).min()))
         resid = max(slab_gap, neg)
-        if resid <= resid_tol:
+        if resid <= C2_RESID_TOL:
             return True, Q
         if resid < best_resid * 0.995:
             best_resid, since_improve = resid, 0

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball
+from .cayley import BallTable, bfs_ball, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
 from .groups import CodeSpace, Element, GroupSpec, identity, inv, mul, spec_to_dict
 from .profile import TestVector, profile_curve
@@ -119,8 +119,7 @@ def build_bundle(spec: GroupSpec, p: float = 2.0, R: int | None = None,
     diam = len(table.sphere_sizes) - 1
     if R is None:
         if spec.family == "sol-fin":
-            diam_n = max(d for x, d in zip(table.elements, table.dists) if x[1] == 0)
-            R = max(2, diam_n)
+            R = max(2, kernel_diameter(table))
         else:
             R = diam
     R = int(R)
@@ -242,7 +241,7 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
         total += coef ** p * np.maximum(gap, 0.0)
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
-        total += chords[np.arange(order) % spec.oA] ** p
+        total += chords[cs.split(np.arange(order))[0]] ** p
     norms = total ** (1.0 / p)
     norms[cs.encode(identity(spec))] = 0.0  # exact, cancels fp residue
     return norms

@@ -33,6 +33,10 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, generators, identity, inv, mul, spec_to_dict, to_string
 
+DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the polish residual target
+DIRICHLET_MAXITER = 10**4
+SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generators
+
 
 def lp_norm(values, p: float) -> float:
     """lp norm with max-factoring so large supports cannot overflow."""
@@ -50,73 +54,71 @@ def translate(spec: GroupSpec, s: Element, f: dict) -> dict:
     return {mul(spec, s, x): v for x, v in f.items()}
 
 
-def _gradient_norms(spec: GroupSpec, f: dict, p: float, gens) -> list[float]:
-    out = []
+def _gradient_norms(spec: GroupSpec, f: dict, p: float, gens):
+    """|f|_p and |f - lambda(s)f|_p for each generator s, by tuple arithmetic."""
+    norm = lp_norm(f.values(), p)
+    if norm == 0.0:
+        raise ZeroNorm("test function is identically zero")
+    grads = []
     for s in gens:
-        shifted = translate(spec, s, f)
-        diff = dict(shifted)
+        diff = translate(spec, s, f)
         for x, v in f.items():
             diff[x] = diff.get(x, 0.0) - v
-        out.append(lp_norm(diff.values(), p))
-    return out
+        grads.append(lp_norm(diff.values(), p))
+    if max(grads) == 0.0:
+        raise ZeroGradient("all generator differences vanish")
+    return norm, grads
 
 
 def rayleigh(spec: GroupSpec, f: dict, p: float, gens=None):
     """(max_form, sum_form) Rayleigh values of a finitely supported function."""
-    if gens is None:
-        gens = generators(spec)
-    norm = lp_norm(f.values(), p)
-    if norm == 0.0:
-        raise ZeroNorm("test function is identically zero")
-    grads = _gradient_norms(spec, f, p, gens)
-    gmax = max(grads)
-    if gmax == 0.0:
-        raise ZeroGradient("all generator differences vanish")
-    gsum = lp_norm(grads, p)
-    return norm / gmax, norm / gsum
+    norm, grads = _gradient_norms(spec, f, p, generators(spec) if gens is None else gens)
+    return norm / max(grads), norm / lp_norm(grads, p)
 
 
-def dirichlet_pc(ball: BallTable, tol: float = 1e-10, maxiter: int = 10**4) -> dict:
+def dirichlet_pc(ball: BallTable) -> dict:
     """Principal vector of the Dirichlet quadratic form on the ball.
 
     Maximizes the p = 2 sum-form Rayleigh value over functions vanishing
     outside the ball: the top eigenvector of the ball-restricted adjacency
     with multiplicities, computed from the deterministic constant start.
     """
+    return _dirichlet_pc(ball, _structure(ball)[1])
+
+
+def _dirichlet_pc(ball: BallTable, in_maps) -> dict:
+    """dirichlet_pc on the in-maps of ``_structure(ball)``."""
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")
     n = len(ball)
     if n == 1:
-        return {ball.elements[0]: 1.0}
+        return {x: 1.0 for x in ball.dist}
 
-    spec = ball.spec
-    rows, cols = [], []
-    for i, x in enumerate(ball.elements):
-        for s in ball.gens:
-            j = ball.index.get(mul(spec, inv(spec, s), x))
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    W = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    # W[i, j] counts the generators s with s^-1 x_i = x_j
+    neighbors = np.stack(in_maps, axis=1)
+    rows, cols = np.nonzero(neighbors >= 0)
+    W = csr_matrix((np.ones(len(rows)), (rows, neighbors[rows, cols])), shape=(n, n))
 
     v0 = np.full(n, 1.0 / math.sqrt(n))
     try:
-        theta, vec = eigsh(W, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter)
+        theta, vec = eigsh(W, k=1, which="LA", v0=v0, tol=DIRICHLET_TOL,
+                           maxiter=DIRICHLET_MAXITER)
     except ArpackNoConvergence as exc:
-        raise NoConvergence(f"Dirichlet eigensolve stalled after {maxiter} iterations") from exc
+        raise NoConvergence(
+            f"Dirichlet eigensolve stalled after {DIRICHLET_MAXITER} iterations") from exc
     v = np.abs(vec[:, 0])
     # cheap polish: the Perron vector is a fixed point of normalized W
     for _ in range(100):
         residual = float(np.linalg.norm(W @ v - theta[0] * v))
-        if residual <= tol * max(1.0, abs(float(theta[0]))):
+        if residual <= DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
             break
         v = W @ v
         theta = np.array([float(v @ (W @ v)) / float(v @ v)])
         v = np.abs(v) / np.linalg.norm(v)
     else:
-        raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {tol:.3e}")
+        raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {DIRICHLET_TOL:.3e}")
     v /= np.linalg.norm(v)
-    return {x: float(v[i]) for i, x in enumerate(ball.elements)}
+    return {x: float(v[i]) for i, x in enumerate(ball.dist)}
 
 
 @dataclass(frozen=True)
@@ -136,21 +138,18 @@ class TestVector:
 
 
 def _structure(ball: BallTable):
-    """Per-generator index maps for vectorized gradient evaluation."""
+    """The position map {x: i} and, per generator s, the in-map i -> position of
+    s^-1 x_i (-1 outside the ball) and the escape mask {s x_i outside the ball},
+    which is the in-map of s^-1 < 0: the generating set is symmetric.
+    """
     spec = ball.spec
-    n = len(ball)
-    in_maps, escapes = [], []
-    for s in ball.gens:
-        s_inv = inv(spec, s)
-        im = np.empty(n, dtype=np.int64)
-        esc = np.empty(n, dtype=bool)
-        for i, x in enumerate(ball.elements):
-            j = ball.index.get(mul(spec, s_inv, x))
-            im[i] = -1 if j is None else j
-            esc[i] = mul(spec, s, x) not in ball.index
-        in_maps.append(im)
-        escapes.append(esc)
-    return in_maps, escapes
+    pos = {x: i for i, x in enumerate(ball.dist)}
+    inverses = [inv(spec, s) for s in ball.gens]
+    in_maps = [np.fromiter((pos.get(mul(spec, s_inv, x), -1) for x in ball.dist),
+                           dtype=np.int64, count=len(pos))
+               for s_inv in inverses]
+    escapes = [in_maps[ball.gens.index(s_inv)] < 0 for s_inv in inverses]
+    return pos, in_maps, escapes
 
 
 def _grad_pows(v, p, in_maps, escapes):
@@ -170,7 +169,7 @@ def _max_form(v, p, in_maps, escapes):
 
 
 def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
-                     kappa: float = 50.0, init_values: dict | None = None) -> TestVector:
+                     init_values: dict | None = None) -> TestVector:
     """Ascend the max-form Rayleigh value over functions on the ball.
 
     The certificate radius is ball.radius + 1 (the smallest open ball
@@ -181,21 +180,18 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
     spec = ball.spec
     radius = ball.radius + 1
 
-    if init_values is None:
-        start = dirichlet_pc(ball)
-    else:
-        if any(x not in ball.index for x in init_values):
-            raise BadParam("initial vector leaves the ball")
-        start = init_values
+    if init_values is not None and any(x not in ball.dist for x in init_values):
+        raise BadParam("initial vector leaves the ball")
+    pos, in_maps, escapes = _structure(ball)
+    start = _dirichlet_pc(ball, in_maps) if init_values is None else init_values
     v = np.zeros(len(ball))
     for x, val in start.items():
-        v[ball.index[x]] = val
+        v[pos[x]] = val
     norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
     if norm == 0.0:
         raise ZeroNorm("initial vector is identically zero")
     v /= norm
 
-    in_maps, escapes = _structure(ball)
     best_v = v.copy()
     best_val = _max_form(v, p, in_maps, escapes)
     step = 0.5
@@ -203,7 +199,7 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
     for _ in range(max_iter):
         dpows = _grad_pows(v, p, in_maps, escapes)
         dmaxp = max(dpows)
-        weights = np.exp(kappa * (np.array(dpows) / dmaxp - 1.0))
+        weights = np.exp(SOFTMAX_KAPPA * (np.array(dpows) / dmaxp - 1.0))
         weights /= weights.sum()
 
         vp = np.abs(v) ** (p - 1.0) * np.sign(v)
@@ -245,11 +241,12 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
 
     gmax = max(_grad_pows(best_v, p, in_maps, escapes)) ** (1.0 / p)
     values = {x: float(best_v[i] / gmax)
-              for i, x in enumerate(ball.elements) if best_v[i] != 0.0}
-    cert, _ = rayleigh(spec, values, p, gens=ball.gens)
-    gnorm = max(_gradient_norms(spec, values, p, ball.gens))
+              for i, x in enumerate(ball.dist) if best_v[i] != 0.0}
+    # re-checked by tuple arithmetic, independently of the ascent's index maps
+    norm, grads = _gradient_norms(spec, values, p, ball.gens)
     return TestVector(spec=spec, radius=radius, p=p, values=values,
-                      certified_J=cert, gradient_max=gnorm, converged=converged)
+                      certified_J=norm / max(grads), gradient_max=max(grads),
+                      converged=converged)
 
 
 @dataclass(frozen=True)
@@ -312,10 +309,10 @@ def revalidate(tv: TestVector, table: BallTable | None = None) -> dict:
     else:
         table.require_spec(tv.spec)
         ball = table.ball(tv.radius - 1)
-    support_ok = all(x in ball.index for x in tv.values)
-    max_form, _ = rayleigh(tv.spec, tv.values, tv.p, gens=ball.gens)
-    gmax = max(_gradient_norms(tv.spec, tv.values, tv.p, ball.gens))
-    return {"support_ok": support_ok, "gradient_max": gmax, "max_form": max_form}
+    support_ok = all(x in ball.dist for x in tv.values)
+    norm, grads = _gradient_norms(tv.spec, tv.values, tv.p, ball.gens)
+    return {"support_ok": support_ok, "gradient_max": max(grads),
+            "max_form": norm / max(grads)}
 
 
 def profile_csv(curve: ProfileCurve) -> str:

@@ -155,7 +155,7 @@ def test_criterion_02_diameter_bounds():
         ratios = []
         for n in (3, 5, 7, 11, 13):
             t = table(sol(n))
-            diam_n = max(d for x, d in zip(t.elements, t.dists) if x[1] == 0)
+            diam_n = max(d for x, d in t.dist.items() if x[1] == 0)
             ratios.append(diam_n / math.log(n))
         assert max(ratios) <= 3 * min(ratios)
 
@@ -206,7 +206,7 @@ def test_criterion_05_construction_invariants():
         cs = CodeSpace(spec6)
         norms = embed_norms_all(b6)
         lengths = np.empty(spec6.order)
-        lengths[cs.encode_many(t6.elements)] = t6.dists
+        lengths[cs.encode_many(t6.dist)] = list(t6.dist.values())
         assert np.all(norms <= lengths * ap.lip_bound + 1e-9)
         floors = math.sqrt(2.0) * np.maximum(1.0, lengths / 8.0)
         off_e = lengths > 0
@@ -215,10 +215,10 @@ def test_criterion_05_construction_invariants():
 
         b4, t4 = bundle(spec4, 2.0), table(spec4)
         cs4 = CodeSpace(spec4)
-        points = np.stack([embed_point(b4, x) for x in t4.elements])
+        points = np.stack([embed_point(b4, x) for x in t4.dist])
         norms4 = embed_norms_all(b4)
-        codes4 = cs4.encode_many(t4.elements)
-        for i, x in enumerate(t4.elements):
+        codes4 = cs4.encode_many(t4.dist)
+        for i, x in enumerate(t4.dist):
             direct = np.linalg.norm(points - points[i], axis=1)
             via_norm = norms4[cs4.act_left(inv(spec4, x), codes4)]
             assert np.all(np.abs(direct - via_norm)

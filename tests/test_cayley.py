@@ -48,7 +48,7 @@ class TestBfsBall:
 
     def test_infinite_lamplighter_positions_bounded(self):
         table = bfs_ball(make_spec("lamplighter-inf", m=2), 3)
-        assert all(-3 <= x[1] <= 3 for x in table.elements)
+        assert all(-3 <= x[1] <= 3 for x in table.dist)
         assert not table.complete
 
     def test_full_enumeration(self):
@@ -56,32 +56,33 @@ class TestBfsBall:
         table = bfs_ball(spec, None)
         assert table.complete
         assert len(table) == spec.order == sum(table.sphere_sizes)
-        assert len(table.index) == len(table)
+        assert len(table.dist) == len(table)
 
     def test_deterministic(self):
         spec = make_spec("lamplighter-fin", m=2, n=5)
         a = bfs_ball(spec, None)
         b = bfs_ball(spec, None)
-        assert a.elements == b.elements
-        assert a.dists == b.dists
+        assert a == b
+        assert list(a.dist.items()) == list(b.dist.items())
 
     def test_edge_consistency(self):
         spec = make_spec("sol-fin", n=5)
         table = bfs_ball(spec, None)
-        for x in table.elements:
+        for x in table.dist:
             for g in table.gens:
                 assert abs(table.word_length(x) - table.word_length(mul(spec, x, g))) <= 1
 
     def test_distances_nondecreasing_in_bfs_order(self):
         table = bfs_ball(make_spec("lamplighter-fin", m=3, n=3), None)
-        assert list(table.dists) == sorted(table.dists)
+        assert list(table.dist.values()) == sorted(table.dist.values())
 
     def test_triangle_inequality(self):
         spec = make_spec("bs-fin", m=2, n=5)
         table = bfs_ball(spec, None)
+        elements = list(table.dist)
         rng = random.Random(23)
         for _ in range(1000):
-            x, y, z = (rng.choice(table.elements) for _ in range(3))
+            x, y, z = (rng.choice(elements) for _ in range(3))
             assert table.pair_distance(x, z) <= (
                 table.pair_distance(x, y) + table.pair_distance(y, z))
 
@@ -108,7 +109,9 @@ class TestBallPrefix:
         table = bfs_ball(spec, None if spec.finite else 6)
         top = table.radius + 2 if spec.finite else table.radius
         for r in range(top + 1):
-            assert table.ball(r) == bfs_ball(spec, r, gens=table.gens), r
+            ball, fresh = table.ball(r), bfs_ball(spec, r)
+            assert ball == fresh, r
+            assert list(ball.dist.items()) == list(fresh.dist.items()), r
 
     def test_incomplete_table_cannot_grow(self):
         table = bfs_ball(make_spec("bs-inf", m=2), 3)
@@ -201,7 +204,7 @@ class TestGirth:
         quotient = make_spec("sol-fin", n=5)
         ptable = bfs_ball(parent, 5)
         qtable = bfs_ball(quotient, None)
-        for x, d in zip(ptable.elements, ptable.dists):
+        for x, d in ptable.dist.items():
             assert qtable.word_length(project(parent, quotient, x)) <= d
 
     def test_bad_cap(self):
@@ -237,6 +240,12 @@ class TestExpRadical:
         assert report.rows
         # norms in the mod-5 plane never exceed 2
         assert all(hi <= math.log(2) + 1e-12 for _r, _lo, hi in report.rows)
+
+    def test_finite_family_enumerates_only_the_ball(self):
+        # the radius-6 ball has 866 of the 248,832 elements
+        report = exp_radical_scan(make_spec("sol-fin", n=144), 6, cap=1000)
+        assert report.r_max == 6
+        assert [r for r, _lo, _hi in report.rows] == list(range(1, 7))
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -334,6 +335,7 @@ REGRESSIONS = [
      "missing"),
     ("group info", {"family": "bs-fin", "m": 2, "n": 3, "out": "a\u0000b"}, 1, "--out"),
     ("scan --family bs-fin --m 2 --n 2", {"plot_script": "a\u0000b"}, 1, "--plot-script"),
+    ("c2 --family lamplighter-fin --m 2 --n 8", None, 1, "point count 2048 exceeds 16"),
 ]
 
 
@@ -342,7 +344,9 @@ def test_regressions(capsys, tmp_path, line, config, code, text):
     argv = line.format(tmp=tmp_path).split()
     if config is not None:
         argv += _config(tmp_path, config)
+    start = time.perf_counter()
     got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10  # each is refused before the costly work
     assert (got, out) == (code, "")
     assert err.count("\n") == 1 and text in err
 

@@ -182,7 +182,7 @@ class TestEquivariant:
         bundle = build_bundle(spec, 2)
         table = bfs_ball(spec, None)
         eq = distortion_equivariant(bundle, table)
-        pts = np.array([embed_point(bundle, x) for x in table.elements])
+        pts = np.array([embed_point(bundle, x) for x in table.dist])
         pw = distortion_pairwise(pts, metric_from_table(table), 2)
         assert pw.expansion == pytest.approx(eq.expansion, rel=1e-9)
         assert pw.contraction == pytest.approx(eq.contraction, rel=1e-9)

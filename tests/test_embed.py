@@ -143,13 +143,13 @@ class TestEmbedNorm:
 
     def test_far_element_block_lower_bound(self, b28):
         table = bfs_ball(L28, None)
-        g = next(x for x, d in zip(table.elements, table.dists) if d >= 8)
+        g = next(x for x, d in table.dist.items() if d >= 8)
         assert embed_norm(b28, g) >= 2 ** 0.5 * 4 - 1e-9
 
     def test_whole_group_invariants(self, b24):
         table = bfs_ball(L24, None)
         lip = apriori_bound(b24).lip_bound
-        for x, d in zip(table.elements, table.dists):
+        for x, d in table.dist.items():
             v = embed_norm(b24, x)
             if d == 0:
                 assert v == 0.0
@@ -164,7 +164,7 @@ class TestEmbedNorm:
         cs = CodeSpace(spec)
         norms = embed_norms_all(bundle)
         table = bfs_ball(spec, None)
-        for x in table.elements:
+        for x in table.dist:
             assert norms[cs.encode(x)] == pytest.approx(embed_norm(bundle, x), abs=1e-10)
 
 
@@ -218,7 +218,7 @@ class TestEmbedPoint:
 
     def test_flat_norm_matches_embed_norm(self, b24):
         table = bfs_ball(L24, None)
-        for x in table.elements:
+        for x in table.dist:
             flat = np.linalg.norm(embed_point(b24, x))
             assert flat == pytest.approx(embed_norm(b24, x), abs=1e-12)
 
@@ -226,13 +226,13 @@ class TestEmbedPoint:
         b = build_bundle(L24, 3)
         rng = random.Random(7)
         table = bfs_ball(L24, None)
-        for x in rng.sample(table.elements, 10):
+        for x in rng.sample(list(table.dist), 10):
             flat = float(np.sum(np.abs(embed_point(b, x)) ** 3) ** (1 / 3))
             assert flat == pytest.approx(embed_norm(b, x), abs=1e-12)
 
     def test_flat_norm_matches_with_circle_at_p2(self, bsol3):
         table = bfs_ball(SOL3, None)
-        for x in table.elements:
+        for x in table.dist:
             flat = np.linalg.norm(embed_point(bsol3, x))
             assert flat == pytest.approx(embed_norm(bsol3, x), abs=1e-12)
 
@@ -242,8 +242,9 @@ class TestEmbedPoint:
         spec = bundle.spec
         table = bfs_ball(spec, None)
         rng = random.Random(11)
+        elements = list(table.dist)
         for _ in range(50):
-            g, h = rng.choice(table.elements), rng.choice(table.elements)
+            g, h = rng.choice(elements), rng.choice(elements)
             gap = np.linalg.norm(embed_point(bundle, g) - embed_point(bundle, h))
             want = embed_norm(bundle, mul(spec, inv(spec, g), h))
             assert gap == pytest.approx(want, abs=1e-9)
@@ -263,8 +264,9 @@ class TestCocycle:
     def test_defect_vanishes(self, b24):
         table = bfs_ball(L24, None)
         rng = random.Random(3)
+        elements = list(table.dist)
         for _ in range(100):
-            g, h = rng.choice(table.elements), rng.choice(table.elements)
+            g, h = rng.choice(elements), rng.choice(elements)
             assert cocycle_defect(b24, g, h) <= 1e-9
 
 

@@ -14,6 +14,7 @@ from cayleydist import (
     from_string,
     generators,
     identity,
+    inv,
     lp_norm,
     make_spec,
     mul,
@@ -25,6 +26,7 @@ from cayleydist import (
     translate,
     vector_json,
 )
+from cayleydist.profile import _structure
 
 L28 = make_spec("lamplighter-fin", m=2, n=8)
 L24 = make_spec("lamplighter-fin", m=2, n=4)
@@ -83,7 +85,20 @@ class TestRayleigh:
         spec = make_spec("lamplighter-fin", m=2, n=2)
         table = bfs_ball(spec, None)
         with pytest.raises(ZeroGradient):
-            rayleigh(spec, {x: 1.0 for x in table.elements}, 2)
+            rayleigh(spec, {x: 1.0 for x in table.dist}, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
+    make_spec("sol-fin", n=5), L2INF, make_spec("bs-inf", m=3), make_spec("sol-inf")],
+    ids=str)
+def test_structure_escapes_are_translates_leaving_the_ball(spec):
+    ball = bfs_ball(spec, 2)
+    pos, in_maps, escapes = _structure(ball)
+    assert list(pos) == list(ball.dist)
+    for s, im, esc in zip(ball.gens, in_maps, escapes):
+        assert list(esc) == [mul(spec, s, x) not in ball.dist for x in ball.dist]
+        assert list(im) == [pos.get(mul(spec, inv(spec, s), x), -1) for x in ball.dist]
 
 
 class TestDirichlet:
@@ -99,7 +114,7 @@ class TestDirichlet:
     def test_nonnegative_unit_vector_on_support(self):
         ball = bfs_ball(L28, 3)
         f = dirichlet_pc(ball)
-        assert set(f) <= set(ball.elements)
+        assert set(f) <= set(ball.dist)
         assert all(v >= 0 for v in f.values())
         assert lp_norm(f.values(), 2) == pytest.approx(1.0, rel=1e-12)
 
@@ -110,7 +125,7 @@ class TestDirichlet:
     def test_beats_tent_function(self):
         # the principal vector maximizes the p=2 sum form on the ball
         ball = bfs_ball(L28, 3)
-        tent = {x: float(4 - d) for x, d in zip(ball.elements, ball.dists)}
+        tent = {x: float(4 - d) for x, d in ball.dist.items()}
         _, tent_sum = rayleigh(L28, tent, 2, gens=ball.gens)
         _, pc_sum = rayleigh(L28, dirichlet_pc(ball), 2, gens=ball.gens)
         assert pc_sum >= tent_sum - 1e-12
@@ -127,7 +142,7 @@ class TestOptimizeProfile:
     def test_support_outside_ball_fails_against_full_table(self):
         tv = optimize_profile(bfs_ball(L28, 1), 2)
         full = bfs_ball(L28, None)
-        far = full.elements[-1]
+        far = list(full.dist)[-1]
         assert full.word_length(far) == 18
         assert revalidate(tv, table=full)["support_ok"]
         stray = replace(tv, values={**tv.values, far: 0.1})
@@ -155,7 +170,7 @@ class TestOptimizeProfile:
 
     def test_init_scale_invariance(self):
         ball = bfs_ball(L24, 1)
-        f = {x: float(3 - d) for x, d in zip(ball.elements, ball.dists)}
+        f = {x: float(3 - d) for x, d in ball.dist.items()}
         g = {x: 5.0 * v for x, v in f.items()}
         a = optimize_profile(ball, 2, init_values=f)
         b = optimize_profile(ball, 2, init_values=g)
