@@ -54,7 +54,7 @@ def translate(spec: GroupSpec, s: Element, f: dict) -> dict:
     return {mul(spec, s, x): v for x, v in f.items()}
 
 
-def _gradient_norms(spec: GroupSpec, f: dict, p: float, gens):
+def _norm_and_gradients(spec: GroupSpec, f: dict, p: float, gens):
     """|f|_p and |f - lambda(s)f|_p for each generator s, by tuple arithmetic."""
     norm = lp_norm(f.values(), p)
     if norm == 0.0:
@@ -72,7 +72,7 @@ def _gradient_norms(spec: GroupSpec, f: dict, p: float, gens):
 
 def rayleigh(spec: GroupSpec, f: dict, p: float, gens=None):
     """(max_form, sum_form) Rayleigh values of a finitely supported function."""
-    norm, grads = _gradient_norms(spec, f, p, generators(spec) if gens is None else gens)
+    norm, grads = _norm_and_gradients(spec, f, p, generators(spec) if gens is None else gens)
     return norm / max(grads), norm / lp_norm(grads, p)
 
 
@@ -243,7 +243,7 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
     values = {x: float(best_v[i] / gmax)
               for i, x in enumerate(ball.dist) if best_v[i] != 0.0}
     # re-checked by tuple arithmetic, independently of the ascent's index maps
-    norm, grads = _gradient_norms(spec, values, p, ball.gens)
+    norm, grads = _norm_and_gradients(spec, values, p, ball.gens)
     return TestVector(spec=spec, radius=radius, p=p, values=values,
                       certified_J=norm / max(grads), gradient_max=max(grads),
                       converged=converged)
@@ -310,7 +310,7 @@ def revalidate(tv: TestVector, table: BallTable | None = None) -> dict:
         table.require_spec(tv.spec)
         ball = table.ball(tv.radius - 1)
     support_ok = all(x in ball.dist for x in tv.values)
-    norm, grads = _gradient_norms(tv.spec, tv.values, tv.p, ball.gens)
+    norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p, ball.gens)
     return {"support_ok": support_ok, "gradient_max": max(grads),
             "max_form": norm / max(grads)}
 
