@@ -63,6 +63,11 @@ COMMANDS = (
     "scan --family lamplighter-fin --m 2 --n 3,4,5",
     "scan --family bs-fin --m 2 --n 3,4,5 --format json",
     "scan --family sol-fin --n 3,5 --format json",
+    "cayley ball --family lamplighter-fin --m 3 --n 4 --radius 3",
+    "cayley ball --family bs-fin --m 3 --n 4 --cap 50",
+    "expradical --family sol-fin --n 144 --radius 6 --cap 1000",
+    "girth --family sol-fin --n 12 --cap 3",
+    "profile --family lamplighter-fin --m 3 --n 5 --radius 1,2",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
