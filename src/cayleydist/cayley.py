@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
+
+import numpy as np
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius
-from .groups import Element, GroupSpec, generators, identity, inv, mul, project
+from .groups import CodeSpace, Element, GroupSpec, generators, identity, inv, mul, project
 
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
@@ -38,12 +40,12 @@ class BallTable:
     def __len__(self) -> int:
         return len(self.dist)
 
-    def word_length(self, x: Element, default=None):
-        return self.dist.get(x, default)
+    def word_length(self, x: Element) -> int | None:
+        return self.dist.get(x)
 
-    def pair_distance(self, x: Element, y: Element, default=None):
+    def pair_distance(self, x: Element, y: Element) -> int | None:
         """d(x, y) = word length of x^-1 y, when that element lies in the table."""
-        return self.word_length(mul(self.spec, inv(self.spec, x), y), default)
+        return self.word_length(mul(self.spec, inv(self.spec, x), y))
 
     def ball_size(self, r: int) -> int:
         return sum(self.sphere_sizes[: r + 1])
@@ -70,7 +72,9 @@ class BallTable:
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
              cap: int = VERTEX_CAP) -> BallTable:
     """Enumerate the closed ball of the given radius (whole group if None),
-    level by level, into ``dist`` in FIFO discovery order.
+    level by level, into ``dist`` in FIFO discovery order: x * g for x in
+    level order and g in generator order, first occurrence kept.  Finite
+    families do this on ``CodeSpace`` code arrays, decoding each level once.
     """
     gens = generators(spec)
     if radius is None:
@@ -86,18 +90,33 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     dist: dict[Element, int] = {e: 0}
     sphere = [1]
     level = [e]
+    if spec.finite:
+        cs = CodeSpace(spec)
+        level = cs.encode_many(level)
+        seen = np.zeros(spec.order, dtype=bool)
     while len(sphere) - 1 != radius:
         d = len(sphere)
-        nxt: list[Element] = []
-        for x in level:
-            for g in gens:
-                y = mul(spec, x, g)
-                if y not in dist:
-                    if len(dist) >= cap:
-                        raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                    dist[y] = d
-                    nxt.append(y)
-        if not nxt:
+        if spec.finite:
+            seen[level] = True
+            payload = cs.payload(level)
+            cand = np.stack([cs.act_right(g, level, payload) for g in gens], axis=1).ravel()
+            del payload  # the level's digits, dead before the next level is decoded
+            cand = cand[~seen[cand]]
+            nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
+            if len(dist) + len(nxt) > cap:
+                raise CapExceeded(f"ball exceeds vertex cap {cap}")
+            dist.update(zip(cs.decode_many(nxt), repeat(d)))
+        else:
+            nxt = []
+            for x in level:
+                for g in gens:
+                    y = mul(spec, x, g)
+                    if y not in dist:
+                        if len(dist) >= cap:
+                            raise CapExceeded(f"ball exceeds vertex cap {cap}")
+                        dist[y] = d
+                        nxt.append(y)
+        if not len(nxt):
             break
         sphere.append(len(nxt))
         level = nxt

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -358,12 +359,11 @@ def inv(spec: GroupSpec, x: Element) -> Element:
     raise FamilyMismatch(f"unknown family {f!r}")
 
 
-def generators(spec: GroupSpec, include_e2: bool = False) -> tuple[Element, ...]:
+def generators(spec: GroupSpec) -> tuple[Element, ...]:
     """Symmetric generating set, duplicates collapsed keeping first occurrence.
 
-    Order: normal-part generator and its inverse, then (for sol with
-    ``include_e2``) the second coordinate pair, then the time step and its
-    inverse.  Size is at most 4 (6 with ``include_e2``).
+    Order: normal-part generator and its inverse, then the time step and its
+    inverse.  Size is at most 4.
     """
     f = spec.family
     if f == "lamplighter-fin":
@@ -380,15 +380,9 @@ def generators(spec: GroupSpec, include_e2: bool = False) -> tuple[Element, ...]
         raw = [((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1)]
     elif f == "sol-fin":
         n, oA = spec.n, spec.oA
-        raw = [((1, 0), 0), ((n - 1, 0), 0)]
-        if include_e2:
-            raw += [((0, 1), 0), ((0, n - 1), 0)]
-        raw += [((0, 0), 1), ((0, 0), (oA - 1) % oA)]
+        raw = [((1, 0), 0), ((n - 1, 0), 0), ((0, 0), 1), ((0, 0), (oA - 1) % oA)]
     elif f == "sol-inf":
-        raw = [((1, 0), 0), ((-1, 0), 0)]
-        if include_e2:
-            raw += [((0, 1), 0), ((0, -1), 0)]
-        raw += [((0, 0), 1), ((0, 0), -1)]
+        raw = [((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1)]
     else:
         raise FamilyMismatch(f"unknown family {f!r}")
 
@@ -563,11 +557,18 @@ def spec_from_dict(data: dict) -> GroupSpec:
 class CodeSpace:
     """Perfect integer coding of a finite family's elements.
 
-    Codes run over range(order).  Every family is N x| T with N abelian, and
-    the code of (a, t) is t + time_order * a, where a indexes N as an array of
-    shape ``normal_shape`` in C order.  ``act_left`` maps an array of codes x
-    to the codes of g * x in one vectorized pass; ``payload`` exposes the
-    decoded arrays so repeated actions on a fixed support skip the decode.
+    Every finite family is N x| T, T cyclic of order ``time_order`` and N
+    abelian, written as d digits mod a radix k with weights w_i (distinct
+    powers of k); phi_s acts on digits as an integer matrix M_s mod k:
+
+    * lamplighter-fin: T = n, k = m, lamp i of weight m^i, M_s the shift
+      taking digit i - s to digit i;
+    * bs-fin: T = n, k = q, one bare-int digit of weight 1, M_s = m^s mod q;
+    * sol-fin: T = o(A, n), k = n, (v1, v2) of weights (n, 1), M_s = A^s mod n.
+
+    A code is t + T * sum_i a_i w_i, so the digit sum indexes N as an array of
+    shape ``normal_shape`` in C order.  ``payload`` decodes codes once for
+    repeated actions on one support (``act_left``) or BFS level (``act_right``).
     """
 
     def __init__(self, spec: GroupSpec):
@@ -577,117 +578,102 @@ class CodeSpace:
         self.order = spec.order
         f = spec.family
         if f == "lamplighter-fin":
-            self._mpows = np.array([spec.m**i for i in range(spec.n)], dtype=np.int64)
-            self.time_order, self.normal_shape = spec.n, (spec.m,) * spec.n
+            T, k, weights = spec.n, spec.m, [spec.m**i for i in range(spec.n)]
+            twists = [np.roll(np.eye(spec.n, dtype=np.int64), s, axis=0) for s in range(T)]
         elif f == "bs-fin":
-            self._bpows = np.array(_bs_pows(spec), dtype=np.int64)
-            self.time_order, self.normal_shape = spec.n, (spec.q,)
+            T, k, weights, twists = spec.n, spec.q, [1], [[[c]] for c in _bs_pows(spec)]
         else:
-            self._apows = _sol_pows(spec)
-            self.time_order, self.normal_shape = spec.oA, (spec.n, spec.n)
+            T, k, weights, twists = spec.oA, spec.n, [spec.n, 1], _sol_pows(spec)
+        self.time_order, self.radix = T, k
+        self.normal_shape = (k,) * len(weights)
+        self._scalar = f == "bs-fin"
+        self._weights = weights
+        self._twists = np.array(twists, dtype=np.int64)
+
+        def sparse(M):  # the (column, coefficient) pairs of each row's nonzero entries
+            return [[(j, int(c)) for j, c in enumerate(row) if c] for row in M]
+        self._rows = [sparse(M) for M in self._twists]
+        self._cols = [sparse(M.T) for M in self._twists]
 
     def encode(self, x: Element) -> int:
-        f = self.spec.family
-        if f == "lamplighter-fin":
-            lamps, pos = x
-            acc = 0
-            for i in reversed(range(self.spec.n)):
-                acc = acc * self.spec.m + lamps[i]
-            return acc * self.spec.n + pos
-        if f == "bs-fin":
-            a, t = x
-            return t + self.spec.n * a
-        (v1, v2), t = x
-        return t + self.spec.oA * (v2 + self.spec.n * v1)
+        return int(self.encode_many([x])[0])
 
     def decode(self, code: int) -> Element:
-        f = self.spec.family
-        if f == "lamplighter-fin":
-            n, m = self.spec.n, self.spec.m
-            pos = code % n
-            rest = code // n
-            lamps = []
-            for _ in range(n):
-                lamps.append(rest % m)
-                rest //= m
-            return (tuple(lamps), pos)
-        if f == "bs-fin":
-            return (code // self.spec.n, code % self.spec.n)
-        oA, n = self.spec.oA, self.spec.n
-        t = code % oA
-        rest = code // oA
-        return ((rest // n, rest % n), t)
+        return self.decode_many([code])[0]
 
     def encode_many(self, elements) -> np.ndarray:
-        return np.fromiter((self.encode(x) for x in elements), dtype=np.int64,
-                           count=len(elements))
+        T, w = self.time_order, self._weights
+        if self._scalar:
+            codes = (t + T * a for a, t in elements)
+        else:
+            codes = (t + T * sum(map(operator.mul, a, w)) for a, t in elements)
+        return np.fromiter(codes, dtype=np.int64, count=len(elements))
+
+    def decode_many(self, codes) -> list[Element]:
+        """The elements of ``codes``, in order: the inverse of encode_many."""
+        digits, t = self.payload(codes)
+        payloads = digits[0].tolist() if self._scalar else zip(*(u.tolist() for u in digits))
+        return list(zip(payloads, t.tolist()))
 
     def payload(self, codes: np.ndarray):
-        """Decoded arrays: lamplighter (digits, pos), bs (a, t), sol (v1, v2, t)."""
-        f = self.spec.family
-        codes = np.asarray(codes, dtype=np.int64)
-        if f == "lamplighter-fin":
-            n, m = self.spec.n, self.spec.m
-            pos = codes % n
-            rest = codes // n
-            digits = (rest[:, None] // self._mpows[None, :]) % m
-            return (digits, pos)
-        if f == "bs-fin":
-            n = self.spec.n
-            return (codes // n, codes % n)
-        oA, n = self.spec.oA, self.spec.n
-        t = codes % oA
-        rest = codes // oA
-        return (rest // n, rest % n, t)
+        """(digits, t): the list of digit arrays and the time array of ``codes``."""
+        t, a = self.split(codes)
+        return [_mod(a // w, self.radix) for w in self._weights], t
+
+    def _twisted_index(self, rows, digits, offsets) -> np.ndarray:
+        """The index into N of offsets + M digits mod k, M given by its sparse rows."""
+        a = np.zeros(len(digits[0]), dtype=np.int64)
+        for row, off, w in zip(rows, offsets, self._weights):
+            if not off and len(row) == 1 and row[0][1] == 1:
+                u = digits[row[0][0]]  # a copied digit is already reduced
+            else:
+                u = _mod(sum((digits[j] if c == 1 else c * digits[j] for j, c in row), off),
+                         self.radix)
+            a += u if w == 1 else u * w
+        return a
 
     def act_left(self, g: Element, codes: np.ndarray, payload=None) -> np.ndarray:
-        """Codes of g * x for every code x in ``codes``."""
+        """Codes of g * x for every code x in ``codes``: (b + M_s a, s + t)."""
         if payload is None:
             payload = self.payload(codes)
-        f = self.spec.family
-        if f == "lamplighter-fin":
-            n, m = self.spec.n, self.spec.m
-            digits, pos = payload
-            flamps, s = g
-            idx = np.array([(i - s) % n for i in range(n)], dtype=np.int64)
-            shifted = digits[:, idx]
-            newdig = (np.array(flamps, dtype=np.int64)[None, :] + shifted) % m
-            return (newdig @ self._mpows) * n + (pos + s) % n
-        if f == "bs-fin":
-            q, n = self.spec.q, self.spec.n
-            a, t = payload
-            b, s = g
-            return (t + s) % n + n * ((b + int(self._bpows[s]) * a) % q)
-        oA, n = self.spec.oA, self.spec.n
-        v1, v2, t = payload
-        (w1, w2), s = g
-        M = self._apows[s]
-        u1 = (w1 + M[0][0] * v1 + M[0][1] * v2) % n
-        u2 = (w2 + M[1][0] * v1 + M[1][1] * v2) % n
-        return (t + s) % oA + oA * (u2 + n * u1)
+        digits, t = payload
+        b, s = g
+        a = self._twisted_index(self._rows[s], digits, (b,) if self._scalar else b)
+        return _mod(t + s, self.time_order) + self.time_order * a
+
+    def act_right(self, g: Element, codes: np.ndarray, payload=None) -> np.ndarray:
+        """Codes of x * g for every code x in ``codes``: (a + M_t b, t + s)."""
+        if payload is None:
+            payload = self.payload(codes)
+        digits, t = payload
+        b, s = g
+        shifts = (self._twists @ np.array(b, dtype=np.int64).reshape(-1)).T  # [i, t]: (M_t b)_i
+        a = np.zeros(len(t), dtype=np.int64)
+        for u, shift, w in zip(digits, shifts, self._weights):
+            a += (_mod(u + shift[t], self.radix) if shift.any() else u) * w
+        return _mod(t + s, self.time_order) + self.time_order * a
 
     def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, a) of each code: the time index and the flat index into N."""
         a, t = np.divmod(codes, self.time_order)
         return t, a
 
+    @cached_property
+    def _characters(self) -> list[np.ndarray]:
+        return self.payload(np.arange(0, self.order, self.time_order))[0]
+
     def dual_twist(self, s: int) -> np.ndarray:
         """phi_s^T on the characters of N, as an index array.
 
         Characters k are indexed like N itself, and the Fourier transform of
-        f o phi_-s over N is the transform of f read at phi_s^T k: phi_-s for
-        the lamp shift, multiplication by m^s for bs, and the transpose of
-        A^s (not A^s) for sol.
+        f o phi_-s over N is the transform of f read at M_s^T k: the lamp
+        shift by -s, multiplication by m^s for bs, and the transpose of A^s
+        (not A^s) for sol.
         """
-        f = self.spec.family
-        k = np.arange(self.order // self.time_order, dtype=np.int64)
-        if f == "lamplighter-fin":
-            m, n = self.spec.m, self.spec.n
-            low = m**s  # digit j of the result is digit j + s of k
-            return k // low + (k % low) * m ** (n - s)
-        if f == "bs-fin":
-            return (int(self._bpows[s]) * k) % self.spec.q
-        n = self.spec.n
-        k1, k2 = np.divmod(k, n)
-        (a, b), (c, d) = self._apows[s]
-        return (b * k1 + d * k2) % n + n * ((a * k1 + c * k2) % n)
+        return self._twisted_index(self._cols[s], self._characters, repeat(0))
+
+
+def _mod(x: np.ndarray, k: int) -> np.ndarray:
+    """x % k for an int64 array: numpy's remainder costs several floor divisions."""
+    return x - x // k * k
+

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .groups import Element, GroupSpec, generators, identity, inv, mul, spec_to_dict, to_string
 
-DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the polish residual target
+DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
 SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generators
 
@@ -107,15 +107,9 @@ def _dirichlet_pc(ball: BallTable, in_maps) -> dict:
         raise NoConvergence(
             f"Dirichlet eigensolve stalled after {DIRICHLET_MAXITER} iterations") from exc
     v = np.abs(vec[:, 0])
-    # cheap polish: the Perron vector is a fixed point of normalized W
-    for _ in range(100):
-        residual = float(np.linalg.norm(W @ v - theta[0] * v))
-        if residual <= DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
-            break
-        v = W @ v
-        theta = np.array([float(v @ (W @ v)) / float(v @ v)])
-        v = np.abs(v) / np.linalg.norm(v)
-    else:
+    # ARPACK stops once |W v - theta v| <= tol |theta|; re-measure it on |v|
+    residual = float(np.linalg.norm(W @ v - theta[0] * v))
+    if residual > DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
         raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {DIRICHLET_TOL:.3e}")
     v /= np.linalg.norm(v)
     return {x: float(v[i]) for i, x in enumerate(ball.dist)}

@@ -31,6 +31,32 @@ SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2,
                 make_spec("sol-fin", n=5), make_spec("lamplighter-inf", m=2),
                 make_spec("bs-inf", m=3), make_spec("sol-inf")]
 B25, B24 = make_spec("bs-fin", m=2, n=5), make_spec("bs-fin", m=2, n=4)
+CODE_FAMILIES = [make_spec("lamplighter-fin", m=2, n=5), make_spec("lamplighter-fin", m=3, n=4),
+                 make_spec("bs-fin", m=2, n=7), make_spec("bs-fin", m=3, n=4),
+                 make_spec("sol-fin", n=5), make_spec("sol-fin", n=6, A=((3, 1), (2, 1)))]
+
+
+def tuple_bfs(spec, radius):
+    """Reference BFS by tuple products: FIFO levels, each element's
+    neighbours x * g in generator order, first discovery kept."""
+    gens = generators(spec)
+    e = identity(spec)
+    dist = {e: 0}
+    level = [e]
+    d = 0
+    while d != radius:
+        d += 1
+        nxt = []
+        for x in level:
+            for g in gens:
+                y = mul(spec, x, g)
+                if y not in dist:
+                    dist[y] = d
+                    nxt.append(y)
+        if not nxt:
+            break
+        level = nxt
+    return dist
 
 
 class TestBfsBall:
@@ -101,6 +127,24 @@ class TestBfsBall:
     def test_negative_radius(self):
         with pytest.raises(BadParam):
             bfs_ball(make_spec("bs-fin", m=2, n=3), -1)
+
+
+class TestCodeBfs:
+    @pytest.mark.parametrize("radius", [0, 1, 3, None])
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_same_order_as_tuple_bfs(self, spec, radius):
+        table = bfs_ball(spec, radius)
+        want = tuple_bfs(spec, radius)
+        assert list(table.dist.items()) == list(want.items())
+        assert sum(table.sphere_sizes) == len(want)
+
+    @pytest.mark.parametrize("radius", [3, None])
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_vertex_cap_is_the_ball_size(self, spec, radius):
+        size = len(bfs_ball(spec, radius))
+        assert len(bfs_ball(spec, radius, cap=size)) == size
+        with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}"):
+            bfs_ball(spec, radius, cap=size - 1)
 
 
 class TestBallPrefix:

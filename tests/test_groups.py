@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cayleydist import (
@@ -24,6 +25,18 @@ from cayleydist import (
 )
 
 A_DEFAULT = ((2, 1), (1, 1))
+CODE_FAMILIES = [make_spec("lamplighter-fin", m=2, n=5), make_spec("lamplighter-fin", m=3, n=4),
+                 make_spec("bs-fin", m=2, n=7), make_spec("bs-fin", m=3, n=4),
+                 make_spec("sol-fin", n=5), make_spec("sol-fin", n=6, A=((3, 1), (2, 1)))]
+
+
+def _ints(x):
+    """The integers of a nested tuple, depth first."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _ints(y)
+    else:
+        yield x
 
 
 def random_element(spec, rng):
@@ -210,11 +223,6 @@ class TestGenerators:
         assert len(set(gens)) == len(gens) <= 4
         assert {inv(spec, g) for g in gens} == set(gens)
 
-    def test_sol_e2_flag(self):
-        gens = generators(make_spec("sol-fin", n=5), include_e2=True)
-        assert len(gens) == 6
-        assert ((0, 1), 0) in gens
-
 
 class TestProject:
     def test_identity_maps_to_identity(self):
@@ -365,6 +373,45 @@ class TestCodeSpace:
             out = cs.act_left(g, codes, payload)
             expected = np.array([cs.encode(mul(spec, g, x)) for x in xs])
             assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_act_right_matches_mul(self, spec):
+        cs = CodeSpace(spec)
+        rng = random.Random(19)
+        xs = [random_element(spec, rng) for _ in range(64)]
+        codes = cs.encode_many(xs)
+        payload = cs.payload(codes)
+        for g in list(generators(spec)) + [random_element(spec, rng) for _ in range(20)]:
+            expected = np.array([cs.encode(mul(spec, x, g)) for x in xs])
+            assert np.array_equal(cs.act_right(g, codes, payload), expected)
+            assert np.array_equal(cs.act_right(g, codes), expected)
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_decode_many_inverts_encode_many(self, spec):
+        cs = CodeSpace(spec)
+        codes = np.random.default_rng(5).permutation(spec.order)
+        elements = cs.decode_many(codes)
+        assert elements == [cs.decode(int(c)) for c in codes]
+        assert np.array_equal(cs.encode_many(elements), codes)
+        # plain ints, as the tuple arithmetic builds them
+        assert all(type(v) is int for x in elements for v in _ints(x))
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_dual_twist_matches_family_formulas(self, spec):
+        cs = CodeSpace(spec)
+        k = np.arange(spec.order // cs.time_order)
+        for s in range(cs.time_order):
+            if spec.family == "lamplighter-fin":
+                low = spec.m**s  # digit j of the result is digit j + s of k
+                want = k // low + (k % low) * spec.m ** (spec.n - s)
+            elif spec.family == "bs-fin":
+                want = (pow(spec.m, s, spec.q) * k) % spec.q
+            else:
+                M = np.linalg.matrix_power(np.array(spec.A, dtype=object), s) % spec.n
+                (a, b), (c, d) = M.tolist()
+                k1, k2 = np.divmod(k, spec.n)
+                want = (b * k1 + d * k2) % spec.n + spec.n * ((a * k1 + c * k2) % spec.n)
+            assert np.array_equal(cs.dual_twist(s), want), s
 
     def test_rejects_infinite(self):
         from cayleydist import FamilyMismatch
