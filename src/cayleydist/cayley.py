@@ -92,14 +92,14 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     level = [e]
     if spec.finite:
         cs = CodeSpace(spec)
-        level = cs.encode_many(level)
+        level = np.array([cs.encode(e)])
         seen = np.zeros(spec.order, dtype=bool)
     while len(sphere) - 1 != radius:
         d = len(sphere)
         if spec.finite:
             seen[level] = True
             payload = cs.payload(level)
-            cand = np.stack([cs.act_right(g, level, payload) for g in gens], axis=1).ravel()
+            cand = np.stack([cs.act_right(g, payload) for g in gens], axis=1).ravel()
             del payload  # the level's digits, dead before the next level is decoded
             cand = cand[~seen[cand]]
             nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]

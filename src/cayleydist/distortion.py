@@ -133,13 +133,13 @@ def distortion_equivariant(bundle: EmbeddingBundle, table: BallTable | None = No
     lengths[cs.encode_many(table.dist)] = np.fromiter(table.dist.values(), np.int64, len(table))
     mask = (lengths >= 1) & (lengths <= R)
     if (norms[mask] == 0.0).any():
-        bad = cs.decode(int(np.flatnonzero(mask & (norms == 0.0))[0]))
+        bad = cs.decode_many(np.flatnonzero(mask & (norms == 0.0))[:1])[0]
         raise ZeroNorm(f"embedding collapses {to_string(spec, bad)}")
 
     def arg_lex(ratios):
         top = ratios[mask].max()
         cand = np.flatnonzero(mask & (ratios == top))
-        return top, min(cs.decode(int(c)) for c in cand)
+        return top, min(cs.decode_many(cand))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         exp_ratio = np.where(mask, norms / lengths, -np.inf)

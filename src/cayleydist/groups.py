@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -596,18 +596,23 @@ class CodeSpace:
         self._cols = [sparse(M.T) for M in self._twists]
 
     def encode(self, x: Element) -> int:
-        return int(self.encode_many([x])[0])
+        a, t = x
+        if not self._scalar:
+            a = sum(map(operator.mul, a, self._weights))
+        return t + self.time_order * a
 
     def decode(self, code: int) -> Element:
         return self.decode_many([code])[0]
 
     def encode_many(self, elements) -> np.ndarray:
-        T, w = self.time_order, self._weights
-        if self._scalar:
-            codes = (t + T * a for a, t in elements)
-        else:
-            codes = (t + T * sum(map(operator.mul, a, w)) for a, t in elements)
-        return np.fromiter(codes, dtype=np.int64, count=len(elements))
+        n, d, w = len(elements), len(self._weights), np.array(self._weights, dtype=np.int64)
+        codes, rows = np.empty(n, dtype=np.int64), iter(elements)
+        for lo in range(0, n, 1 << 14):  # in blocks: a whole table's digits take d words each
+            payloads, times = zip(*islice(rows, 1 << 14))
+            digits = payloads if self._scalar else chain.from_iterable(payloads)
+            digits = np.fromiter(digits, dtype=np.int64, count=len(times) * d).reshape(-1, d)
+            codes[lo:lo + len(times)] = np.array(times) + self.time_order * (digits @ w)
+        return codes
 
     def decode_many(self, codes) -> list[Element]:
         """The elements of ``codes``, in order: the inverse of encode_many."""
@@ -636,17 +641,13 @@ class CodeSpace:
         """Codes of g * x for every code x in ``codes``: (b + M_s a, s + t)."""
         if payload is None:
             payload = self.payload(codes)
-        digits, t = payload
-        b, s = g
+        (digits, t), (b, s) = payload, g
         a = self._twisted_index(self._rows[s], digits, (b,) if self._scalar else b)
         return _mod(t + s, self.time_order) + self.time_order * a
 
-    def act_right(self, g: Element, codes: np.ndarray, payload=None) -> np.ndarray:
-        """Codes of x * g for every code x in ``codes``: (a + M_t b, t + s)."""
-        if payload is None:
-            payload = self.payload(codes)
-        digits, t = payload
-        b, s = g
+    def act_right(self, g: Element, payload) -> np.ndarray:
+        """Codes of x * g for every x that ``payload`` decodes: (a + M_t b, t + s)."""
+        (digits, t), (b, s) = payload, g
         shifts = (self._twists @ np.array(b, dtype=np.int64).reshape(-1)).T  # [i, t]: (M_t b)_i
         a = np.zeros(len(t), dtype=np.int64)
         for u, shift, w in zip(digits, shifts, self._weights):
@@ -655,8 +656,7 @@ class CodeSpace:
 
     def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, a) of each code: the time index and the flat index into N."""
-        a, t = np.divmod(codes, self.time_order)
-        return t, a
+        return np.divmod(codes, self.time_order)[::-1]
 
     @cached_property
     def _characters(self) -> list[np.ndarray]:

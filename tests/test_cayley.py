@@ -26,14 +26,12 @@ from cayleydist import (
     revalidate,
     sphere_csv,
 )
+from conftest import CODE_FAMILIES
 
 SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
                 make_spec("sol-fin", n=5), make_spec("lamplighter-inf", m=2),
                 make_spec("bs-inf", m=3), make_spec("sol-inf")]
 B25, B24 = make_spec("bs-fin", m=2, n=5), make_spec("bs-fin", m=2, n=4)
-CODE_FAMILIES = [make_spec("lamplighter-fin", m=2, n=5), make_spec("lamplighter-fin", m=3, n=4),
-                 make_spec("bs-fin", m=2, n=7), make_spec("bs-fin", m=3, n=4),
-                 make_spec("sol-fin", n=5), make_spec("sol-fin", n=6, A=((3, 1), (2, 1)))]
 
 
 def tuple_bfs(spec, radius):
