@@ -68,6 +68,11 @@ COMMANDS = (
     "expradical --family sol-fin --n 144 --radius 6 --cap 1000",
     "girth --family sol-fin --n 12 --cap 3",
     "profile --family lamplighter-fin --m 3 --n 5 --radius 1,2",
+    "embed --family lamplighter-inf --m 2",
+    "distort --family bs-inf --m 2",
+    "profile --family sol-inf --radius 1",
+    "distort --family lamplighter-fin --m 2 --n 6 --radius 20",
+    "profile --family lamplighter-fin --m 2 --n 6 --radius 9",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
