@@ -63,11 +63,6 @@ class BallTable:
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
 
-    def require_spec(self, spec: GroupSpec) -> None:
-        """Reject a table enumerating another group than ``spec``."""
-        if self.spec != spec:
-            raise BadParam(f"table enumerates {self.spec}, not {spec}")
-
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
              cap: int = VERTEX_CAP) -> BallTable:

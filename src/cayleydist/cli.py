@@ -262,7 +262,9 @@ def _run_profile(args) -> str:
         raise BadParam(f"p = {p} outside the supported range [1, 8]")
     if args.radius is None:
         raise BadParam("--radius (comma-separated radii) is required")
-    curve = profile_curve(spec, p, args.radius)
+    if not spec.finite:
+        raise BadParam(f"profile curves need a finite family, got {spec.family}")
+    curve = profile_curve(bfs_ball(spec, None), p, args.radius)
     if args.format == "json":
         return _emit_json({
             "p": curve.p,
@@ -275,12 +277,13 @@ def _run_profile(args) -> str:
 
 def _bundle_from_args(args, p):
     spec = _spec_from_args(args)
-    table = bfs_ball(spec, None) if spec.finite else None
-    return spec, table, build_bundle(spec, p, R=args.radius, table=table)
+    if not spec.finite:
+        raise BadParam(f"embeddings need a finite family, got {spec.family}")
+    return build_bundle(bfs_ball(spec, None), p, R=args.radius)
 
 
 def _run_embed(args) -> str:
-    _, _, bundle = _bundle_from_args(args, _embed_exponent(args))
+    bundle = _bundle_from_args(args, _embed_exponent(args))
     if args.format == "csv":
         lines = ["radius,certified_J,coef,support_size"]
         for blk in bundle_json(bundle)["blocks"]:
@@ -291,20 +294,20 @@ def _run_embed(args) -> str:
 
 
 def _run_distort(args) -> str:
-    spec, table, bundle = _bundle_from_args(args, _embed_exponent(args))
+    bundle = _bundle_from_args(args, _embed_exponent(args))
     zero = args.zero_block
     if zero is not None:
         if not 0 <= zero <= bundle.K:
             raise BadParam(f"--zero-block {zero} outside blocks 0..{bundle.K}")
         coefs = tuple(0.0 if k == zero else c for k, c in enumerate(bundle.coefs))
         bundle = replace(bundle, coefs=coefs)
-    report = distortion_equivariant(bundle, table)
+    report = distortion_equivariant(bundle)
     bound = apriori_bound(bundle)
     if args.format == "csv":
         return _kv_csv([("R", report.R), ("expansion", report.expansion),
                         ("contraction", report.contraction), ("dist", report.dist),
                         ("dist_bound", bound.dist_bound)])
-    blob = report_json(report, spec=spec)
+    blob = report_json(report, bundle.spec)
     blob["lip_bound"] = bound.lip_bound
     blob["colip_bound"] = bound.colip_bound
     blob["dist_bound"] = bound.dist_bound
@@ -338,9 +341,9 @@ def _scan_row(family: str, m, n: int, p: float) -> dict:
     spec = make_spec(family, m=m, n=n)
     table = bfs_ball(spec, None)
     diam = len(table.sphere_sizes) - 1
-    bundle = build_bundle(spec, p, table=table)
+    bundle = build_bundle(table, p)
     bound = apriori_bound(bundle)
-    report = distortion_equivariant(bundle, table)
+    report = distortion_equivariant(bundle)
     log_diam_pow = math.log(diam) ** (1.0 / p)
     return {
         "n": n,

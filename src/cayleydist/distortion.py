@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball
+from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
 from .groups import CodeSpace, identity, inv, mul, to_string
@@ -107,17 +107,13 @@ def metric_from_table(table: BallTable) -> MetricTable:
     return MetricTable(D)
 
 
-def distortion_equivariant(bundle: EmbeddingBundle, table: BallTable | None = None,
-                           R: float | None = None) -> DistortionReport:
+def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> DistortionReport:
     """Distortion of the bundle's embedding over the whole group at scale R.
 
-    R defaults to the diameter, making the result the unrestricted distortion.
+    R defaults to the diameter of the bundle's table, making the result the
+    unrestricted distortion.
     """
-    if table is None:
-        table = bfs_ball(bundle.spec, None)
-    table.require_spec(bundle.spec)
-    if not table.complete:
-        raise BadParam("equivariant distortion needs a complete enumeration")
+    table = bundle.table
     spec = bundle.spec
     diam = len(table.sphere_sizes) - 1
     if R is None:
@@ -187,18 +183,15 @@ def distortion_pairwise(points, metric, p: float = 2.0,
                             witness_expand=w_exp, witness_contract=w_con)
 
 
-def report_json(report: DistortionReport, spec=None) -> dict:
-    """JSON-ready report; witnesses as canonical strings when a spec is given."""
-    def pair(w):
-        return [to_string(spec, x) if spec is not None else x for x in w]
-
+def report_json(report: DistortionReport, spec) -> dict:
+    """JSON-ready report of the group ``spec``; witnesses as canonical strings."""
     return {
         "R": report.R,
         "expansion": report.expansion,
         "contraction": report.contraction,
         "dist": report.dist,
-        "witness_expand": pair(report.witness_expand),
-        "witness_contract": pair(report.witness_contract),
+        "witness_expand": [to_string(spec, x) for x in report.witness_expand],
+        "witness_contract": [to_string(spec, x) for x in report.witness_contract],
     }
 
 

@@ -23,13 +23,13 @@ large terms and loses digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball, kernel_diameter
+from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
 from .groups import CodeSpace, Element, GroupSpec, identity, inv, mul, spec_to_dict
 from .profile import TestVector, profile_curve
@@ -66,13 +66,14 @@ class CircleMap:
 
 @dataclass(frozen=True)
 class EmbeddingBundle:
-    """Frozen description of one embedding: certificates, coefficients, and
-    the optional circle coordinate.  C_hat = max coefficient over k >= 1 (1.0
-    when there are no profile blocks), the measured linear-profile constant at
-    the bundle's own dyadic radii.
+    """Frozen description of one embedding: the complete word-metric table of
+    its group, certificates, coefficients, and the optional circle coordinate.
+    C_hat = max coefficient over k >= 1 (1.0 when there are no profile
+    blocks), the measured linear-profile constant at the bundle's own dyadic
+    radii.
     """
 
-    spec: GroupSpec
+    table: BallTable = field(repr=False)
     p: float
     R: int
     K: int
@@ -80,6 +81,10 @@ class EmbeddingBundle:
     coefs: tuple[float, ...]
     C_hat: float
     circle: CircleMap | None
+
+    @property
+    def spec(self) -> GroupSpec:
+        return self.table.spec
 
     def blocks(self):
         """Yield (radius, coefficient, values) for k = 0..K."""
@@ -100,22 +105,21 @@ def _codespace(spec: GroupSpec) -> CodeSpace:
     return CodeSpace(spec)
 
 
-def build_bundle(spec: GroupSpec, p: float = 2.0, R: int | None = None,
-                 table: BallTable | None = None) -> EmbeddingBundle:
-    """Assemble the embedding at scale R.
+def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> EmbeddingBundle:
+    """Assemble the embedding of the group that ``table`` enumerates, at scale R.
 
     R defaults to the diameter; for the sol family it defaults to the kernel
     diameter (the circle coordinate covers the time direction) and the planar
     block is always attached.  Profile blocks sit at radii 2^k for
     k = 1..K with K = floor(log2(R/2)), so every block radius is at most R/2.
+    The table must be complete, which no table of an infinite family is.
     """
-    if not spec.finite:
-        raise BadParam(f"embeddings need a finite family, got {spec.family}")
+    spec = table.spec
+    if not table.complete:
+        raise BadParam(f"embeddings need a complete table, got a radius-{table.radius} "
+                       f"ball of {spec}")
     if not 2 <= p < math.inf:
         raise BadParam(f"exponent p = {p} outside [2, inf)")
-    if table is None:
-        table = bfs_ball(spec, None)
-    table.require_spec(spec)
     diam = len(table.sphere_sizes) - 1
     if R is None:
         if spec.family == "sol-fin":
@@ -131,7 +135,7 @@ def build_bundle(spec: GroupSpec, p: float = 2.0, R: int | None = None,
     K = (R // 2).bit_length() - 1
     radii = [2 ** k for k in range(1, K + 1)]
     if radii:
-        curve = profile_curve(spec, p, radii, table=table)
+        curve = profile_curve(table, p, radii)
         vectors = curve.vectors
         coefs = (1.0,) + tuple(
             (2.0 ** k) / tv.certified_J for k, tv in enumerate(vectors, start=1))
@@ -139,7 +143,7 @@ def build_bundle(spec: GroupSpec, p: float = 2.0, R: int | None = None,
         vectors, coefs = (), (1.0,)
     c_hat = max(coefs[1:]) if K >= 1 else 1.0
     circle = CircleMap(spec.oA) if spec.family == "sol-fin" else None
-    return EmbeddingBundle(spec=spec, p=p, R=R, K=K, vectors=vectors,
+    return EmbeddingBundle(table=table, p=p, R=R, K=K, vectors=vectors,
                            coefs=coefs, C_hat=c_hat, circle=circle)
 
 

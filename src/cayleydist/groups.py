@@ -25,6 +25,7 @@ the relevant twist; residue payloads stay reduced into [0, modulus).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -174,6 +175,11 @@ def make_spec(family: str, m: int | None = None, n: int | None = None,
     if family in ("sol-fin", "sol-inf"):
         A = DEFAULT_MATRIX if A is None else _as_matrix(A)
         _check_hyperbolic(A)
+        # (1,0) and t generate exactly when (1,0) and A(1,0) span the plane
+        if math.gcd(A[1][0], n or 0) != 1:
+            ring = f"Z/{n}" if n else "Z"
+            raise BadMatrix(f"A[1][0] = {A[1][0]} is not a unit in {ring}: "
+                            f"(1,0) and t do not generate {family}")
     elif A is not None:
         raise BadParam(f"family {family} takes no twist matrix")
 

@@ -258,19 +258,17 @@ class ProfileCurve:
     diameter: int
 
 
-def profile_curve(spec: GroupSpec, p: float, radii,
-                  table: BallTable | None = None) -> ProfileCurve:
-    """Optimize one certificate per radius; radii above diameter/2 refused."""
-    if not spec.finite:
-        raise BadParam(f"profile curves need a finite family, got {spec.family}")
+def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
+    """One certificate per radius on a complete table; radii above diameter/2 refused."""
+    spec = table.spec
+    if not table.complete:
+        raise BadParam(f"profile curves need a complete table, got a radius-{table.radius} "
+                       f"ball of {spec}")
     radii = sorted(set(int(r) for r in radii))
     if not radii:
         raise BadParam("no radii given")
     if radii[0] < 1:
         raise BadParam(f"radius {radii[0]} must be >= 1")
-    if table is None:
-        table = bfs_ball(spec, None)
-    table.require_spec(spec)
     diam = len(table.sphere_sizes) - 1
     if radii[-1] > diam / 2:
         raise BadScale(f"radius {radii[-1]} exceeds diameter/2 = {diam / 2}")
@@ -291,18 +289,13 @@ def profile_curve(spec: GroupSpec, p: float, radii,
                         vectors=tuple(vectors), C_hat=c_hat, diameter=diam)
 
 
-def revalidate(tv: TestVector, table: BallTable | None = None) -> dict:
-    """Recompute a certificate's claims from scratch.
+def revalidate(tv: TestVector) -> dict:
+    """Recompute a certificate's claims from scratch, on a fresh BFS of its open ball.
 
     Returns support_ok (support inside the open ball), gradient_max, and
-    max_form; callers compare against the stored fields.  A given table may
-    be any ball of the group at least as large as the open ball.
+    max_form; callers compare against the stored fields.
     """
-    if table is None:
-        ball = bfs_ball(tv.spec, tv.radius - 1)
-    else:
-        table.require_spec(tv.spec)
-        ball = table.ball(tv.radius - 1)
+    ball = bfs_ball(tv.spec, tv.radius - 1)
     support_ok = all(x in ball.dist for x in tv.values)
     norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p, ball.gens)
     return {"support_ok": support_ok, "gradient_max": max(grads),

@@ -82,12 +82,12 @@ def table(spec):
 
 @functools.cache
 def bundle(spec, p):
-    return build_bundle(spec, p, table=table(spec))
+    return build_bundle(table(spec), p)
 
 
 @functools.cache
 def report(spec, p):
-    return distortion_equivariant(bundle(spec, p), table=table(spec))
+    return distortion_equivariant(bundle(spec, p))
 
 
 def diam(spec):
@@ -179,9 +179,9 @@ def test_criterion_04_profile_certificates():
             spec = lamplighter(n)
             t = table(spec)
             radii = [r for r in (1, 2, 4, 8) if 2 * r <= diam(spec)]
-            curve = profile_curve(spec, 2.0, radii, table=t)
+            curve = profile_curve(t, 2.0, radii)
             for tv in curve.vectors:
-                check = revalidate(tv, table=t)
+                check = revalidate(tv)
                 assert check["support_ok"]
                 assert abs(check["gradient_max"] - 1.0) <= 1e-9
                 assert abs(check["max_form"] - tv.certified_J) <= 1e-9

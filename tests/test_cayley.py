@@ -9,9 +9,7 @@ from cayleydist import (
     FamilyMismatch,
     InfiniteNeedsRadius,
     bfs_ball,
-    build_bundle,
     diameter,
-    distortion_equivariant,
     exp_radical_csv,
     exp_radical_scan,
     generators,
@@ -20,10 +18,7 @@ from cayleydist import (
     inv,
     make_spec,
     mul,
-    optimize_profile,
-    profile_curve,
     project,
-    revalidate,
     sphere_csv,
 )
 from conftest import CODE_FAMILIES
@@ -31,7 +26,6 @@ from conftest import CODE_FAMILIES
 SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
                 make_spec("sol-fin", n=5), make_spec("lamplighter-inf", m=2),
                 make_spec("bs-inf", m=3), make_spec("sol-inf")]
-B25, B24 = make_spec("bs-fin", m=2, n=5), make_spec("bs-fin", m=2, n=4)
 
 
 def tuple_bfs(spec, radius):
@@ -161,16 +155,6 @@ class TestBallPrefix:
             table.ball(4)
         with pytest.raises(BadParam):
             table.ball(-1)
-
-    @pytest.mark.parametrize("call", [
-        lambda t: build_bundle(B25, 2.0, table=t),
-        lambda t: profile_curve(B25, 2.0, [1, 2], table=t),
-        lambda t: distortion_equivariant(build_bundle(B25, 2.0), t),
-        lambda t: revalidate(optimize_profile(bfs_ball(B25, 1), 2.0), table=t),
-    ], ids=["build_bundle", "profile_curve", "distortion_equivariant", "revalidate"])
-    def test_table_of_another_group_rejected(self, call):
-        with pytest.raises(BadParam, match="table enumerates"):
-            call(bfs_ball(B24, None))
 
 
 class TestDiameter:

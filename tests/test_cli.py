@@ -336,6 +336,10 @@ REGRESSIONS = [
     ("group info", {"family": "bs-fin", "m": 2, "n": 3, "out": "a\u0000b"}, 1, "--out"),
     ("scan --family bs-fin --m 2 --n 2", {"plot_script": "a\u0000b"}, 1, "--plot-script"),
     ("c2 --family lamplighter-fin --m 2 --n 8", None, 1, "point count 2048 exceeds 16"),
+    # (1,0) and t generate only half of sol n=10 and none of sol-inf's plane
+    ("cayley diam --n 10", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z/10"),
+    ("distort --n 10", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z/10"),
+    ("girth --n 9", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z:"),
 ]
 
 

@@ -44,7 +44,7 @@ STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
 
 @pytest.fixture(scope="module")
 def b24():
-    return build_bundle(L24, 2)
+    return build_bundle(bfs_ball(L24, None), 2)
 
 
 class TestMetricTable:
@@ -145,8 +145,8 @@ class TestEquivariant:
         assert 1.0 <= report.dist <= bound.dist_bound + 1e-9
 
     def test_witnesses_reproduce_ratios(self, b24):
-        table = bfs_ball(L24, None)
-        report = distortion_equivariant(b24, table)
+        table = b24.table
+        report = distortion_equivariant(b24)
         e, g = report.witness_expand
         assert e == identity(L24)
         d = table.word_length(g)
@@ -168,9 +168,15 @@ class TestEquivariant:
         with pytest.raises(BadParam):
             distortion_equivariant(b24, R=0)
 
-    def test_incomplete_table_rejected(self, b24):
+    def test_incomplete_table_rejected(self):
+        # the bundle carries the table distortion_equivariant measures against
         with pytest.raises(BadParam):
-            distortion_equivariant(b24, bfs_ball(L24, 2))
+            build_bundle(bfs_ball(L24, 2), 2)
+
+    def test_bundle_keeps_its_table(self, b24):
+        zeroed = replace(b24, coefs=(0.0,) + b24.coefs[1:])
+        assert zeroed.table is b24.table
+        assert distortion_equivariant(zeroed).R == len(b24.table.sphere_sizes) - 1
 
     def test_broken_bundle_raises_zero_norm(self, b24):
         broken = replace(b24, coefs=tuple(0.0 for _ in b24.coefs))
@@ -179,9 +185,9 @@ class TestEquivariant:
 
     @pytest.mark.parametrize("spec", [L24, BS23], ids=["L24", "BS23"])
     def test_oracle_agreement_all_pairs(self, spec):
-        bundle = build_bundle(spec, 2)
         table = bfs_ball(spec, None)
-        eq = distortion_equivariant(bundle, table)
+        bundle = build_bundle(table, 2)
+        eq = distortion_equivariant(bundle)
         pts = np.array([embed_point(bundle, x) for x in table.dist])
         pw = distortion_pairwise(pts, metric_from_table(table), 2)
         assert pw.expansion == pytest.approx(eq.expansion, rel=1e-9)

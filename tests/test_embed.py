@@ -36,17 +36,17 @@ SOL5 = make_spec("sol-fin", n=5)
 
 @pytest.fixture(scope="module")
 def b24():
-    return build_bundle(L24, 2)
+    return build_bundle(bfs_ball(L24, None), 2)
 
 
 @pytest.fixture(scope="module")
 def b28():
-    return build_bundle(L28, 2)
+    return build_bundle(bfs_ball(L28, None), 2)
 
 
 @pytest.fixture(scope="module")
 def bsol3():
-    return build_bundle(SOL3, 2)
+    return build_bundle(bfs_ball(SOL3, None), 2)
 
 
 class TestCircleMap:
@@ -102,32 +102,39 @@ class TestBuildBundle:
         assert b28.circle is None
 
     def test_sol_gets_circle_and_kernel_scale(self):
-        b = build_bundle(SOL5, 2)
+        b = build_bundle(bfs_ball(SOL5, None), 2)
         assert b.circle is not None
         assert b.circle.q == 10
         assert b.R == 6  # kernel diameter
         assert b.K == 1
 
     def test_minimal_scale(self):
-        b = build_bundle(L28, 2, R=2)
+        b = build_bundle(bfs_ball(L28, None), 2, R=2)
         assert b.K == 0
         assert b.vectors == ()
         assert b.coefs == (1.0,)
         assert b.C_hat == 1.0
+        # every other field matches; the table tells the groups apart
+        assert b != build_bundle(bfs_ball(L24, None), 2, R=2)
 
     def test_scale_validation(self):
         with pytest.raises(BadParam):
-            build_bundle(L28, 2, R=1)
+            build_bundle(bfs_ball(L28, None), 2, R=1)
         with pytest.raises(BadScale):
-            build_bundle(L28, 2, R=19)
+            build_bundle(bfs_ball(L28, None), 2, R=19)
 
     def test_exponent_validation(self):
         with pytest.raises(BadParam):
-            build_bundle(L28, 1.5)
+            build_bundle(bfs_ball(L28, None), 1.5)
 
     def test_infinite_rejected(self):
         with pytest.raises(BadParam):
-            build_bundle(make_spec("lamplighter-inf", m=2), 2)
+            build_bundle(bfs_ball(make_spec("lamplighter-inf", m=2), 4), 2)
+
+    def test_partial_ball_rejected(self):
+        # a radius-5 ball of a diameter-13 group once gave R = 5, not 13
+        with pytest.raises(BadParam, match="complete table"):
+            build_bundle(bfs_ball(make_spec("lamplighter-fin", m=2, n=6), 5), 2)
 
 
 class TestEmbedNorm:
@@ -173,7 +180,7 @@ FOURIER_SPECS = [
     make_spec("lamplighter-fin", m=3, n=5),
     make_spec("bs-fin", m=2, n=7),
     make_spec("sol-fin", n=12),
-    make_spec("sol-fin", n=10, A=((3, 1), (2, 1))),  # A not symmetric: A^s != (A^s)^T
+    make_spec("sol-fin", n=9, A=((3, 1), (2, 1))),  # A not symmetric: A^s != (A^s)^T
 ]
 
 
@@ -186,7 +193,7 @@ class TestFourierGap:
     def test_matches_gap_pow_for_every_element(self, spec):
         cs = CodeSpace(spec)
         elements = [cs.decode(code) for code in range(spec.order)]
-        bundle = build_bundle(spec, 2)
+        bundle = build_bundle(bfs_ball(spec, None), 2)
         assert bundle.K >= 1
         for _, _, values in bundle.blocks():
             norm2 = sum(v * v for v in values.values())
@@ -223,7 +230,7 @@ class TestEmbedPoint:
             assert flat == pytest.approx(embed_norm(b24, x), abs=1e-12)
 
     def test_flat_norm_matches_for_p3(self):
-        b = build_bundle(L24, 3)
+        b = build_bundle(bfs_ball(L24, None), 3)
         rng = random.Random(7)
         table = bfs_ball(L24, None)
         for x in rng.sample(list(table.dist), 10):
@@ -278,7 +285,7 @@ class TestApriori:
         assert bound.colip_bound == pytest.approx(8 * 2 ** -0.5, rel=1e-12)
 
     def test_single_block_bundle(self):
-        b = build_bundle(L28, 2, R=2)
+        b = build_bundle(bfs_ball(L28, None), 2, R=2)
         bound = apriori_bound(b)
         assert bound.lip_bound == pytest.approx(2 ** 0.5, rel=1e-12)
         assert bound.dist_bound == pytest.approx(8.0, rel=1e-12)
@@ -291,7 +298,8 @@ class TestApriori:
         assert closed == pytest.approx(3.3302, abs=1e-3)
 
     def test_lip_grows_with_block_count(self):
-        lips = [apriori_bound(build_bundle(L28, 2, R=r)).lip_bound for r in (2, 8, 18)]
+        table = bfs_ball(L28, None)
+        lips = [apriori_bound(build_bundle(table, 2, R=r)).lip_bound for r in (2, 8, 18)]
         assert lips[0] < lips[1] < lips[2]
 
     def test_circle_adds_to_lip(self, bsol3):

@@ -11,6 +11,7 @@ from cayleydist import (
     CodeSpace,
     IncompatibleSpecs,
     Overflow,
+    bfs_ball,
     from_string,
     generators,
     identity,
@@ -108,6 +109,16 @@ class TestMakeSpec:
         with pytest.raises(BadMatrix):
             make_spec("sol-fin", n=5, A=[[0, 1], [1, 0]])  # det -1, trace 0
         make_spec("sol-fin", n=5, A=[[1, 1], [1, 0]])  # det -1, trace 1: fine
+
+    def test_generators_must_generate(self):
+        # (1,0) and t generate exactly when A[1][0] is a unit mod n (of Z for sol-inf)
+        A = ((3, 1), (2, 1))
+        for n in (6, 10):
+            with pytest.raises(BadMatrix, match=f"= 2 is not a unit in Z/{n}:"):
+                make_spec("sol-fin", n=n, A=A)
+        with pytest.raises(BadMatrix, match="not a unit in Z:"):
+            make_spec("sol-inf", A=A)
+        assert bfs_ball(make_spec("sol-fin", n=9, A=A), None).complete
 
     def test_order_cap(self):
         with pytest.raises(CapExceeded):

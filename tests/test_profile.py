@@ -30,6 +30,7 @@ from cayleydist.profile import _structure
 
 L28 = make_spec("lamplighter-fin", m=2, n=8)
 L24 = make_spec("lamplighter-fin", m=2, n=4)
+L26 = make_spec("lamplighter-fin", m=2, n=6)
 L2INF = make_spec("lamplighter-inf", m=2)
 
 
@@ -144,10 +145,9 @@ class TestOptimizeProfile:
         full = bfs_ball(L28, None)
         far = list(full.dist)[-1]
         assert full.word_length(far) == 18
-        assert revalidate(tv, table=full)["support_ok"]
+        assert revalidate(tv)["support_ok"]
         stray = replace(tv, values={**tv.values, far: 0.1})
         assert not revalidate(stray)["support_ok"]
-        assert not revalidate(stray, table=full)["support_ok"]
 
     def test_certificate_recomputes(self):
         ball = bfs_ball(L28, 3)
@@ -197,7 +197,7 @@ class TestOptimizeProfile:
 
 class TestProfileCurve:
     def test_monotone_with_valid_certificates(self):
-        curve = profile_curve(L28, 2, [1, 2, 3, 4])
+        curve = profile_curve(bfs_ball(L28, None), 2, [1, 2, 3, 4])
         js = [j for _, j in curve.points]
         assert all(b >= a - 1e-12 for a, b in zip(js, js[1:]))
         assert curve.diameter == 18
@@ -209,26 +209,31 @@ class TestProfileCurve:
             assert check["max_form"] == pytest.approx(j, abs=1e-9)
 
     def test_c_hat_matches_points(self):
-        curve = profile_curve(L28, 2, [2, 4])
+        curve = profile_curve(bfs_ball(L28, None), 2, [2, 4])
         expected = max(r / j for r, j in curve.points)
         assert curve.C_hat == pytest.approx(expected, rel=1e-12)
 
     def test_radius_past_half_diameter_refused(self):
         with pytest.raises(BadScale):
-            profile_curve(L28, 2, [10])
+            profile_curve(bfs_ball(L28, None), 2, [10])
 
     def test_infinite_family_refused(self):
         with pytest.raises(BadParam):
-            profile_curve(L2INF, 2, [2])
+            profile_curve(bfs_ball(L2INF, 4), 2, [2])
+
+    def test_partial_ball_refused(self):
+        # a radius-5 ball of a diameter-13 group once passed for the whole group
+        with pytest.raises(BadParam, match="complete table"):
+            profile_curve(bfs_ball(L26, 5), 2, [1])
 
     def test_bad_radii_refused(self):
         with pytest.raises(BadParam):
-            profile_curve(L28, 2, [])
+            profile_curve(bfs_ball(L28, None), 2, [])
         with pytest.raises(BadParam):
-            profile_curve(L28, 2, [0, 2])
+            profile_curve(bfs_ball(L28, None), 2, [0, 2])
 
     def test_csv_shape(self):
-        curve = profile_curve(L24, 2, [1, 2])
+        curve = profile_curve(bfs_ball(L24, None), 2, [1, 2])
         lines = profile_csv(curve).strip().split("\n")
         assert lines[0] == "r,certified_J,ratio_r_over_J"
         assert len(lines) == 3
