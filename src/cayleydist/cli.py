@@ -41,7 +41,7 @@ from .errors import (
     ZeroNorm,
 )
 from .groups import generators, make_spec, spec_to_dict, to_string
-from .profile import profile_csv, profile_curve
+from .profile import checked_radii, profile_csv, profile_curve
 
 _NUMERIC_ERRORS = (NoConvergence, ZeroNorm, ZeroGradient, DegenerateInput)
 _CAP_ERRORS = (CapExceeded, Overflow)
@@ -264,7 +264,8 @@ def _run_profile(args) -> str:
         raise BadParam("--radius (comma-separated radii) is required")
     if not spec.finite:
         raise BadParam(f"profile curves need a finite family, got {spec.family}")
-    curve = profile_curve(bfs_ball(spec, None), p, args.radius)
+    radii = checked_radii(args.radius)  # refused before the BFS, as it is cheap
+    curve = profile_curve(bfs_ball(spec, None), p, radii)
     if args.format == "json":
         return _emit_json({
             "p": curve.p,

@@ -66,11 +66,10 @@ class CircleMap:
 
 @dataclass(frozen=True)
 class EmbeddingBundle:
-    """Frozen description of one embedding: the complete word-metric table of
-    its group, certificates, coefficients, and the optional circle coordinate.
-    C_hat = max coefficient over k >= 1 (1.0 when there are no profile
-    blocks), the measured linear-profile constant at the bundle's own dyadic
-    radii.
+    """Frozen description of one embedding: its group's complete table,
+    certificates, coefficients, and the optional circle coordinate.  C_hat = max
+    coefficient over k >= 1 (1.0 when there are no profile blocks), the measured
+    linear-profile constant at the bundle's own dyadic radii.
     """
 
     table: BallTable = field(repr=False)
@@ -116,8 +115,7 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
     """
     spec = table.spec
     if not table.complete:
-        raise BadParam(f"embeddings need a complete table, got a radius-{table.radius} "
-                       f"ball of {spec}")
+        raise BadParam(f"embeddings need a complete table, got radius {table.radius}")
     if not 2 <= p < math.inf:
         raise BadParam(f"exponent p = {p} outside [2, inf)")
     diam = len(table.sphere_sizes) - 1

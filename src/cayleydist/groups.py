@@ -175,7 +175,8 @@ def make_spec(family: str, m: int | None = None, n: int | None = None,
     if family in ("sol-fin", "sol-inf"):
         A = DEFAULT_MATRIX if A is None else _as_matrix(A)
         _check_hyperbolic(A)
-        # (1,0) and t generate exactly when (1,0) and A(1,0) span the plane
+        # (1,0) and t generate exactly when (1,0) and A(1,0) span the plane, that
+        # is when A[1][0] is a unit mod n, or of Z for sol-inf (gcd(c, 0) = |c|)
         if math.gcd(A[1][0], n or 0) != 1:
             ring = f"Z/{n}" if n else "Z"
             raise BadMatrix(f"A[1][0] = {A[1][0]} is not a unit in {ring}: "

@@ -258,17 +258,22 @@ class ProfileCurve:
     diameter: int
 
 
-def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
-    """One certificate per radius on a complete table; radii above diameter/2 refused."""
-    spec = table.spec
-    if not table.complete:
-        raise BadParam(f"profile curves need a complete table, got a radius-{table.radius} "
-                       f"ball of {spec}")
+def checked_radii(radii) -> list[int]:
+    """The distinct radii in increasing order; none, or one below 1, refused."""
     radii = sorted(set(int(r) for r in radii))
     if not radii:
         raise BadParam("no radii given")
     if radii[0] < 1:
         raise BadParam(f"radius {radii[0]} must be >= 1")
+    return radii
+
+
+def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
+    """One certificate per radius on a complete table; radii above diameter/2 refused."""
+    spec = table.spec
+    if not table.complete:
+        raise BadParam(f"profile curves need a complete table, got radius {table.radius}")
+    radii = checked_radii(radii)
     diam = len(table.sphere_sizes) - 1
     if radii[-1] > diam / 2:
         raise BadScale(f"radius {radii[-1]} exceeds diameter/2 = {diam / 2}")

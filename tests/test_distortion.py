@@ -169,9 +169,10 @@ class TestEquivariant:
             distortion_equivariant(b24, R=0)
 
     def test_incomplete_table_rejected(self):
-        # the bundle carries the table distortion_equivariant measures against
-        with pytest.raises(BadParam):
-            build_bundle(bfs_ball(L24, 2), 2)
+        # the bundle carries the table distortion_equivariant measures against;
+        # a radius-5 ball of this diameter-13 group once gave R = 5, not 13
+        with pytest.raises(BadParam, match="complete table"):
+            build_bundle(bfs_ball(make_spec("lamplighter-fin", m=2, n=6), 5), 2)
 
     def test_bundle_keeps_its_table(self, b24):
         zeroed = replace(b24, coefs=(0.0,) + b24.coefs[1:])
