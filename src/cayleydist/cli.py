@@ -264,7 +264,7 @@ def _run_profile(args) -> str:
         raise BadParam("--radius (comma-separated radii) is required")
     if not spec.finite:
         raise BadParam(f"profile curves need a finite family, got {spec.family}")
-    radii = checked_radii(args.radius)  # refused before the BFS, as it is cheap
+    radii = checked_radii(args.radius)  # cheap, so refused before the BFS
     curve = profile_curve(bfs_ball(spec, None), p, radii)
     if args.format == "json":
         return _emit_json({
