@@ -73,6 +73,8 @@ COMMANDS = (
     "profile --family sol-inf --radius 1",
     "distort --family lamplighter-fin --m 2 --n 6 --radius 20",
     "profile --family lamplighter-fin --m 2 --n 6 --radius 9",
+    "distort --family lamplighter-fin --m 2 --n 6 --radius 1",
+    "embed --family lamplighter-fin --m 2 --n 6 --radius 1",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
