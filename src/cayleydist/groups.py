@@ -609,7 +609,9 @@ class CodeSpace:
         return t + self.time_order * a
 
     def decode(self, code: int) -> Element:
-        return self.decode_many([code])[0]
+        a, t = divmod(code, self.time_order)
+        digits = tuple(a // w % self.radix for w in self._weights)
+        return (digits[0] if self._scalar else digits), t
 
     def encode_many(self, elements) -> np.ndarray:
         n, d, w = len(elements), len(self._weights), np.array(self._weights, dtype=np.int64)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .cayley import BallTable, bfs_ball
 from .errors import (
@@ -93,6 +91,9 @@ def _dirichlet_pc(ball: BallTable, in_maps) -> dict:
     n = len(ball)
     if n == 1:
         return {x: 1.0 for x in ball.dist}
+    # imported here: scipy.sparse is most of the import time, and only this solve uses it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     # W[i, j] counts the generators s with s^-1 x_i = x_j
     neighbors = np.stack(in_maps, axis=1)

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cayleydist
+from cayleydist import cli
 from cayleydist.cli import main
 
 
@@ -170,6 +176,15 @@ class TestEmbedDistort:
                            "--m", "2", "--n", "4", "--zero-block", "7")
         assert code == 1
         assert "blocks" in err
+
+    @pytest.mark.parametrize("command", ["embed", "distort"])
+    def test_small_radius_refused_before_bfs(self, capsys, monkeypatch, command):
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("the group was enumerated")
+        monkeypatch.setattr(cli, "bfs_ball", no_bfs)
+        code, out, err = run(capsys, command, "--family", "lamplighter-fin",
+                             "--m", "2", "--n", "6", "--radius", "1")
+        assert (code, out, err) == (1, "", "error: scale R = 1 must be >= 2\n")
 
 
 class TestC2:
@@ -443,3 +458,23 @@ def test_fuzz_exit_codes(capsys, tmp_path, invocation):
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1
+
+
+_SCIPY_LOADED = "print([k for k in sys.modules if k.partition('.')[0] == 'scipy'])"
+
+
+@pytest.mark.parametrize("code", [
+    "import cayleydist",
+    "sys.argv = 'cayleydist group info --family lamplighter-fin --m 2 --n 4'.split()\n"
+    "try:\n"
+    "    runpy.run_module('cayleydist', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code",
+], ids=["import", "group-info"])
+def test_scipy_left_unloaded(code):
+    """Only the profile solve needs scipy, so commands that never reach it skip its import."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", f"import runpy, sys\n{code}\n{_SCIPY_LOADED}"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[]"

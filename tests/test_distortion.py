@@ -26,6 +26,8 @@ from cayleydist import (
     optimize_embedding,
     report_json,
 )
+from cayleydist import distortion
+from cayleydist.distortion import C2_RESID_TOL, C2_SWEEPS
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 BS23 = make_spec("bs-fin", m=2, n=3)
@@ -288,3 +290,80 @@ class TestExactC2:
             exact_c2(path_metric(17))
         with pytest.raises(BadParam):
             exact_c2(path_metric(4), tol=1e-7)
+
+
+def _reference_project_feasible(D2, T, Q0):
+    """The slab pass on numpy scalars, as it stood before it moved to Python floats."""
+    n = D2.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    Q = Q0.copy()
+    best_resid = math.inf
+    since_improve = 0
+    for _ in range(C2_SWEEPS):
+        w, V = np.linalg.eigh((Q + Q.T) / 2)
+        Q = (V * np.maximum(w, 0.0)) @ V.T
+        slab_gap = 0.0
+        for i, j in pairs:
+            v = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+            tgt = min(max(v, D2[i, j]), T * D2[i, j])
+            if tgt != v:
+                slab_gap = max(slab_gap, abs(tgt - v))
+                delta = (tgt - v) / 4.0
+                Q[i, i] += delta
+                Q[j, j] += delta
+                Q[i, j] -= delta
+                Q[j, i] -= delta
+        neg = max(0.0, -float(np.linalg.eigvalsh((Q + Q.T) / 2).min()))
+        resid = max(slab_gap, neg)
+        if resid <= C2_RESID_TOL:
+            return True, Q
+        if resid < best_resid * 0.995:
+            best_resid, since_improve = resid, 0
+        else:
+            since_improve += 1
+            if since_improve >= 150:
+                return False, Q
+    return False, Q
+
+
+def random_graph_metric(seed, n):
+    """Shortest paths of a seeded random connected graph with weights 1..5."""
+    rng = np.random.default_rng(seed)
+    W = np.full((n, n), np.inf)
+    np.fill_diagonal(W, 0.0)
+    for k in range(1, n):  # a random spanning tree, then n more edges
+        W[k, rng.integers(k)] = rng.integers(1, 6)
+    for _ in range(n):
+        a, b = rng.choice(n, 2, replace=False)
+        W[a, b] = min(W[a, b], W[b, a], rng.integers(1, 6))
+    W = np.minimum(W, W.T)
+    for k in range(n):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    return W
+
+
+# each metric with its squared c2 (6 - 2 sqrt 5 for C5), just above which
+# the projections take hundreds of sweeps to reach the feasible side
+C2_SQUARED = [(cycle_metric(5), 6 - 2 * math.sqrt(5)), (STAR, 4 / 3),
+              (random_graph_metric(0, 9), 1.875)]
+
+
+@pytest.mark.parametrize("metric, c2_squared", C2_SQUARED, ids=["C5", "K13", "G9"])
+def test_project_feasible_bit_identical_to_reference(metric, c2_squared):
+    M = MetricTable(metric).matrix
+    D2 = (M / M.max()) ** 2
+    Q0 = np.zeros_like(D2)
+    for T in (1.0, c2_squared * (1 + 1e-6), 4.0):
+        ok, Q = distortion._project_feasible(D2, T, Q0)
+        want_ok, want_Q = _reference_project_feasible(D2, T, Q0)
+        assert ok is want_ok
+        assert np.array_equal(Q, want_Q)
+
+
+def test_exact_c2_bit_identical_to_reference(monkeypatch):
+    got = exact_c2(cycle_metric(5))
+    monkeypatch.setattr(distortion, "_project_feasible", _reference_project_feasible)
+    want = exact_c2(cycle_metric(5))
+    assert got.value == want.value
+    assert got.bracket == want.bracket
+    assert np.array_equal(got.gram, want.gram)

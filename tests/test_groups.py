@@ -405,6 +405,14 @@ class TestCodeSpace:
         assert all(type(v) is int for x in elements for v in _ints(x))
 
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_decode_is_decode_many_of_one_code(self, spec):
+        cs = CodeSpace(spec)
+        for code in range(spec.order):
+            x = cs.decode(code)
+            assert x == cs.decode_many([code])[0]
+            assert all(type(v) is int for v in _ints(x))
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
     def test_dual_twist_matches_family_formulas(self, spec):
         cs = CodeSpace(spec)
         k = np.arange(spec.order // cs.time_order)
