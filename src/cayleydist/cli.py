@@ -280,7 +280,7 @@ def _bundle_from_args(args, p):
     spec = _spec_from_args(args)
     if not spec.finite:
         raise BadParam(f"embeddings need a finite family, got {spec.family}")
-    if args.radius is not None and args.radius < 2:  # refused before the BFS, like build_bundle
+    if args.radius is not None and args.radius < 2:  # build_bundle's check, made before the BFS
         raise BadParam(f"scale R = {args.radius} must be >= 2")
     return build_bundle(bfs_ball(spec, None), p, R=args.radius)
 
