@@ -75,6 +75,9 @@ COMMANDS = (
     "profile --family lamplighter-fin --m 2 --n 6 --radius 9",
     "distort --family lamplighter-fin --m 2 --n 6 --radius 1",
     "embed --family lamplighter-fin --m 2 --n 6 --radius 1",
+    "cayley diam --family sol-fin --n 144",
+    "cayley diam --family lamplighter-fin --m 2 --n 12",
+    "distort --family lamplighter-fin --m 2 --n 6 --zero-block 9",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
