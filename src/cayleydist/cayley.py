@@ -9,8 +9,9 @@ element order, distances, and every downstream report are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -25,20 +26,34 @@ INF_RADIUS_CAP = 40
 class BallTable:
     """Closed ball of a given radius around the identity, with exact distances.
 
-    ``dist`` maps each element to its word length in BFS discovery order, so
-    lengths are nondecreasing along it; equality ignores that order.
-    ``complete`` marks a table covering the whole group.
+    ``elements`` lists the ball in BFS discovery order, so word lengths are
+    nondecreasing along it: for a finite family it is the int64 array of
+    ``CodeSpace`` codes, for an infinite one the BFS's map from each element to
+    its word length.  ``dist`` is that map for both kinds; a finite table
+    decodes it from the codes the first time it is read.  ``complete`` marks a
+    table covering the whole group.  Equality compares spec, radius, sphere
+    sizes, completeness and gens, not the elements they determine.
     """
 
     spec: GroupSpec
     radius: int
-    dist: dict
+    elements: np.ndarray | dict = field(compare=False, repr=False)
     sphere_sizes: tuple[int, ...]
     complete: bool
     gens: tuple[Element, ...]
 
     def __len__(self) -> int:
-        return len(self.dist)
+        return len(self.elements)
+
+    @cached_property
+    def dist(self) -> dict:
+        if not self.spec.finite:
+            return self.elements
+        return dict(zip(CodeSpace(self.spec).decode_many(self.elements), self.lengths().tolist()))
+
+    def lengths(self) -> np.ndarray:
+        """Word length of each entry of ``elements``, in order."""
+        return np.repeat(np.arange(len(self.sphere_sizes)), self.sphere_sizes)
 
     def word_length(self, x: Element) -> int | None:
         return self.dist.get(x)
@@ -59,7 +74,9 @@ class BallTable:
         if r < 0 or (r > self.radius and not self.complete):
             raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
         n = self.ball_size(r)
-        return replace(self, radius=r, dist=dict(islice(self.dist.items(), n)),
+        elements = (self.elements[:n] if self.spec.finite
+                    else dict(islice(self.elements.items(), n)))
+        return replace(self, radius=r, elements=elements,
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
 
@@ -67,9 +84,9 @@ class BallTable:
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
              cap: int = VERTEX_CAP) -> BallTable:
     """Enumerate the closed ball of the given radius (whole group if None),
-    level by level, into ``dist`` in FIFO discovery order: x * g for x in
-    level order and g in generator order, first occurrence kept.  Finite
-    families do this on ``CodeSpace`` code arrays, decoding each level once.
+    level by level, in FIFO discovery order: x * g for x in level order and g
+    in generator order, first occurrence kept.  Finite families do this on
+    ``CodeSpace`` code arrays and keep the codes.
     """
     gens = generators(spec)
     if radius is None:
@@ -88,6 +105,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     if spec.finite:
         cs = CodeSpace(spec)
         level = np.array([cs.encode(e)])
+        levels = [level]
         seen = np.zeros(spec.order, dtype=bool)
     while len(sphere) - 1 != radius:
         d = len(sphere)
@@ -95,12 +113,12 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             seen[level] = True
             payload = cs.payload(level)
             cand = np.stack([cs.act_right(g, payload) for g in gens], axis=1).ravel()
-            del payload  # the level's digits, dead before the next level is decoded
+            del payload  # the level's digits, dead before the candidates are filtered
             cand = cand[~seen[cand]]
             nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
-            if len(dist) + len(nxt) > cap:
+            if sum(sphere) + len(nxt) > cap:
                 raise CapExceeded(f"ball exceeds vertex cap {cap}")
-            dist.update(zip(cs.decode_many(nxt), repeat(d)))
+            levels.append(nxt)
         else:
             nxt = []
             for x in level:
@@ -119,16 +137,17 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     return BallTable(
         spec=spec,
         radius=radius if radius is not None else len(sphere) - 1,
-        dist=dist,
+        elements=np.concatenate(levels) if spec.finite else dist,
         sphere_sizes=tuple(sphere),
-        complete=spec.finite and len(dist) == spec.order,
+        complete=spec.finite and sum(sphere) == spec.order,
         gens=gens,
     )
 
 
 def kernel_diameter(table: BallTable) -> int:
-    """Largest word length over the sol plane subgroup {(v, 0)} in the table."""
-    return max(d for x, d in table.dist.items() if x[1] == 0)
+    """Largest word length over the sol plane subgroup {(v, 0)} in the finite table."""
+    t, _ = CodeSpace(table.spec).split(table.elements)
+    return int(table.lengths()[t == 0].max())
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .cayley import (
 )
 from .distortion import (C2_CAP, distortion_equivariant, exact_c2, metric_from_table,
                           report_json)
-from .embed import apriori_bound, build_bundle, bundle_json
+from .embed import apriori_bound, build_bundle, bundle_json, bundle_scale
 from .errors import (
     BadParam,
     CapExceeded,
@@ -276,17 +276,18 @@ def _run_profile(args) -> str:
     return profile_csv(curve)
 
 
-def _bundle_from_args(args, p):
+def _table_from_args(args):
     spec = _spec_from_args(args)
     if not spec.finite:
         raise BadParam(f"embeddings need a finite family, got {spec.family}")
-    if args.radius is not None and args.radius < 2:  # build_bundle's check, made before the BFS
+    if args.radius is not None and args.radius < 2:  # bundle_scale's check, made before the BFS
         raise BadParam(f"scale R = {args.radius} must be >= 2")
-    return build_bundle(bfs_ball(spec, None), p, R=args.radius)
+    return bfs_ball(spec, None)
 
 
 def _run_embed(args) -> str:
-    bundle = _bundle_from_args(args, _embed_exponent(args))
+    p = _embed_exponent(args)
+    bundle = build_bundle(_table_from_args(args), p, R=args.radius)
     if args.format == "csv":
         lines = ["radius,certified_J,coef,support_size"]
         for blk in bundle_json(bundle)["blocks"]:
@@ -297,11 +298,14 @@ def _run_embed(args) -> str:
 
 
 def _run_distort(args) -> str:
-    bundle = _bundle_from_args(args, _embed_exponent(args))
+    p = _embed_exponent(args)
+    table = _table_from_args(args)
+    R, K = bundle_scale(table, args.radius)
     zero = args.zero_block
+    if zero is not None and not 0 <= zero <= K:  # before the profile certificates
+        raise BadParam(f"--zero-block {zero} outside blocks 0..{K}")
+    bundle = build_bundle(table, p, R)
     if zero is not None:
-        if not 0 <= zero <= bundle.K:
-            raise BadParam(f"--zero-block {zero} outside blocks 0..{bundle.K}")
         coefs = tuple(0.0 if k == zero else c for k, c in enumerate(bundle.coefs))
         bundle = replace(bundle, coefs=coefs)
     report = distortion_equivariant(bundle)

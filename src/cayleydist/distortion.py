@@ -126,7 +126,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     cs = CodeSpace(spec)
     norms = embed_norms_all(bundle)
     lengths = np.empty(spec.order, dtype=np.int64)
-    lengths[cs.encode_many(table.dist)] = np.fromiter(table.dist.values(), np.int64, len(table))
+    lengths[table.elements] = table.lengths()
     mask = (lengths >= 1) & (lengths <= R)
     if (norms[mask] == 0.0).any():
         bad = cs.decode_many(np.flatnonzero(mask & (norms == 0.0))[:1])[0]

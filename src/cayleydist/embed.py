@@ -104,23 +104,17 @@ def _codespace(spec: GroupSpec) -> CodeSpace:
     return CodeSpace(spec)
 
 
-def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> EmbeddingBundle:
-    """Assemble the embedding of the group that ``table`` enumerates, at scale R.
+def bundle_scale(table: BallTable, R: int | None = None) -> tuple[int, int]:
+    """The checked scale R of ``build_bundle`` and its top block index K.
 
     R defaults to the diameter; for the sol family it defaults to the kernel
-    diameter (the circle coordinate covers the time direction) and the planar
-    block is always attached.  Profile blocks sit at radii 2^k for
-    k = 1..K with K = floor(log2(R/2)), so every block radius is at most R/2.
-    The table must be complete, which no table of an infinite family is.
+    diameter (the circle coordinate covers the time direction).  Profile
+    blocks sit at radii 2^k for k = 1..K with K = floor(log2(R/2)), so every
+    block radius is at most R/2.
     """
-    spec = table.spec
-    if not table.complete:
-        raise BadParam(f"embeddings need a complete table, got radius {table.radius}")
-    if not 2 <= p < math.inf:
-        raise BadParam(f"exponent p = {p} outside [2, inf)")
     diam = len(table.sphere_sizes) - 1
     if R is None:
-        if spec.family == "sol-fin":
+        if table.spec.family == "sol-fin":
             R = max(2, kernel_diameter(table))
         else:
             R = diam
@@ -129,8 +123,21 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
         raise BadParam(f"scale R = {R} must be >= 2")
     if R > diam:
         raise BadScale(f"scale R = {R} exceeds diameter {diam}")
+    return R, (R // 2).bit_length() - 1
 
-    K = (R // 2).bit_length() - 1
+
+def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> EmbeddingBundle:
+    """Assemble the embedding of the group that ``table`` enumerates, at the
+    scale R of ``bundle_scale``; for the sol family the planar block is always
+    attached.  The table must be complete, which no table of an infinite
+    family is.
+    """
+    spec = table.spec
+    if not table.complete:
+        raise BadParam(f"embeddings need a complete table, got radius {table.radius}")
+    if not 2 <= p < math.inf:
+        raise BadParam(f"exponent p = {p} outside [2, inf)")
+    R, K = bundle_scale(table, R)
     radii = [2 ** k for k in range(1, K + 1)]
     if radii:
         curve = profile_curve(table, p, radii)

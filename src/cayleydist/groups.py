@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -614,14 +614,9 @@ class CodeSpace:
         return (digits[0] if self._scalar else digits), t
 
     def encode_many(self, elements) -> np.ndarray:
-        n, d, w = len(elements), len(self._weights), np.array(self._weights, dtype=np.int64)
-        codes, rows = np.empty(n, dtype=np.int64), iter(elements)
-        for lo in range(0, n, 1 << 14):  # in blocks: a whole table's digits take d words each
-            payloads, times = zip(*islice(rows, 1 << 14))
-            digits = payloads if self._scalar else chain.from_iterable(payloads)
-            digits = np.fromiter(digits, dtype=np.int64, count=len(times) * d).reshape(-1, d)
-            codes[lo:lo + len(times)] = np.array(times) + self.time_order * (digits @ w)
-        return codes
+        payloads, times = zip(*elements)
+        digits = np.array(payloads, dtype=np.int64).reshape(len(times), -1)
+        return np.array(times) + self.time_order * (digits @ np.array(self._weights))
 
     def decode_many(self, codes) -> list[Element]:
         """The elements of ``codes``, in order: the inverse of encode_many."""

@@ -9,7 +9,9 @@ from cayleydist import (
     FamilyMismatch,
     InfiniteNeedsRadius,
     bfs_ball,
+    build_bundle,
     diameter,
+    distortion_equivariant,
     exp_radical_csv,
     exp_radical_scan,
     generators,
@@ -21,6 +23,7 @@ from cayleydist import (
     project,
     sphere_csv,
 )
+from cayleydist.cayley import kernel_diameter
 from conftest import CODE_FAMILIES
 
 SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
@@ -137,6 +140,15 @@ class TestCodeBfs:
         assert len(bfs_ball(spec, radius, cap=size)) == size
         with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}"):
             bfs_ball(spec, radius, cap=size - 1)
+
+    def test_numeric_paths_never_decode_the_whole_table(self):
+        table = bfs_ball(make_spec("lamplighter-fin", m=2, n=8), None)
+        distortion_equivariant(build_bundle(table, 2.0))
+        assert "dist" not in vars(table)
+        table = bfs_ball(make_spec("sol-fin", n=7), None)
+        diam_N = kernel_diameter(table)
+        assert "dist" not in vars(table)
+        assert diam_N == max(d for x, d in table.dist.items() if x[1] == 0)
 
 
 class TestBallPrefix:

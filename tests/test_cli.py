@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cayleydist
-from cayleydist import cli
+from cayleydist import cli, embed
 from cayleydist.cli import main
 
 
@@ -185,6 +185,14 @@ class TestEmbedDistort:
         code, out, err = run(capsys, command, "--family", "lamplighter-fin",
                              "--m", "2", "--n", "6", "--radius", "1")
         assert (code, out, err) == (1, "", "error: scale R = 1 must be >= 2\n")
+
+    def test_zero_block_refused_before_certificates(self, capsys, monkeypatch):
+        def no_certificates(*args, **kwargs):
+            raise AssertionError("profile certificates were computed")
+        monkeypatch.setattr(embed, "profile_curve", no_certificates)
+        code, out, err = run(capsys, "distort", "--family", "lamplighter-fin",
+                             "--m", "2", "--n", "6", "--zero-block", "9")
+        assert (code, out, err) == (1, "", "error: --zero-block 9 outside blocks 0..2\n")
 
 
 class TestC2:
@@ -478,3 +486,18 @@ def test_scipy_left_unloaded(code):
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_whole_group_diameter_memory():
+    """The finite BFS keeps codes: lamplighter n=16 (1,048,576 elements) stays far below
+    the 320 MB that a dict of its decoded elements peaks at."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cayleydist", "cayley", "diam",
+         "--family", "lamplighter-fin", "--m", "2", "--n", "16"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": src})
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert child.returncode == 0
+    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
