@@ -78,6 +78,15 @@ COMMANDS = (
     "cayley diam --family sol-fin --n 144",
     "cayley diam --family lamplighter-fin --m 2 --n 12",
     "distort --family lamplighter-fin --m 2 --n 6 --zero-block 9",
+    "cayley ball --family lamplighter-inf --m 2 --radius 10",
+    "cayley ball --family lamplighter-inf --m 3 --radius 6 --format json",
+    "cayley ball --family bs-inf --m 2 --radius 10",
+    "cayley ball --family bs-inf --m 3 --radius 7 --format json",
+    "cayley ball --family sol-inf --radius 9",
+    "expradical --family sol-inf --radius 11 --format json",
+    "cayley ball --family lamplighter-inf --m 2 --radius 12 --cap 1000",
+    "cayley ball --family bs-inf --m 1000000 --radius 40 --cap 5000",
+    "cayley ball --family bs-inf --m 1000000 --radius 40 --cap 6547",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
