@@ -9,17 +9,20 @@ element order, distances, and every downstream report are deterministic.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius
-from .groups import CodeSpace, Element, GroupSpec, generators, identity, inv, mul, project
+from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius, Overflow
+from .groups import (CodeSpace, Element, GroupSpec, generators, identity, inv, mul, project,
+                     right_step)
 
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
+INF_SLICE = 4096  # elements of an infinite level grown between two cap checks
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,10 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     """Enumerate the closed ball of the given radius (whole group if None),
     level by level, in FIFO discovery order: x * g for x in level order and g
     in generator order, first occurrence kept.  Finite families do this on
-    ``CodeSpace`` code arrays and keep the codes.
+    ``CodeSpace`` code arrays and keep the codes.  Infinite families step each
+    generator with its ``right_step`` map and grow the table through
+    ``dict.setdefault``, checking the vertex cap after each ``INF_SLICE``
+    elements of a level, so a cap hit overshoots by at most 4 * INF_SLICE.
     """
     gens = generators(spec)
     if radius is None:
@@ -107,6 +113,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         level = np.array([cs.encode(e)])
         levels = [level]
         seen = np.zeros(spec.order, dtype=bool)
+    steps = [right_step(spec, g) for g in gens]
     while len(sphere) - 1 != radius:
         d = len(sphere)
         if spec.finite:
@@ -120,15 +127,16 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
                 raise CapExceeded(f"ball exceeds vertex cap {cap}")
             levels.append(nxt)
         else:
-            nxt = []
-            for x in level:
-                for g in gens:
-                    y = mul(spec, x, g)
-                    if y not in dist:
-                        if len(dist) >= cap:
-                            raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                        dist[y] = d
-                        nxt.append(y)
+            for i in range(0, len(level), INF_SLICE):
+                cand = chain.from_iterable(zip(*(map(st, level[i:i + INF_SLICE]) for st in steps)))
+                try:
+                    deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
+                except Overflow:
+                    if len(dist) <= cap:  # a table past the cap hit it before the Overflow
+                        raise
+                if len(dist) > cap:
+                    raise CapExceeded(f"ball exceeds vertex cap {cap}")
+            nxt = list(islice(dist, sum(sphere), None))
         if not len(nxt):
             break
         sphere.append(len(nxt))

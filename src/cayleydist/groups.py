@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -322,6 +323,37 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
             s + t,
         )
     raise FamilyMismatch(f"unknown family {f!r}")
+
+
+def right_step(spec: GroupSpec, g: Element):
+    """The map x -> x * g for one generator g, specialised for infinite families.
+
+    Equal to ``mul(spec, x, g)`` on every x of word length <= ``INF_RADIUS_CAP``.
+    Past that, ``mul`` raises Overflow on a pure time step (sol-inf at |t| >
+    SOL_TIME_CAP, bs-inf at t > BS_EXPONENT_CAP) and this map does not.
+    """
+    b, k = g
+    if not spec.finite and b == identity(spec)[0]:  # a time step keeps the payload object
+        return lambda x: (x[0], x[1] + k)
+    if spec.family == "lamplighter-inf":
+        ((i, v),), m = b, spec.m
+        def lamp(x):
+            fx, s = x
+            j = i + s
+            p = bisect_left(fx, (j,))
+            if p < len(fx) and fx[p][0] == j:
+                w = (fx[p][1] + v) % m
+                return (fx[:p] + (((j, w),) if w else ()) + fx[p + 1:], s)
+            return (fx[:p] + ((j, v),) + fx[p:], s)
+        return lamp
+    if spec.family == "sol-inf":
+        (w1, w2), A = b, spec.A
+        def plane(x):
+            (v1, v2), s = x
+            M = _sol_pow_z(A, s)
+            return ((v1 + M[0][0] * w1 + M[0][1] * w2, v2 + M[1][0] * w1 + M[1][1] * w2), s)
+        return plane
+    return lambda x: mul(spec, x, g)
 
 
 def inv(spec: GroupSpec, x: Element) -> Element:

@@ -23,7 +23,7 @@ from cayleydist import (
     project,
     sphere_csv,
 )
-from cayleydist.cayley import kernel_diameter
+from cayleydist.cayley import VERTEX_CAP, kernel_diameter
 from conftest import CODE_FAMILIES
 
 SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
@@ -149,6 +149,55 @@ class TestCodeBfs:
         diam_N = kernel_diameter(table)
         assert "dist" not in vars(table)
         assert diam_N == max(d for x, d in table.dist.items() if x[1] == 0)
+
+
+def _reference_bfs(spec, radius, cap):
+    """The infinite BFS as it stood before right_step: one mul per element and
+    generator, the cap checked before each insertion.  Returns (dist, sphere)."""
+    gens = generators(spec)
+    e = identity(spec)
+    dist = {e: 0}
+    sphere = [1]
+    level = [e]
+    while len(sphere) - 1 != radius:
+        d = len(sphere)
+        nxt = []
+        for x in level:
+            for g in gens:
+                y = mul(spec, x, g)
+                if y not in dist:
+                    if len(dist) >= cap:
+                        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+                    dist[y] = d
+                    nxt.append(y)
+        if not len(nxt):
+            break
+        sphere.append(len(nxt))
+        level = nxt
+    return dist, tuple(sphere)
+
+
+class TestInfiniteBfs:
+    CASES = [(make_spec("lamplighter-inf", m=2), 12), (make_spec("lamplighter-inf", m=3), 7),
+             (make_spec("bs-inf", m=2), 12), (make_spec("bs-inf", m=3), 8),
+             (make_spec("sol-inf"), 10), (make_spec("sol-inf", A=((3, 2), (1, 1))), 10)]
+
+    @pytest.mark.parametrize("spec, radius", CASES, ids=str)
+    def test_same_table_as_reference(self, spec, radius):
+        table = bfs_ball(spec, radius)
+        dist, sphere = _reference_bfs(spec, radius, VERTEX_CAP)
+        assert list(table.elements.items()) == list(dist.items())
+        assert table.sphere_sizes == sphere
+
+    @pytest.mark.parametrize("spec, radius", CASES, ids=str)
+    def test_cap_boundary_as_reference(self, spec, radius):
+        size = len(_reference_bfs(spec, radius, VERTEX_CAP)[0])
+        assert len(bfs_ball(spec, radius, cap=size)) == size
+        assert len(_reference_bfs(spec, radius, size)[0]) == size
+        with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}$"):
+            bfs_ball(spec, radius, cap=size - 1)
+        with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}$"):
+            _reference_bfs(spec, radius, size - 1)
 
 
 class TestBallPrefix:

@@ -501,3 +501,22 @@ def test_whole_group_diameter_memory():
     child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     assert child.returncode == 0
     assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+
+
+def test_infinite_ball_memory():
+    """Time steps share the payload tuple of the element they start from, so the
+    lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the
+    150 MB it peaked at with a fresh lamp tuple per element.  The child reads its
+    own VmHWM: its ru_maxrss would also hold this process's peak, carried over
+    through the exec that starts it."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    code = ("import runpy, sys\n"
+            "sys.argv = 'cayleydist cayley ball --family lamplighter-inf --m 2 --radius 20'.split()\n"
+            "try:\n"
+            "    runpy.run_module('cayleydist', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(done.stdout.split()[-1]) / 1024 < 100  # VmHWM is in kB

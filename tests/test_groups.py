@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cayleydist import (
     BadMatrix,
@@ -24,6 +26,8 @@ from cayleydist import (
     spec_to_dict,
     to_string,
 )
+from cayleydist.cayley import INF_RADIUS_CAP
+from cayleydist.groups import right_step
 from conftest import CODE_FAMILIES
 
 A_DEFAULT = ((2, 1), (1, 1))
@@ -206,6 +210,41 @@ class TestArithmetic:
         spec = make_spec("bs-inf", m=2)
         with pytest.raises(Overflow):
             mul(spec, ((1, 0), -200), ((1, 0), 0))
+
+
+RIGHT_STEP_SPECS = [make_spec("lamplighter-inf", m=2), make_spec("lamplighter-inf", m=5),
+                    make_spec("bs-inf", m=2), make_spec("bs-inf", m=10**6), make_spec("sol-inf"),
+                    make_spec("sol-inf", A=((3, 2), (1, 1))),
+                    make_spec("sol-inf", A=((1, 1), (1, 0))),
+                    make_spec("lamplighter-fin", m=2, n=5)]  # finite ones go through mul
+
+
+def _outcome(step, x):
+    """(step(x), None), or (None, type and message) of the Overflow it raises."""
+    try:
+        return step(x), None
+    except Overflow as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(RIGHT_STEP_SPECS),
+       st.lists(st.integers(0, 3), max_size=INF_RADIUS_CAP))
+@example(make_spec("bs-inf", m=10**6), [2] * 7 + [0])  # u = m^7 needs more than 128 bits
+def test_right_step_equals_mul(spec, word):
+    """right_step(spec, g)(x) == mul(spec, x, g), Overflow included, for every
+    generator g and every prefix x of a word no longer than INF_RADIUS_CAP."""
+    gens = generators(spec)
+    steps = [right_step(spec, g) for g in gens]
+    x = identity(spec)
+    for k in word + [None]:
+        want = [_outcome(lambda y, g=g: mul(spec, y, g), x) for g in gens]
+        assert [_outcome(step, x) for step in steps] == want
+        if k is None:
+            break
+        x, err = want[k % len(gens)]
+        if err:
+            break  # the word's next letter overflows
 
 
 class TestGenerators:
