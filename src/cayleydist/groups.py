@@ -328,9 +328,9 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
 def right_step(spec: GroupSpec, g: Element):
     """The map x -> x * g for one generator g, specialised for infinite families.
 
-    Equal to ``mul(spec, x, g)`` on every x of word length <= ``INF_RADIUS_CAP``.
-    Past that, ``mul`` raises Overflow on a pure time step (sol-inf at |t| >
-    SOL_TIME_CAP, bs-inf at t > BS_EXPONENT_CAP) and this map does not.
+    Equal to ``mul(spec, x, g)`` for x of word length <= ``INF_RADIUS_CAP``, the
+    most any BFS reaches; past that, ``mul`` raises Overflow on a time step
+    (sol-inf |t| > SOL_TIME_CAP, bs-inf t > BS_EXPONENT_CAP) and this map does not.
     """
     b, k = g
     if not spec.finite and b == identity(spec)[0]:  # a time step keeps the payload object
