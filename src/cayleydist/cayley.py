@@ -9,6 +9,7 @@ element order, distances, and every downstream report are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -36,6 +37,12 @@ class BallTable:
     decodes it from the codes the first time it is read.  ``complete`` marks a
     table covering the whole group.  Equality compares spec, radius, sphere
     sizes, completeness and gens, not the elements they determine.
+
+    ``in_map``, ``index_of`` and ``elements_at`` work on positions along
+    ``elements`` without decoding the ball: a finite table through
+    ``rank[code]``, the discovery index of each code (-1 if absent), which a
+    prefix ball shares with the table it was cut from; an infinite one through
+    an {element: position} dict.
     """
 
     spec: GroupSpec
@@ -58,6 +65,45 @@ class BallTable:
         """Word length of each entry of ``elements``, in order."""
         return np.repeat(np.arange(len(self.sphere_sizes)), self.sphere_sizes)
 
+    @cached_property
+    def _index(self) -> np.ndarray | dict:
+        if not self.spec.finite:
+            return {x: i for i, x in enumerate(self.elements)}
+        rank = np.full(self.spec.order, -1, dtype=np.int64)
+        rank[self.elements] = np.arange(len(self.elements))
+        return rank
+
+    def _ranked(self, codes: np.ndarray) -> np.ndarray:
+        pos = self._index[codes]
+        pos[pos >= len(self)] = -1
+        return pos
+
+    def in_map(self, s: Element) -> np.ndarray:
+        """The position in this ball of s^-1 x for each x along ``elements``,
+        -1 where s^-1 x lies outside it."""
+        spec = self.spec
+        s_inv = inv(spec, s)
+        if not spec.finite:
+            return self.index_of(mul(spec, s_inv, x) for x in self.elements)
+        return self._ranked(CodeSpace(spec).act_left(s_inv, self.elements))
+
+    def index_of(self, elements) -> np.ndarray:
+        """The position of each given element along ``elements``, -1 if absent."""
+        if not self.spec.finite:
+            return np.fromiter((self._index.get(x, -1) for x in elements), dtype=np.int64)
+        cs = CodeSpace(self.spec)
+        codes = np.array([_canonical_code(cs, x) for x in elements], dtype=np.int64)
+        pos = self._ranked(np.maximum(codes, 0))
+        pos[codes < 0] = -1
+        return pos
+
+    def elements_at(self, positions: np.ndarray) -> list[Element]:
+        """The elements at the given positions along ``elements``."""
+        if self.spec.finite:
+            return CodeSpace(self.spec).decode_many(self.elements[positions])
+        keys = list(self.elements)
+        return [keys[i] for i in positions]
+
     def word_length(self, x: Element) -> int | None:
         return self.dist.get(x)
 
@@ -79,9 +125,22 @@ class BallTable:
         n = self.ball_size(r)
         elements = (self.elements[:n] if self.spec.finite
                     else dict(islice(self.elements.items(), n)))
-        return replace(self, radius=r, elements=elements,
+        ball = replace(self, radius=r, elements=elements,
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
+        if self.spec.finite:  # the prefix's codes rank below n in this table's rank
+            vars(ball)["_index"] = self._index
+        return ball
+
+
+def _canonical_code(cs: CodeSpace, x) -> int:
+    """The code of x, or -1 when x is not a group element in canonical form,
+    which would otherwise alias the code of the element it reduces to."""
+    try:
+        code = operator.index(cs.encode(x))
+    except (TypeError, ValueError):
+        return -1
+    return code if 0 <= code < cs.order and cs.decode(code) == x else -1
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,

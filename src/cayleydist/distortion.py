@@ -35,8 +35,11 @@ class DistortionReport:
 
     expansion = sup ||F(x) - F(y)|| / d(x, y) and contraction = sup of the
     reciprocal ratio, both over pairs with 0 < d <= R; dist is their product.
-    Witnesses are (x, y) pairs attaining the sups, lexicographically smallest
-    on ties; the equivariant path reports (identity, g).
+    Witnesses are (x, y) pairs attaining the sups, the lexicographically
+    smallest among pairs whose computed ratios are the same float; the
+    equivariant path reports (identity, g).  Pairs that tie only in exact
+    arithmetic, such as (identity, g) and (identity, g^-1), are told apart by
+    rounding, so the order of floating-point operations picks between them.
     """
 
     R: float

@@ -17,7 +17,9 @@ with |supp|^2 > |G| |T| takes the Fourier path instead: every family is
 N x| T with N abelian, so the inner products <f, lambda(g)f> for all g are |T|
 correlations over N, which cost O(|T| |G|) whatever the support size.  Other p
 stay on pairs: expanding even powers binomially into correlations cancels
-large terms and loses digits.
+large terms and loses digits.  The transforms over N run numpy's fftn axis
+loop in ``_fftn``, with length-2 axes (the m = 2 lamplighter's) as in-place
+butterflies, and give the same bits as ``np.fft.fftn``/``ifftn``.
 """
 
 from __future__ import annotations
@@ -191,7 +193,7 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
     rows = np.zeros((T, spec.order // T), dtype=complex)
     rows[t_of, a_of] = v
     for t in range(T):
-        rows[t] = np.fft.fftn(rows[t].reshape(shape)).ravel()
+        _fftn(rows[t].reshape(shape))
     gap = np.empty(spec.order)
     twice_norm = 2.0 * float(v @ v)
     acc = np.empty(rows.shape[1], dtype=complex)
@@ -200,9 +202,33 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
         acc.fill(0.0)
         for t in range(T):
             acc += rows[t] * np.conj(rows[(t - s) % T][twist])
-        corr = np.fft.ifftn(acc.reshape(shape)).real.ravel()
-        gap[s::T] = twice_norm - 2.0 * corr
+        _fftn(acc.reshape(shape), inverse=True)
+        gap[s::T] = twice_norm - 2.0 * acc.real
     return gap
+
+
+def _fftn(a: np.ndarray, inverse: bool = False) -> None:
+    """Overwrite the C-contiguous complex array ``a`` with ``np.fft.fftn(a)``
+    (``ifftn`` if inverse), bit for bit.
+
+    numpy's fftn runs one 1-D transform per axis, last axis first, and so does
+    this loop.  On an axis of length 2 pocketfft computes the butterfly
+    (x0 + x1, x0 - x1) and, for the inverse, then scales the real and
+    imaginary parts by 1/2; that is done here in place, for every line at
+    once, instead of one pocketfft call per line.  Other axes go to
+    ``np.fft.fft``/``ifft``.
+    """
+    for axis in reversed(range(a.ndim)):
+        if a.shape[axis] != 2:
+            a[...] = (np.fft.ifft if inverse else np.fft.fft)(a, axis=axis)
+            continue
+        pairs = a.reshape(math.prod(a.shape[:axis]), 2, -1)
+        x0, x1 = pairs[:, 0], pairs[:, 1]
+        diff = x0 - x1
+        x0 += x1
+        x1[...] = diff
+        if inverse:
+            a.view(np.float64)[...] *= 0.5
 
 
 def _gap_pow_pairs(spec: GroupSpec, values: dict, p: float) -> np.ndarray:

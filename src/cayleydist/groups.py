@@ -232,10 +232,11 @@ def _sol_pows(spec: GroupSpec) -> tuple[Matrix, ...]:
 def _sol_pow_z(A: Matrix, s: int) -> Matrix:
     if abs(s) > SOL_TIME_CAP:
         raise Overflow(f"twist power |t| = {abs(s)} exceeds cap {SOL_TIME_CAP}")
-    if s == 0:
-        return ((1, 0), (0, 1))
+    M: Matrix = ((1, 0), (0, 1))
     step = A if s > 0 else _mat_inv_int(A)
-    return _mat_mul(_sol_pow_z(A, s - (1 if s > 0 else -1)), step)
+    for _ in range(abs(s)):
+        M = _mat_mul(M, step)
+    return M
 
 
 def _bs_reduce(m: int, num: int, exp: int) -> tuple[int, int]:

@@ -81,16 +81,16 @@ def dirichlet_pc(ball: BallTable) -> dict:
     outside the ball: the top eigenvector of the ball-restricted adjacency
     with multiplicities, computed from the deterministic constant start.
     """
-    return _dirichlet_pc(ball, _structure(ball)[1])
+    return dict(zip(ball.dist, _dirichlet_pc(ball, _structure(ball)[0]).tolist()))
 
 
-def _dirichlet_pc(ball: BallTable, in_maps) -> dict:
-    """dirichlet_pc on the in-maps of ``_structure(ball)``."""
+def _dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
+    """dirichlet_pc on the in-maps of ``_structure(ball)``, by position along the ball."""
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")
     n = len(ball)
     if n == 1:
-        return {x: 1.0 for x in ball.dist}
+        return np.ones(1)
     # imported here: scipy.sparse is most of the import time, and only this solve uses it
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -113,7 +113,7 @@ def _dirichlet_pc(ball: BallTable, in_maps) -> dict:
     if residual > DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
         raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {DIRICHLET_TOL:.3e}")
     v /= np.linalg.norm(v)
-    return {x: float(v[i]) for i, x in enumerate(ball.dist)}
+    return v
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,13 @@ class TestVector:
 
 
 def _structure(ball: BallTable):
-    """The position map {x: i} and, per generator s, the in-map i -> position of
-    s^-1 x_i (-1 outside the ball) and the escape mask {s x_i outside the ball},
-    which is the in-map of s^-1 < 0: the generating set is symmetric.
+    """Per generator s, the in-map i -> position of s^-1 x_i (-1 outside the
+    ball) and the escape mask {s x_i outside the ball}, which is the in-map of
+    s^-1 < 0: the generating set is symmetric.
     """
-    spec = ball.spec
-    pos = {x: i for i, x in enumerate(ball.dist)}
-    inverses = [inv(spec, s) for s in ball.gens]
-    in_maps = [np.fromiter((pos.get(mul(spec, s_inv, x), -1) for x in ball.dist),
-                           dtype=np.int64, count=len(pos))
-               for s_inv in inverses]
-    escapes = [in_maps[ball.gens.index(s_inv)] < 0 for s_inv in inverses]
-    return pos, in_maps, escapes
+    in_maps = [ball.in_map(s) for s in ball.gens]
+    escapes = [in_maps[ball.gens.index(inv(ball.spec, s))] < 0 for s in ball.gens]
+    return in_maps, escapes
 
 
 def _grad_pows(v, p, in_maps, escapes):
@@ -175,13 +170,15 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
     spec = ball.spec
     radius = ball.radius + 1
 
-    if init_values is not None and any(x not in ball.dist for x in init_values):
-        raise BadParam("initial vector leaves the ball")
-    pos, in_maps, escapes = _structure(ball)
-    start = _dirichlet_pc(ball, in_maps) if init_values is None else init_values
-    v = np.zeros(len(ball))
-    for x, val in start.items():
-        v[pos[x]] = val
+    in_maps, escapes = _structure(ball)
+    if init_values is None:
+        v = _dirichlet_pc(ball, in_maps)
+    else:
+        at = ball.index_of(init_values)
+        if (at < 0).any():
+            raise BadParam("initial vector leaves the ball")
+        v = np.zeros(len(ball))
+        v[at] = list(init_values.values())
     norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
     if norm == 0.0:
         raise ZeroNorm("initial vector is identically zero")
@@ -235,8 +232,8 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
                           certified_J=dirac_val, gradient_max=1.0, converged=True)
 
     gmax = max(_grad_pows(best_v, p, in_maps, escapes)) ** (1.0 / p)
-    values = {x: float(best_v[i] / gmax)
-              for i, x in enumerate(ball.dist) if best_v[i] != 0.0}
+    support = np.flatnonzero(best_v)
+    values = dict(zip(ball.elements_at(support), (best_v[support] / gmax).tolist()))
     # re-checked by tuple arithmetic, independently of the ascent's index maps
     norm, grads = _norm_and_gradients(spec, values, p, ball.gens)
     return TestVector(spec=spec, radius=radius, p=p, values=values,

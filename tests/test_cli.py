@@ -488,19 +488,27 @@ def test_scipy_left_unloaded(code):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def _child_vmhwm_mb(line: str) -> float:
+    """Peak RSS of ``cayleydist <line>`` run in a fresh interpreter, read by the
+    child itself from its VmHWM."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    code = ("import runpy, sys\n"
+            f"sys.argv = 'cayleydist {line}'.split()\n"
+            "try:\n"
+            "    runpy.run_module('cayleydist', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    return int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
 def test_whole_group_diameter_memory():
     """The finite BFS keeps codes: lamplighter n=16 (1,048,576 elements) stays far below
-    the 320 MB that a dict of its decoded elements peaks at."""
-    src = str(Path(cayleydist.__file__).resolve().parents[1])
-    child = subprocess.Popen(
-        [sys.executable, "-m", "cayleydist", "cayley", "diam",
-         "--family", "lamplighter-fin", "--m", "2", "--n", "16"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        env={**os.environ, "PYTHONPATH": src})
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert child.returncode == 0
-    assert usage.ru_maxrss / 1024 < 200  # ru_maxrss is in KiB on Linux
+    the 320 MB that a dict of its decoded elements peaks at.  The child reads its own
+    VmHWM, as in test_infinite_ball_memory."""
+    assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 200
 
 
 def test_infinite_ball_memory():
@@ -509,14 +517,4 @@ def test_infinite_ball_memory():
     150 MB it peaked at with a fresh lamp tuple per element.  The child reads its
     own VmHWM: its ru_maxrss would also hold this process's peak, carried over
     through the exec that starts it."""
-    src = str(Path(cayleydist.__file__).resolve().parents[1])
-    code = ("import runpy, sys\n"
-            "sys.argv = 'cayleydist cayley ball --family lamplighter-inf --m 2 --radius 20'.split()\n"
-            "try:\n"
-            "    runpy.run_module('cayleydist', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert int(done.stdout.split()[-1]) / 1024 < 100  # VmHWM is in kB
+    assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 100

@@ -26,7 +26,7 @@ from cayleydist import (
     make_spec,
     mul,
 )
-from cayleydist.embed import _gap_pow, _gap_sq_fourier
+from cayleydist.embed import _fftn, _gap_pow, _gap_sq_fourier
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 L28 = make_spec("lamplighter-fin", m=2, n=8)
@@ -211,6 +211,25 @@ class TestFourierGap:
         gap = _gap_sq_fourier(spec, values)
         want = [_gap_pow(spec, values, cs.decode(code), 2) for code in range(spec.order)]
         assert np.abs(gap - want).max() <= 1e-12 * norm2
+
+    @pytest.mark.parametrize("shape", [(2,) * 12, (3,) * 5, (7, 7), (31,)], ids=str)
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_axis_loop_is_numpy_fftn_bit_for_bit(self, shape, inverse):
+        # butterflies on the length-2 axes, numpy on the others: same bits,
+        # signs of zero included
+        rng = np.random.default_rng(11)
+        size = math.prod(shape)
+        rows = rng.standard_normal((3, size)) + 1j * rng.standard_normal((3, size))
+        rows[0, rng.random(size) < 0.3] = 0.0
+        rows[1].real, rows[1].imag = -0.0, -np.abs(rows[1].imag)
+        rows[2, rng.random(size) < 0.9] = -0.0
+        for row in rows:
+            got = row.reshape(shape).copy()
+            _fftn(got, inverse=inverse)
+            want = (np.fft.ifftn if inverse else np.fft.fftn)(row.reshape(shape))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 class TestEmbedPoint:

@@ -1,11 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cayleydist
 from cayleydist import (
     BadMatrix,
     BadParam,
@@ -210,6 +215,26 @@ class TestArithmetic:
         spec = make_spec("bs-inf", m=2)
         with pytest.raises(Overflow):
             mul(spec, ((1, 0), -200), ((1, 0), 0))
+
+    def test_sol_inf_twist_power_up_to_cap(self):
+        """A^t on a cold cache, in a fresh interpreter: |t| = 2000 is computed,
+        not cut off by the recursion limit, and |t| = 2049 > SOL_TIME_CAP is
+        the documented Overflow."""
+        code = ("from cayleydist import Overflow, make_spec, mul\n"
+                "spec = make_spec('sol-inf')\n"
+                "for t in (2000, -2000):\n"
+                "    print(len(str(mul(spec, ((0, 0), t), ((1, 0), 0)))))\n"
+                "for t in (2049, -2049):\n"
+                "    try:\n"
+                "        mul(spec, ((0, 0), t), ((1, 0), 0))\n"
+                "    except Overflow as exc:\n"
+                "        print(exc)\n")
+        src = str(Path(cayleydist.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4 and all(int(n) > 1000 for n in lines[:2])
+        assert lines[2:] == ["twist power |t| = 2049 exceeds cap 2048"] * 2
 
 
 RIGHT_STEP_SPECS = [make_spec("lamplighter-inf", m=2), make_spec("lamplighter-inf", m=5),

@@ -27,6 +27,7 @@ from cayleydist import (
     vector_json,
 )
 from cayleydist.profile import _structure
+from conftest import CODE_FAMILIES
 
 L28 = make_spec("lamplighter-fin", m=2, n=8)
 L24 = make_spec("lamplighter-fin", m=2, n=4)
@@ -89,14 +90,17 @@ class TestRayleigh:
             rayleigh(spec, {x: 1.0 for x in table.dist}, 2)
 
 
-@pytest.mark.parametrize("spec", [
-    make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
-    make_spec("sol-fin", n=5), L2INF, make_spec("bs-inf", m=3), make_spec("sol-inf")],
-    ids=str)
-def test_structure_escapes_are_translates_leaving_the_ball(spec):
-    ball = bfs_ball(spec, 2)
-    pos, in_maps, escapes = _structure(ball)
-    assert list(pos) == list(ball.dist)
+@pytest.mark.parametrize("spec, prefix", [
+    *(pytest.param(spec, None, id=str(spec)) for spec in [
+        make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
+        make_spec("sol-fin", n=5), L2INF, make_spec("bs-inf", m=3), make_spec("sol-inf")]),
+    *(pytest.param(spec, r, id=f"{spec}-prefix-{r}") for spec in CODE_FAMILIES for r in (1, 3))])
+def test_structure_escapes_are_translates_leaving_the_ball(spec, prefix):
+    """On a radius-2 ball, and on prefix balls of the complete table, which read
+    positions from the table's one rank array."""
+    ball = bfs_ball(spec, 2) if prefix is None else bfs_ball(spec, None).ball(prefix)
+    pos = {x: i for i, x in enumerate(ball.dist)}
+    in_maps, escapes = _structure(ball)
     for s, im, esc in zip(ball.gens, in_maps, escapes):
         assert list(esc) == [mul(spec, s, x) not in ball.dist for x in ball.dist]
         assert list(im) == [pos.get(mul(spec, inv(spec, s), x), -1) for x in ball.dist]
@@ -181,6 +185,20 @@ class TestOptimizeProfile:
         far = from_string(L28, "lamps:00000000|pos:4")
         with pytest.raises(BadParam):
             optimize_profile(ball, 2, init_values={far: 1.0})
+
+    def test_finite_ball_never_decoded(self):
+        ball = bfs_ball(L28, None).ball(3)
+        optimize_profile(ball, 2)
+        optimize_profile(ball, 2, init_values={identity(L28): 1.0, generators(L28)[0]: 0.5})
+        assert "dist" not in vars(ball)
+
+    @pytest.mark.parametrize("x", [
+        ((2, 0, 0, 0, 0, 0, 0, 0), 0), ((0,) * 8, 8), ((0,) * 8, -1), ((0,) * 7, 0),
+        ((0,) * 8, 0.5), "lamps:00000000|pos:0"], ids=repr)
+    def test_init_not_an_element_rejected(self, x):
+        # none is a canonical element: encoded as it stands, most would alias one
+        with pytest.raises(BadParam):
+            optimize_profile(bfs_ball(L28, None).ball(1), 2, init_values={x: 1.0})
 
     def test_bad_exponent_rejected(self):
         with pytest.raises(BadParam):
