@@ -39,10 +39,9 @@ class BallTable:
     sizes, completeness and gens, not the elements they determine.
 
     ``in_map``, ``index_of`` and ``elements_at`` work on positions along
-    ``elements`` without decoding the ball: a finite table through
-    ``rank[code]``, the discovery index of each code (-1 if absent), which a
-    prefix ball shares with the table it was cut from; an infinite one through
-    an {element: position} dict.
+    ``elements`` without decoding the ball: a finite table looks codes up in
+    its own codes sorted once (an array of the ball's size, not the
+    group's), an infinite one in an {element: position} dict.
     """
 
     spec: GroupSpec
@@ -66,17 +65,17 @@ class BallTable:
         return np.repeat(np.arange(len(self.sphere_sizes)), self.sphere_sizes)
 
     @cached_property
-    def _index(self) -> np.ndarray | dict:
+    def _index(self) -> tuple[np.ndarray, np.ndarray] | dict:
         if not self.spec.finite:
             return {x: i for i, x in enumerate(self.elements)}
-        rank = np.full(self.spec.order, -1, dtype=np.int64)
-        rank[self.elements] = np.arange(len(self.elements))
-        return rank
+        by_code = np.argsort(self.elements)
+        return self.elements[by_code], by_code
 
-    def _ranked(self, codes: np.ndarray) -> np.ndarray:
-        pos = self._index[codes]
-        pos[pos >= len(self)] = -1
-        return pos
+    def _positions(self, codes: np.ndarray) -> np.ndarray:
+        """Position of each code along the finite ``elements``, -1 if absent."""
+        sorted_codes, by_code = self._index
+        i = np.minimum(np.searchsorted(sorted_codes, codes), len(self) - 1)
+        return np.where(sorted_codes[i] == codes, by_code[i], -1)
 
     def in_map(self, s: Element) -> np.ndarray:
         """The position in this ball of s^-1 x for each x along ``elements``,
@@ -85,17 +84,15 @@ class BallTable:
         s_inv = inv(spec, s)
         if not spec.finite:
             return self.index_of(mul(spec, s_inv, x) for x in self.elements)
-        return self._ranked(CodeSpace(spec).act_left(s_inv, self.elements))
+        return self._positions(CodeSpace(spec).act_left(s_inv, self.elements))
 
     def index_of(self, elements) -> np.ndarray:
         """The position of each given element along ``elements``, -1 if absent."""
         if not self.spec.finite:
             return np.fromiter((self._index.get(x, -1) for x in elements), dtype=np.int64)
         cs = CodeSpace(self.spec)
-        codes = np.array([_canonical_code(cs, x) for x in elements], dtype=np.int64)
-        pos = self._ranked(np.maximum(codes, 0))
-        pos[codes < 0] = -1
-        return pos
+        return self._positions(np.array([_canonical_code(cs, x) for x in elements],
+                                        dtype=np.int64))
 
     def elements_at(self, positions: np.ndarray) -> list[Element]:
         """The elements at the given positions along ``elements``."""
@@ -125,12 +122,9 @@ class BallTable:
         n = self.ball_size(r)
         elements = (self.elements[:n] if self.spec.finite
                     else dict(islice(self.elements.items(), n)))
-        ball = replace(self, radius=r, elements=elements,
+        return replace(self, radius=r, elements=elements,
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
-        if self.spec.finite:  # the prefix's codes rank below n in this table's rank
-            vars(ball)["_index"] = self._index
-        return ball
 
 
 def _canonical_code(cs: CodeSpace, x) -> int:

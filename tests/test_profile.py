@@ -96,8 +96,8 @@ class TestRayleigh:
         make_spec("sol-fin", n=5), L2INF, make_spec("bs-inf", m=3), make_spec("sol-inf")]),
     *(pytest.param(spec, r, id=f"{spec}-prefix-{r}") for spec in CODE_FAMILIES for r in (1, 3))])
 def test_structure_escapes_are_translates_leaving_the_ball(spec, prefix):
-    """On a radius-2 ball, and on prefix balls of the complete table, which read
-    positions from the table's one rank array."""
+    """On a radius-2 ball of each family, and on prefix balls cut from the
+    complete table of each code family."""
     ball = bfs_ball(spec, 2) if prefix is None else bfs_ball(spec, None).ball(prefix)
     pos = {x: i for i, x in enumerate(ball.dist)}
     in_maps, escapes = _structure(ball)
