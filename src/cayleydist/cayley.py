@@ -18,8 +18,8 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius, Overflow
-from .groups import (CodeSpace, Element, GroupSpec, generators, identity, inv, mul, project,
-                     right_step)
+from .groups import (CodeSpace, Element, GroupSpec, code_space, generators, identity, inv, mul,
+                     project, right_step)
 
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
@@ -58,7 +58,7 @@ class BallTable:
     def dist(self) -> dict:
         if not self.spec.finite:
             return self.elements
-        return dict(zip(CodeSpace(self.spec).decode_many(self.elements), self.lengths().tolist()))
+        return dict(zip(code_space(self.spec).decode_many(self.elements), self.lengths().tolist()))
 
     def lengths(self) -> np.ndarray:
         """Word length of each entry of ``elements``, in order."""
@@ -84,20 +84,20 @@ class BallTable:
         s_inv = inv(spec, s)
         if not spec.finite:
             return self.index_of(mul(spec, s_inv, x) for x in self.elements)
-        return self._positions(CodeSpace(spec).act_left(s_inv, self.elements))
+        return self._positions(code_space(spec).act_left(s_inv, self.elements))
 
     def index_of(self, elements) -> np.ndarray:
         """The position of each given element along ``elements``, -1 if absent."""
         if not self.spec.finite:
             return np.fromiter((self._index.get(x, -1) for x in elements), dtype=np.int64)
-        cs = CodeSpace(self.spec)
+        cs = code_space(self.spec)
         return self._positions(np.array([_canonical_code(cs, x) for x in elements],
                                         dtype=np.int64))
 
     def elements_at(self, positions: np.ndarray) -> list[Element]:
         """The elements at the given positions along ``elements``."""
         if self.spec.finite:
-            return CodeSpace(self.spec).decode_many(self.elements[positions])
+            return code_space(self.spec).decode_many(self.elements[positions])
         keys = list(self.elements)
         return [keys[i] for i in positions]
 
@@ -162,7 +162,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     sphere = [1]
     level = [e]
     if spec.finite:
-        cs = CodeSpace(spec)
+        cs = code_space(spec)
         level = np.array([cs.encode(e)])
         levels = [level]
         seen = np.zeros(spec.order, dtype=bool)
@@ -207,7 +207,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
 
 def kernel_diameter(table: BallTable) -> int:
     """Largest word length over the sol plane subgroup {(v, 0)} in the finite table."""
-    t, _ = CodeSpace(table.spec).split(table.elements)
+    t, _ = code_space(table.spec).split(table.elements)
     return int(table.lengths()[t == 0].max())
 
 

@@ -1,4 +1,4 @@
-"""Distortion measurement, a heuristic embedding optimizer, and an exact
+"""Distortion measurement, a heuristic embedding optimizer, and a heuristic
 Euclidean-distortion oracle for tiny metric spaces.
 
 Equivariant embeddings reduce distortion at scale R to a one-variable sup over
@@ -6,7 +6,12 @@ group elements (norms against word lengths), so the group path never stores
 pairwise data.  The generic path brute-forces pairs of materialized points.
 The c2 oracle solves minimize T subject to Q PSD and
 d(i,j)^2 <= Q_ii + Q_jj - 2 Q_ij <= T d(i,j)^2 by bisection on T with
-alternating projections between the PSD cone and the per-pair slabs.
+alternating projections between the PSD cone and the per-pair slabs.  A T is
+feasible when the projections reach a residual of C2_RESID_TOL, and counted
+infeasible when they stagnate or hit the C2_SWEEPS cap.  That second verdict
+proves nothing, so the bracket's lower end is no certified lower bound, and
+the result depends on the warm starts: relabelling the points of an 8-point
+metric moved the value by as much as 6.5e-3 relative.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
-from .groups import CodeSpace, identity, inv, mul, to_string
+from .groups import code_space, identity, inv, mul, to_string
 
 PAIRWISE_CAP = 512
 C2_CAP = 16
@@ -126,7 +131,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     if R > diam:
         raise BadScale(f"scale R = {R} exceeds diameter {diam}")
 
-    cs = CodeSpace(spec)
+    cs = code_space(spec)
     norms = embed_norms_all(bundle)
     lengths = np.empty(spec.order, dtype=np.int64)
     lengths[table.elements] = table.lengths()
@@ -288,10 +293,15 @@ def optimize_embedding(metric, p: float = 2.0, dim: int = 2, seed: int = 0):
 
 @dataclass(frozen=True)
 class C2Result:
-    """Exact minimal Euclidean distortion of a tiny metric.
+    """Euclidean distortion of a tiny metric, as the heuristic oracle finds it.
 
-    value = sqrt of the smallest feasible T; gram is a certificate Gram matrix
-    for that T; bracket is the final (infeasible, feasible) T interval.
+    value = sqrt of the smallest T the bisection found feasible; gram is the
+    PSD part of the Gram matrix it reached there, in the metric's units.
+    bracket is the final (lo, hi) interval of T = value**2.  lo is the last T
+    counted infeasible, by stagnation or the sweep cap, not a proven lower
+    bound: the true c2 can lie below sqrt(lo), and relabelling the points can
+    move value by several 1e-3 relative while the bracket, at the default
+    tol, is under 1e-12 wide.
     """
 
     value: float
@@ -302,41 +312,43 @@ class C2Result:
 def _project_feasible(D2: np.ndarray, T: float, Q0: np.ndarray):
     """Alternating projections onto {PSD} and the per-pair slabs.
 
-    Returns (feasible, Q).  Infeasibility is declared on residual stagnation.
-    The slab pass runs on Python floats, pair by pair in the array's order;
-    each step is the same IEEE double operation as on the array's entries, so
-    Q is bit-identical to the pass on numpy scalars, at a fraction of the cost.
+    Returns (feasible, Q).  Feasible means the residual fell to C2_RESID_TOL.
+    Infeasible means only that it did not: 150 sweeps without a 0.5% gain, or
+    the C2_SWEEPS cap, so a False is a heuristic verdict and no proof.
+    Each sweep decomposes the symmetrized Q once: the smallest eigenvalue
+    gives the residual and the decomposition gives the next PSD projection.
+    The slab pass runs on the projection's flat list of Python floats, pair by
+    pair in the array's order; each step is the same IEEE double operation as
+    on the array's entries, so Q is bit-identical to the pass on numpy
+    scalars, at a fraction of the cost.
     """
     n = D2.shape[0]
-    slabs = [(i, j, float(D2[i, j]), float(T * D2[i, j]))
+    slabs = [(i * n + i, j * n + j, i * n + j, j * n + i, float(D2[i, j]), float(T * D2[i, j]))
              for i in range(n) for j in range(i + 1, n)]
-    S = (Q0 + Q0.T) / 2
+    w, V = np.linalg.eigh((Q0 + Q0.T) / 2)
     best_resid = math.inf
     since_improve = 0
     for _ in range(C2_SWEEPS):
-        w, V = np.linalg.eigh(S)
-        rows = ((V * np.maximum(w, 0.0)) @ V.T).tolist()
+        q = ((V * np.maximum(w, 0.0)) @ V.T).ravel().tolist()
         slab_gap = 0.0
-        for i, j, lo, hi in slabs:
-            ri, rj = rows[i], rows[j]
-            v = ri[i] + rj[j] - 2.0 * ri[j]
+        for ii, jj, ij, ji, lo, hi in slabs:
+            v = q[ii] + q[jj] - 2.0 * q[ij]
             if v < lo:
-                tgt = lo
+                gap = lo - v
             elif v > hi:
-                tgt = hi
+                gap = hi - v
             else:
                 continue
-            if abs(tgt - v) > slab_gap:
-                slab_gap = abs(tgt - v)
-            delta = (tgt - v) / 4.0
-            ri[i] += delta
-            rj[j] += delta
-            ri[j] -= delta
-            rj[i] -= delta
-        Q = np.array(rows)
-        S = (Q + Q.T) / 2
-        neg = max(0.0, -float(np.linalg.eigvalsh(S).min()))
-        resid = max(slab_gap, neg)
+            if abs(gap) > slab_gap:
+                slab_gap = abs(gap)
+            delta = gap / 4.0
+            q[ii] += delta
+            q[jj] += delta
+            q[ij] -= delta
+            q[ji] -= delta
+        Q = np.array(q).reshape(n, n)
+        w, V = np.linalg.eigh((Q + Q.T) / 2)
+        resid = max(slab_gap, -float(w[0]))
         if resid <= C2_RESID_TOL:
             return True, Q
         if resid < best_resid * 0.995:

@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
-from .groups import CodeSpace, Element, GroupSpec, identity, inv, mul, spec_to_dict
+from .groups import Element, GroupSpec, code_space, identity, inv, mul, spec_to_dict
 from .profile import TestVector, profile_curve
 
 POINT_CAP = 1 << 24
+
+_codespace = code_space  # the name perfbench's norm re-check imports
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,6 @@ class AprioriBound(NamedTuple):
     colip_bound: float
     dist_bound: float
     closed_form: float
-
-
-@lru_cache(maxsize=8)
-def _codespace(spec: GroupSpec) -> CodeSpace:
-    return CodeSpace(spec)
 
 
 def bundle_scale(table: BallTable, R: int | None = None) -> tuple[int, int]:
@@ -185,7 +181,7 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
     at a time into the complex table that holds them, so that table is the
     only array of size |G| besides the output.
     """
-    cs = _codespace(spec)
+    cs = code_space(spec)
     T = cs.time_order
     shape = cs.normal_shape
     t_of, a_of = cs.split(cs.encode_many(list(values)))
@@ -239,7 +235,7 @@ def _gap_pow_pairs(spec: GroupSpec, values: dict, p: float) -> np.ndarray:
     |f(x) - f(y)|^p - |f(x)|^p - |f(y)|^p, which costs one vectorized pass
     per support element instead of one per group element.
     """
-    cs = _codespace(spec)
+    cs = code_space(spec)
     supp = list(values)
     v = np.array([values[x] for x in supp])
     inv_codes = cs.encode_many([inv(spec, x) for x in supp])
@@ -265,7 +261,7 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     """
     spec = bundle.spec
     p = bundle.p
-    cs = _codespace(spec)
+    cs = code_space(spec)
     order = spec.order
     total = np.zeros(order)
     for _, coef, values in bundle.blocks():
@@ -296,7 +292,7 @@ def embed_point(bundle: EmbeddingBundle, g: Element) -> np.ndarray:
     if spec.order * bundle.K > POINT_CAP:
         raise CapExceeded(
             f"coordinate count {spec.order * bundle.K} exceeds {POINT_CAP}")
-    cs = _codespace(spec)
+    cs = code_space(spec)
     out = np.zeros(embed_dim(bundle))
     for k, (_, coef, values) in enumerate(bundle.blocks()):
         off = k * spec.order
@@ -315,7 +311,7 @@ def cocycle_defect(bundle: EmbeddingBundle, g: Element, h: Element) -> float:
     a rotation, not by the translation action.
     """
     spec = bundle.spec
-    cs = _codespace(spec)
+    cs = code_space(spec)
     order = spec.order
     n_coords = (bundle.K + 1) * order
     f_gh = embed_point(bundle, mul(spec, g, h))[:n_coords]

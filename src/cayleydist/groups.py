@@ -710,6 +710,12 @@ class CodeSpace:
         return self._twisted_index(self._cols[s], self._characters, repeat(0))
 
 
+@lru_cache(maxsize=8)
+def code_space(spec: GroupSpec) -> CodeSpace:
+    """The ``CodeSpace`` of a finite ``spec``, built once and shared by every layer."""
+    return CodeSpace(spec)
+
+
 def _mod(x: np.ndarray, k: int) -> np.ndarray:
     """x % k for an int64 array: numpy's remainder costs several floor divisions."""
     return x - x // k * k

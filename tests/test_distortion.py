@@ -360,10 +360,40 @@ def test_project_feasible_bit_identical_to_reference(metric, c2_squared):
         assert np.array_equal(Q, want_Q)
 
 
-def test_exact_c2_bit_identical_to_reference(monkeypatch):
-    got = exact_c2(cycle_metric(5))
+@pytest.mark.parametrize("metric", [
+    cycle_metric(5),
+    metric_from_table(bfs_ball(make_spec("lamplighter-fin", m=2, n=2), None)),
+], ids=["C5", "lamplighter-m2-n2"])
+def test_exact_c2_bit_identical_to_reference(metric, monkeypatch):
+    got = exact_c2(metric)
     monkeypatch.setattr(distortion, "_project_feasible", _reference_project_feasible)
-    want = exact_c2(cycle_metric(5))
+    want = exact_c2(metric)
     assert got.value == want.value
     assert got.bracket == want.bracket
     assert np.array_equal(got.gram, want.gram)
+
+
+def test_project_feasible_one_eigh_per_sweep(monkeypatch):
+    """Each sweep decomposes Q once: k sweeps make k + 1 eigh calls (one before
+    the first sweep) and no eigvalsh call, where the reference makes k of each."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a):
+            calls[name] += 1
+            return real(a)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh"))
+    M = MetricTable(cycle_metric(5)).matrix
+    D2 = (M / M.max()) ** 2
+    Q0 = np.zeros_like(D2)
+    _reference_project_feasible(D2, 4.0, Q0)
+    sweeps = calls["eigvalsh"]
+    assert sweeps >= 1 and calls["eigh"] == sweeps
+    calls.update(eigh=0, eigvalsh=0)
+    distortion._project_feasible(D2, 4.0, Q0)
+    assert calls == {"eigh": sweeps + 1, "eigvalsh": 0}

@@ -498,3 +498,29 @@ class TestCodeSpace:
 
         with pytest.raises(FamilyMismatch):
             CodeSpace(make_spec("bs-inf", m=2))
+
+    def test_built_once_per_spec(self, monkeypatch):
+        """BFS, the ball lookups, the embedding and the distortion share one CodeSpace."""
+        from cayleydist import build_bundle, distortion_equivariant
+        from cayleydist.cayley import kernel_diameter
+        from cayleydist.groups import code_space
+
+        built = []
+        init = CodeSpace.__init__
+
+        def counted(self, spec):
+            built.append(spec)
+            init(self, spec)
+
+        monkeypatch.setattr(CodeSpace, "__init__", counted)
+        code_space.cache_clear()
+        spec = make_spec("sol-fin", n=5)
+        table = bfs_ball(spec, None)
+        distortion_equivariant(build_bundle(table, 2))
+        table.in_map(generators(spec)[0])
+        table.index_of([identity(spec)])
+        table.elements_at(np.arange(3))
+        assert len(table.dist) == spec.order
+        kernel_diameter(table)
+        assert built == [spec]
+        assert code_space(make_spec("sol-fin", n=5)) is code_space(spec)
