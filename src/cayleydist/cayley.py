@@ -8,6 +8,7 @@ element order, distances, and every downstream report are deterministic.
 
 from __future__ import annotations
 
+import gc
 import math
 import operator
 from collections import deque
@@ -167,33 +168,43 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         levels = [level]
         seen = np.zeros(spec.order, dtype=bool)
     steps = [right_step(spec, g) for g in gens]
-    while len(sphere) - 1 != radius:
-        d = len(sphere)
-        if spec.finite:
-            seen[level] = True
-            payload = cs.payload(level)
-            cand = np.stack([cs.act_right(g, payload) for g in gens], axis=1).ravel()
-            del payload  # the level's digits, dead before the candidates are filtered
-            cand = cand[~seen[cand]]
-            nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
-            if sum(sphere) + len(nxt) > cap:
-                raise CapExceeded(f"ball exceeds vertex cap {cap}")
-            levels.append(nxt)
-        else:
-            for i in range(0, len(level), INF_SLICE):
-                cand = chain.from_iterable(zip(*(map(st, level[i:i + INF_SLICE]) for st in steps)))
-                try:
-                    deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
-                except Overflow:
-                    if len(dist) <= cap:  # a table past the cap hit it before the Overflow
-                        raise
-                if len(dist) > cap:
+    # The infinite table holds only tuples of ints, which the cyclic collector
+    # keeps re-scanning but can never free: pause it for the level loop.
+    paused = not spec.finite and gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        while len(sphere) - 1 != radius:
+            d = len(sphere)
+            if spec.finite:
+                seen[level] = True
+                payload = cs.payload(level)
+                cand = np.stack([cs.act_right(g, payload) for g in gens], axis=1).ravel()
+                del payload  # the level's digits, dead before the candidates are filtered
+                cand = cand[~seen[cand]]
+                nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
+                if sum(sphere) + len(nxt) > cap:
                     raise CapExceeded(f"ball exceeds vertex cap {cap}")
-            nxt = list(islice(dist, sum(sphere), None))
-        if not len(nxt):
-            break
-        sphere.append(len(nxt))
-        level = nxt
+                levels.append(nxt)
+            else:
+                for i in range(0, len(level), INF_SLICE):
+                    part = level[i:i + INF_SLICE]
+                    cand = chain.from_iterable(zip(*(map(st, part) for st in steps)))
+                    try:
+                        deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
+                    except Overflow:
+                        if len(dist) <= cap:  # a table past the cap hit it before the Overflow
+                            raise
+                    if len(dist) > cap:
+                        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+                nxt = list(islice(dist, sum(sphere), None))
+            if not len(nxt):
+                break
+            sphere.append(len(nxt))
+            level = nxt
+    finally:
+        if paused:
+            gc.enable()
 
     return BallTable(
         spec=spec,

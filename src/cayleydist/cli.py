@@ -439,7 +439,7 @@ _COMMANDS = {
               {**_GROUP, "p": _finite, "radius": int, **_OUTPUT}),
     "distort": (_run_distort, "measured distortion against the certified bound",
                 {**_GROUP, "p": _finite, "radius": int, "zero_block": int, **_OUTPUT}),
-    "c2": (_run_c2, "exact Euclidean distortion, tiny metrics",
+    "c2": (_run_c2, "heuristic Euclidean distortion bracket, tiny metrics",
            {**_GROUP, "metric": None, "tol": _finite, **_OUTPUT}),
     "scan": (_run_scan, "n-sweep distortion table",
              {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": _path,

@@ -332,6 +332,9 @@ def right_step(spec: GroupSpec, g: Element):
     Equal to ``mul(spec, x, g)`` for x of word length <= ``INF_RADIUS_CAP``, the
     most any BFS reaches; past that, ``mul`` raises Overflow on a time step
     (sol-inf |t| > SOL_TIME_CAP, bs-inf t > BS_EXPONENT_CAP) and this map does not.
+    No infinite-family step goes through ``mul``: a bs-inf plane step adds
+    +-m^s to u / m^e in closed form, raising ``mul``'s Overflow errors, and a
+    sol-inf plane step adds A^s b, kept per time index s.
     """
     b, k = g
     if not spec.finite and b == identity(spec)[0]:  # a time step keeps the payload object
@@ -347,12 +350,27 @@ def right_step(spec: GroupSpec, g: Element):
                 return (fx[:p] + (((j, w),) if w else ()) + fx[p + 1:], s)
             return (fx[:p] + ((j, v),) + fx[p:], s)
         return lamp
+    if spec.family == "bs-inf":
+        (c, _), m = b, spec.m
+        def plane(x):
+            (u, e), s = x
+            d = e + s  # u / m^e + c m^s over the denominator m^max(e, -s); spread |d|
+            if d > BS_EXPONENT_CAP or d < -BS_EXPONENT_CAP:
+                raise Overflow(f"exponent spread exceeds cap {BS_EXPONENT_CAP}")
+            if d >= 0:
+                return (_bs_reduce(m, u + c * m ** d, e), s)
+            return (_bs_reduce(m, u * m ** -d + c, -s), s)
+        return plane
     if spec.family == "sol-inf":
         (w1, w2), A = b, spec.A
+        cols: dict[int, tuple[int, int]] = {}  # A^s b by time index s
         def plane(x):
             (v1, v2), s = x
-            M = _sol_pow_z(A, s)
-            return ((v1 + M[0][0] * w1 + M[0][1] * w2, v2 + M[1][0] * w1 + M[1][1] * w2), s)
+            d = cols.get(s)
+            if d is None:
+                M = _sol_pow_z(A, s)
+                d = cols[s] = (M[0][0] * w1 + M[0][1] * w2, M[1][0] * w1 + M[1][1] * w2)
+            return ((v1 + d[0], v2 + d[1]), s)
         return plane
     return lambda x: mul(spec, x, g)
 

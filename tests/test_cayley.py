@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import math
 import random
 
@@ -8,6 +10,7 @@ from cayleydist import (
     CapExceeded,
     FamilyMismatch,
     InfiniteNeedsRadius,
+    Overflow,
     bfs_ball,
     build_bundle,
     diameter,
@@ -23,7 +26,9 @@ from cayleydist import (
     project,
     sphere_csv,
 )
+from cayleydist import cayley
 from cayleydist.cayley import VERTEX_CAP, kernel_diameter
+from cayleydist.groups import right_step
 from conftest import CODE_FAMILIES
 
 SIX_FAMILIES = [make_spec("lamplighter-fin", m=3, n=3), make_spec("bs-fin", m=2, n=5),
@@ -180,6 +185,7 @@ def _reference_bfs(spec, radius, cap):
 class TestInfiniteBfs:
     CASES = [(make_spec("lamplighter-inf", m=2), 12), (make_spec("lamplighter-inf", m=3), 7),
              (make_spec("bs-inf", m=2), 12), (make_spec("bs-inf", m=3), 8),
+             (make_spec("bs-inf", m=10), 8),
              (make_spec("sol-inf"), 10), (make_spec("sol-inf", A=((3, 2), (1, 1))), 10)]
 
     @pytest.mark.parametrize("spec, radius", CASES, ids=str)
@@ -198,6 +204,40 @@ class TestInfiniteBfs:
             bfs_ball(spec, radius, cap=size - 1)
         with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}$"):
             _reference_bfs(spec, radius, size - 1)
+
+
+class TestBfsCollectorState:
+    """The infinite BFS pauses the cyclic collector only while its levels grow."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("spec, radius, cap, error", [
+        (make_spec("bs-inf", m=2), 8, VERTEX_CAP, None),
+        (make_spec("bs-fin", m=2, n=5), None, VERTEX_CAP, None),
+        (make_spec("bs-inf", m=2), 18, 1000, CapExceeded),
+        (make_spec("bs-inf", m=10**21), 3, VERTEX_CAP, Overflow),
+    ], ids=["returned", "finite", "cap-exceeded", "overflow"])
+    def test_left_as_found(self, spec, radius, cap, error, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(error) if error else contextlib.nullcontext():
+                bfs_ball(spec, radius, cap=cap)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_paused_while_levels_grow(self, monkeypatch):
+        states = []
+
+        def spy(spec, g):
+            step = right_step(spec, g)
+            return lambda x: states.append(gc.isenabled()) or step(x)
+
+        monkeypatch.setattr(cayley, "right_step", spy)
+        assert gc.isenabled()
+        bfs_ball(make_spec("lamplighter-inf", m=2), 6)
+        assert states and not any(states)
+        assert gc.isenabled()
 
 
 class TestBallPrefix:

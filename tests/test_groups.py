@@ -272,6 +272,23 @@ def test_right_step_equals_mul(spec, word):
             break  # the word's next letter overflows
 
 
+@pytest.mark.parametrize("x, message", [
+    (((1, 0), -600), "exponent spread exceeds cap 512"),
+    (((1, 500), 20), "exponent spread exceeds cap 512"),
+    (((1, 0), 513), "exponent spread exceeds cap 512"),
+    (((1, 0), 512), "numerator needs more than 128 bits"),
+    (((3, 0), -512), "numerator needs more than 128 bits"),
+])
+def test_bs_plane_step_overflow_past_radius_cap(x, message):
+    """Beyond any BFS radius the bs-inf plane steps a and a^-1 still raise the
+    Overflow of ``mul``: the exponent spread first, then the numerator."""
+    spec = make_spec("bs-inf", m=2)
+    for g in generators(spec)[:2]:
+        want = _outcome(lambda y: mul(spec, y, g), x)
+        assert want[1][0] is Overflow and want[1][1].startswith(message)
+        assert _outcome(right_step(spec, g), x) == want
+
+
 class TestGenerators:
     def test_lamplighter_m2_collapses(self):
         spec = make_spec("lamplighter-fin", m=2, n=4)
