@@ -37,7 +37,6 @@ from .distortion import (
     distortion_pairwise,
     exact_c2,
     metric_from_table,
-    optimize_embedding,
     report_json,
 )
 from .embed import (
@@ -48,7 +47,6 @@ from .embed import (
     build_bundle,
     bundle_json,
     cocycle_defect,
-    embed_dim,
     embed_norm,
     embed_norms_all,
     embed_point,

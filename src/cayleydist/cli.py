@@ -308,7 +308,8 @@ def _run_distort(args) -> str:
     if zero is not None:
         coefs = tuple(0.0 if k == zero else c for k, c in enumerate(bundle.coefs))
         bundle = replace(bundle, coefs=coefs)
-    report = distortion_equivariant(bundle)
+    # the bound certifies scale R, so a requested R is also where distortion is measured
+    report = distortion_equivariant(bundle, None if args.radius is None else R)
     bound = apriori_bound(bundle)
     if args.format == "csv":
         return _kv_csv([("R", report.R), ("expansion", report.expansion),

@@ -1,4 +1,4 @@
-"""Distortion measurement, a heuristic embedding optimizer, and a heuristic
+"""Distortion measurement, equivariant and pairwise, and a heuristic
 Euclidean-distortion oracle for tiny metric spaces.
 
 Equivariant embeddings reduce distortion at scale R to a one-variable sup over
@@ -26,10 +26,7 @@ from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
 from .groups import code_space, identity, inv, mul, to_string
 
-PAIRWISE_CAP = 512
 C2_CAP = 16
-EMBED_RESTARTS = 8  # optimize_embedding: the scaling start plus seeded random starts
-EMBED_ITERS = 150  # descent steps per temperature
 C2_SWEEPS = 1500  # alternating projections per feasibility test
 C2_RESID_TOL = 1e-9  # residual that counts as feasible
 
@@ -201,94 +198,6 @@ def report_json(report: DistortionReport, spec) -> dict:
         "witness_expand": [to_string(spec, x) for x in report.witness_expand],
         "witness_contract": [to_string(spec, x) for x in report.witness_contract],
     }
-
-
-def _mds_init(D: np.ndarray, dim: int) -> np.ndarray:
-    n = D.shape[0]
-    J = np.eye(n) - np.full((n, n), 1.0 / n)
-    B = -0.5 * J @ (D ** 2) @ J
-    w, V = np.linalg.eigh((B + B.T) / 2)
-    idx = np.argsort(w)[::-1][:dim]
-    coords = V[:, idx] * np.sqrt(np.maximum(w[idx], 0.0))
-    out = np.zeros((n, dim))
-    out[:, :coords.shape[1]] = coords
-    return out
-
-
-def _soft_loss_grad(X, D, p, beta, iu):
-    i, j = iu
-    diff = X[i] - X[j]
-    emb = np.maximum(np.sum(np.abs(diff) ** p, axis=1) ** (1.0 / p), 1e-12)
-    r = np.log(emb / D[i, j])
-    up = beta * r
-    dn = -beta * r
-    loss = (_lse(up) + _lse(dn)) / beta
-    w = _softmax(up) - _softmax(dn)
-    # d r / d X[i] = |diff|^(p-1) sign(diff) / emb^p  (times chain weight)
-    scale = (w / emb ** p)[:, None]
-    g_pairs = scale * np.abs(diff) ** (p - 1.0) * np.sign(diff)
-    grad = np.zeros_like(X)
-    np.add.at(grad, i, g_pairs)
-    np.add.at(grad, j, -g_pairs)
-    return loss, grad
-
-
-def _lse(v):
-    m = v.max()
-    return m + math.log(np.exp(v - m).sum())
-
-
-def _softmax(v):
-    m = np.exp(v - v.max())
-    return m / m.sum()
-
-
-def optimize_embedding(metric, p: float = 2.0, dim: int = 2, seed: int = 0):
-    """Heuristic low-distortion embedding into R^dim under the lp norm.
-
-    Descends a soft-max distortion surrogate with a rising temperature
-    schedule, from a classical-scaling start plus seeded random restarts.
-    The winner is re-measured exactly, so the returned report is always a
-    valid upper bound regardless of optimizer state.  Returns (points, report).
-    """
-    M = _as_metric(metric)
-    if M.n > PAIRWISE_CAP:
-        raise BadParam(f"point count {M.n} exceeds {PAIRWISE_CAP}")
-    if M.n < 2:
-        raise DegenerateInput("need at least two points")
-    if dim < 1:
-        raise BadParam(f"dimension {dim} must be >= 1")
-    D = M.matrix
-    rng = np.random.default_rng(seed)
-    iu = np.triu_indices(M.n, 1)
-    scale = float(D.max())
-
-    best_points, best_report = None, None
-    for trial in range(EMBED_RESTARTS):
-        X = _mds_init(D, dim) if trial == 0 else rng.normal(0.0, scale, (M.n, dim))
-        for beta in (4.0, 16.0, 64.0):
-            step = 0.1 * scale
-            loss, grad = _soft_loss_grad(X, D, p, beta, iu)
-            for _ in range(EMBED_ITERS):
-                while step > 1e-12:
-                    cand = X - step * grad
-                    new_loss, new_grad = _soft_loss_grad(cand, D, p, beta, iu)
-                    if new_loss < loss:
-                        X, loss, grad = cand, new_loss, new_grad
-                        step *= 1.3
-                        break
-                    step *= 0.5
-                else:
-                    break
-        try:
-            report = distortion_pairwise(X, M, p)
-        except DegenerateInput:
-            continue
-        if best_report is None or report.dist < best_report.dist:
-            best_points, best_report = X.copy(), report
-    if best_report is None:
-        raise DegenerateInput("every restart collapsed some pair")
-    return best_points, best_report
 
 
 @dataclass(frozen=True)

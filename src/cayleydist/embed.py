@@ -278,22 +278,19 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     return norms
 
 
-def embed_dim(bundle: EmbeddingBundle) -> int:
-    return (bundle.K + 1) * bundle.spec.order + (2 if bundle.circle else 0)
-
-
 def embed_point(bundle: EmbeddingBundle, g: Element) -> np.ndarray:
-    """Materialized coordinates of F(g), desk scale only.
+    """Materialized coordinates of F(g), desk scale only: one block of |G|
+    coordinates per dirac and profile block, plus 2 for the circle.
 
     The flat lp norm of the result equals embed_norm(g) exactly when there is
     no circle block, and at p = 2 always (the circle pair is Euclidean).
     """
     spec = bundle.spec
-    if spec.order * bundle.K > POINT_CAP:
-        raise CapExceeded(
-            f"coordinate count {spec.order * bundle.K} exceeds {POINT_CAP}")
+    size = (bundle.K + 1) * spec.order + (2 if bundle.circle else 0)
+    if size > POINT_CAP:
+        raise CapExceeded(f"coordinate count {size} exceeds {POINT_CAP}")
     cs = code_space(spec)
-    out = np.zeros(embed_dim(bundle))
+    out = np.zeros(size)
     for k, (_, coef, values) in enumerate(bundle.blocks()):
         off = k * spec.order
         for x, v in values.items():

@@ -159,6 +159,15 @@ class TestEmbedDistort:
         blob = json.loads(out)
         assert 1.0 <= blob["dist"] <= blob["dist_bound"] + 1e-9
 
+    @pytest.mark.parametrize("radius", [2, 4, 7])
+    def test_distort_measured_at_requested_radius(self, capsys, radius):
+        code, out, _ = run(capsys, "distort", "--family", "lamplighter-fin",
+                           "--m", "2", "--n", "8", "--radius", str(radius))
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["R"] == radius
+        assert blob["dist"] <= blob["dist_bound"]
+
     def test_theorem_scope_p(self, capsys):
         code, _, err = run(capsys, "distort", "--family", "lamplighter-fin",
                            "--m", "2", "--n", "4", "--p", "1")

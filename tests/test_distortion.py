@@ -23,7 +23,6 @@ from cayleydist import (
     identity,
     make_spec,
     metric_from_table,
-    optimize_embedding,
     report_json,
 )
 from cayleydist import distortion
@@ -42,6 +41,22 @@ def cycle_metric(q):
 
 
 STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+
+
+def random_graph_metric(seed, n):
+    """Shortest paths of a seeded random connected graph with weights 1..5."""
+    rng = np.random.default_rng(seed)
+    W = np.full((n, n), np.inf)
+    np.fill_diagonal(W, 0.0)
+    for k in range(1, n):  # a random spanning tree, then n more edges
+        W[k, rng.integers(k)] = rng.integers(1, 6)
+    for _ in range(n):
+        a, b = rng.choice(n, 2, replace=False)
+        W[a, b] = min(W[a, b], W[b, a], rng.integers(1, 6))
+    W = np.minimum(W, W.T)
+    for k in range(n):
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    return W
 
 
 @pytest.fixture(scope="module")
@@ -206,38 +221,6 @@ class TestEquivariant:
         assert all(isinstance(s, str) for s in blob["witness_expand"])
 
 
-class TestOptimizeEmbedding:
-    def test_path_in_line(self):
-        _, report = optimize_embedding(path_metric(4), 2, dim=1)
-        assert report.dist <= 1 + 1e-6
-
-    def test_square(self):
-        _, report = optimize_embedding(cycle_metric(4), 2, dim=2)
-        assert report.dist <= 1.4143
-
-    def test_equilateral_triangle(self):
-        metric = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        _, report = optimize_embedding(metric, 2, dim=2)
-        assert report.dist <= 1 + 1e-6
-
-    def test_deterministic(self):
-        a = optimize_embedding(STAR, 2, dim=2, seed=5)
-        b = optimize_embedding(STAR, 2, dim=2, seed=5)
-        assert a[1] == b[1]
-        assert np.array_equal(a[0], b[0])
-
-    def test_report_is_exact_remeasure(self):
-        pts, report = optimize_embedding(STAR, 2, dim=3)
-        fresh = distortion_pairwise(pts, STAR, 2)
-        assert fresh.dist == report.dist
-
-    def test_validation(self):
-        with pytest.raises(BadParam):
-            optimize_embedding(path_metric(3), 2, dim=0)
-        with pytest.raises(DegenerateInput):
-            optimize_embedding([[0.0]], 2, dim=1)
-
-
 class TestExactC2:
     def test_path_is_euclidean(self):
         res = exact_c2(path_metric(5))
@@ -269,12 +252,25 @@ class TestExactC2:
         assert lo <= hi
         assert res.value == pytest.approx(math.sqrt(hi), rel=1e-12)
 
-    @pytest.mark.parametrize("metric", [path_metric(5), cycle_metric(4), STAR],
-                             ids=["P5", "C4", "K13"])
-    def test_dominated_by_heuristic(self, metric):
-        n = len(metric)
-        _, report = optimize_embedding(metric, 2, dim=n - 1)
-        assert exact_c2(metric).value <= report.dist + 1e-6
+    @pytest.mark.parametrize("metric, points", [
+        (path_metric(5), [[0], [1], [2], [3], [4]]),  # on a line
+        (cycle_metric(4), [[0, 0], [1, 0], [1, 1], [0, 1]]),  # unit square
+        (STAR, [[0, 0]] + [[math.cos(a), math.sin(a)]  # three spokes 120 degrees apart
+                           for a in (0, 2 * math.pi / 3, 4 * math.pi / 3)]),
+    ], ids=["P5", "C4", "K13"])
+    def test_dominated_by_explicit_embedding(self, metric, points):
+        explicit = distortion_pairwise(points, metric, 2).dist
+        assert exact_c2(metric).value <= explicit + 1e-6
+
+    @pytest.mark.parametrize("metric", [
+        cycle_metric(5), STAR,
+        random_graph_metric(1, 5), random_graph_metric(2, 6), random_graph_metric(3, 7),
+    ], ids=["C5", "K13", "G5", "G6", "G7"])
+    def test_gram_points_attain_value(self, metric):
+        res = exact_c2(metric)
+        w, V = np.linalg.eigh(res.gram)
+        points = V * np.sqrt(np.maximum(w, 0.0))
+        assert distortion_pairwise(points, metric, 2).dist <= res.value * (1 + 1e-6)
 
     @pytest.mark.parametrize("metric", [cycle_metric(5), STAR], ids=["C5", "K13"])
     def test_subspace_monotone(self, metric):
@@ -324,22 +320,6 @@ def _reference_project_feasible(D2, T, Q0):
             if since_improve >= 150:
                 return False, Q
     return False, Q
-
-
-def random_graph_metric(seed, n):
-    """Shortest paths of a seeded random connected graph with weights 1..5."""
-    rng = np.random.default_rng(seed)
-    W = np.full((n, n), np.inf)
-    np.fill_diagonal(W, 0.0)
-    for k in range(1, n):  # a random spanning tree, then n more edges
-        W[k, rng.integers(k)] = rng.integers(1, 6)
-    for _ in range(n):
-        a, b = rng.choice(n, 2, replace=False)
-        W[a, b] = min(W[a, b], W[b, a], rng.integers(1, 6))
-    W = np.minimum(W, W.T)
-    for k in range(n):
-        W = np.minimum(W, W[:, k, None] + W[None, k, :])
-    return W
 
 
 # each metric with its squared c2 (6 - 2 sqrt 5 for C5), just above which

@@ -16,7 +16,6 @@ from cayleydist import (
     build_bundle,
     bundle_json,
     cocycle_defect,
-    embed_dim,
     embed_norm,
     embed_norms_all,
     embed_point,
@@ -26,6 +25,7 @@ from cayleydist import (
     make_spec,
     mul,
 )
+from cayleydist import embed
 from cayleydist.embed import _fftn, _gap_pow, _gap_sq_fourier
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
@@ -271,9 +271,19 @@ class TestEmbedPoint:
             assert gap == pytest.approx(want, abs=1e-9)
 
     def test_dimension(self, b24, bsol3):
-        assert embed_dim(b24) == (b24.K + 1) * 64
-        assert embed_dim(bsol3) == (bsol3.K + 1) * 36 + 2
-        assert embed_point(b24, identity(L24)).shape == (embed_dim(b24),)
+        assert embed_point(b24, identity(L24)).shape == ((b24.K + 1) * 64,)
+        assert embed_point(bsol3, identity(SOL3)).shape == ((bsol3.K + 1) * 36 + 2,)
+
+    @pytest.mark.parametrize("spec_name", ["L24", "SOL3"])
+    def test_cap_counts_every_coordinate(self, spec_name, b24, bsol3, monkeypatch):
+        bundle = {"L24": b24, "SOL3": bsol3}[spec_name]
+        e = identity(bundle.spec)
+        size = embed_point(bundle, e).size
+        monkeypatch.setattr(embed, "POINT_CAP", size - 1)
+        with pytest.raises(CapExceeded, match=f"coordinate count {size} exceeds {size - 1}$"):
+            embed_point(bundle, e)
+        monkeypatch.setattr(embed, "POINT_CAP", size)
+        assert embed_point(bundle, e).size == size
 
     def test_cap(self, b24):
         huge = replace(b24, K=10 ** 6)
