@@ -61,8 +61,6 @@ from .profile import (
     profile_curve,
     rayleigh,
     revalidate,
-    translate,
-    vector_json,
 )
 from .groups import (
     CodeSpace,
@@ -75,7 +73,6 @@ from .groups import (
     matrix_order,
     mul,
     project,
-    spec_from_dict,
     spec_to_dict,
     to_string,
 )

@@ -19,8 +19,8 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius, Overflow
-from .groups import (CodeSpace, Element, GroupSpec, code_space, generators, identity, inv, mul,
-                     project, right_step)
+from .groups import (Element, GroupSpec, code_space, generators, identity, inv, mul, project,
+                     right_step)
 
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
@@ -39,7 +39,7 @@ class BallTable:
     table covering the whole group.  Equality compares spec, radius, sphere
     sizes, completeness and gens, not the elements they determine.
 
-    ``in_map``, ``index_of`` and ``elements_at`` work on positions along
+    ``in_map`` and ``elements_at`` work on positions along
     ``elements`` without decoding the ball: a finite table looks codes up in
     its own codes sorted once (an array of the ball's size, not the
     group's), an infinite one in an {element: position} dict.
@@ -84,16 +84,10 @@ class BallTable:
         spec = self.spec
         s_inv = inv(spec, s)
         if not spec.finite:
-            return self.index_of(mul(spec, s_inv, x) for x in self.elements)
+            index = self._index
+            return np.fromiter((index.get(mul(spec, s_inv, x), -1) for x in self.elements),
+                               dtype=np.int64)
         return self._positions(code_space(spec).act_left(s_inv, self.elements))
-
-    def index_of(self, elements) -> np.ndarray:
-        """The position of each given element along ``elements``, -1 if absent."""
-        if not self.spec.finite:
-            return np.fromiter((self._index.get(x, -1) for x in elements), dtype=np.int64)
-        cs = code_space(self.spec)
-        return self._positions(np.array([_canonical_code(cs, x) for x in elements],
-                                        dtype=np.int64))
 
     def elements_at(self, positions: np.ndarray) -> list[Element]:
         """The elements at the given positions along ``elements``."""
@@ -128,16 +122,6 @@ class BallTable:
                        complete=self.spec.finite and n == self.spec.order)
 
 
-def _canonical_code(cs: CodeSpace, x) -> int:
-    """The code of x, or -1 when x is not a group element in canonical form,
-    which would otherwise alias the code of the element it reduces to."""
-    try:
-        code = operator.index(cs.encode(x))
-    except (TypeError, ValueError):
-        return -1
-    return code if 0 <= code < cs.order and cs.decode(code) == x else -1
-
-
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
              cap: int = VERTEX_CAP) -> BallTable:
     """Enumerate the closed ball of the given radius (whole group if None),
@@ -153,6 +137,10 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         if not spec.finite:
             raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
     else:
+        try:
+            radius = operator.index(radius)
+        except TypeError:
+            raise BadParam(f"radius {radius!r} must be an integer") from None
         if radius < 0:
             raise BadParam(f"radius {radius} must be >= 0")
         if not spec.finite and radius > INF_RADIUS_CAP:

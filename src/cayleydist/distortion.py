@@ -24,7 +24,7 @@ import numpy as np
 from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
-from .groups import code_space, identity, inv, mul, to_string
+from .groups import code_space, identity, inv, to_string
 
 C2_CAP = 16
 C2_SWEEPS = 1500  # alternating projections per feasibility test
@@ -101,14 +101,13 @@ def metric_from_table(table: BallTable) -> MetricTable:
     if not table.complete:
         raise BadParam("metric extraction needs a complete enumeration")
     spec = table.spec
-    elements = list(table.dist)
-    n = len(elements)
-    D = np.zeros((n, n))
-    for i, x in enumerate(elements):
-        xi = inv(spec, x)
-        for j in range(i + 1, n):
-            d = table.word_length(mul(spec, xi, elements[j]))
-            D[i, j] = D[j, i] = float(d)
+    cs = code_space(spec)
+    by_code = np.empty(spec.order, dtype=np.int64)
+    by_code[table.elements] = table.lengths()
+    payload = cs.payload(table.elements)
+    # row i holds the word lengths of x_i^-1 x_j, the points in BFS order
+    D = [by_code[cs.act_left(inv(spec, x), table.elements, payload)]
+         for x in cs.decode_many(table.elements)]
     return MetricTable(D)
 
 
@@ -123,7 +122,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     diam = len(table.sphere_sizes) - 1
     if R is None:
         R = diam
-    if R < 1:
+    if not R >= 1:
         raise BadParam(f"scale R = {R} must be >= 1")
     if R > diam:
         raise BadScale(f"scale R = {R} exceeds diameter {diam}")

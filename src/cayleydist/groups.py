@@ -511,22 +511,32 @@ def to_string(spec: GroupSpec, x: Element) -> str:
 
 
 def from_string(spec: GroupSpec, text: str) -> Element:
-    """Parse the canonical string form; BadParam on malformed input."""
-    f = spec.family
+    """Parse the canonical string form; BadParam on any other string."""
     try:
-        left, right = text.split("|")
-        lkey, lval = left.split(":", 1)
-        rkey, rval = right.split(":", 1)
+        x = _parse(spec, text)
     except ValueError as exc:
         raise BadParam(f"malformed element string {text!r}") from exc
+    # refuses wrong keys and brackets, and what int() reads besides plain
+    # digits: signs, spaces, underscores, leading zeros and other scripts
+    canonical = to_string(spec, x)
+    if canonical != text:
+        raise BadParam(f"element string {text!r} is not in canonical form {canonical!r}")
+    return x
+
+
+def _parse(spec: GroupSpec, text: str) -> Element:
+    """from_string before its canonical-form check, which also covers the keys
+    and separators this reads past; ValueError on bad syntax."""
+    f = spec.family
+    left, right = text.split("|")
+    _, lval = left.split(":", 1)
+    _, rval = right.split(":", 1)
 
     if f == "lamplighter-fin":
-        if lkey != "lamps" or rkey != "pos":
-            raise BadParam(f"expected lamps:...|pos:... for {f}, got {text!r}")
         if spec.m <= 10:
             digits = tuple(int(c) for c in lval)
         else:
-            digits = tuple(int(c) for c in lval.split(",")) if lval else ()
+            digits = tuple(int(c) for c in lval.split(","))
         if len(digits) != spec.n or any(not 0 <= d < spec.m for d in digits):
             raise BadParam(f"bad lamp digits in {text!r}")
         pos = int(rval)
@@ -534,8 +544,6 @@ def from_string(spec: GroupSpec, text: str) -> Element:
             raise BadParam(f"pos {pos} out of range in {text!r}")
         return (digits, pos)
     if f == "lamplighter-inf":
-        if lkey != "lamps" or rkey != "pos":
-            raise BadParam(f"expected lamps:...|pos:... for {f}, got {text!r}")
         pairs = []
         if lval:
             for item in lval.split(","):
@@ -547,20 +555,14 @@ def from_string(spec: GroupSpec, text: str) -> Element:
             raise BadParam(f"lamp support not sorted-unique in {text!r}")
         return (tuple(pairs), int(rval))
     if f == "bs-fin":
-        if lkey != "a" or rkey != "t":
-            raise BadParam(f"expected a:...|t:... for {f}, got {text!r}")
         a, t = int(lval), int(rval)
         if not (0 <= a < spec.q and 0 <= t < spec.n):
             raise BadParam(f"payload out of range in {text!r}")
         return (a, t)
     if f == "bs-inf":
-        if lkey != "a" or rkey != "t":
-            raise BadParam(f"expected a:...|t:... for {f}, got {text!r}")
         if "/" in lval:
             num, den = lval.split("/")
-            base, exp = den.split("^")
-            if int(base) != spec.m:
-                raise BadParam(f"denominator base {base} is not m={spec.m} in {text!r}")
+            _, exp = den.split("^")
             u, e = int(num), int(exp)
             if e <= 0 or u % spec.m == 0:
                 raise BadParam(f"unreduced dyadic payload in {text!r}")
@@ -568,10 +570,6 @@ def from_string(spec: GroupSpec, text: str) -> Element:
             u, e = int(lval), 0
         return ((u, e), int(rval))
     if f in ("sol-fin", "sol-inf"):
-        if lkey != "v" or rkey != "t":
-            raise BadParam(f"expected v:(..,..)|t:... for {f}, got {text!r}")
-        if not (lval.startswith("(") and lval.endswith(")")):
-            raise BadParam(f"bad vector syntax in {text!r}")
         v1, v2 = (int(c) for c in lval[1:-1].split(","))
         t = int(rval)
         if f == "sol-fin":
@@ -595,18 +593,6 @@ def spec_to_dict(spec: GroupSpec) -> dict:
     if spec.A is not None:
         out["A"] = [list(row) for row in spec.A]
     return out
-
-
-def spec_from_dict(data: dict) -> GroupSpec:
-    """Inverse of spec_to_dict; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise BadParam(f"spec JSON must be an object, got {type(data).__name__}")
-    extra = set(data) - {"family", "m", "n", "A"}
-    if extra:
-        raise BadParam(f"unknown spec keys {sorted(extra)}")
-    if "family" not in data:
-        raise BadParam("spec JSON needs a 'family' key")
-    return make_spec(data["family"], m=data.get("m"), n=data.get("n"), A=data.get("A"))
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import Element, GroupSpec, generators, identity, inv, mul, spec_to_dict, to_string
+from .groups import GroupSpec, generators, identity, inv, mul
 
 DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
+ASCENT_MAXITER = 500  # ascent steps after the Dirichlet start
 SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generators
 
 
@@ -47,11 +48,6 @@ def lp_norm(values, p: float) -> float:
     return m * math.fsum((v / m) ** p for v in vals) ** (1.0 / p)
 
 
-def translate(spec: GroupSpec, s: Element, f: dict) -> dict:
-    """Left translation (lambda(s)f)(x) = f(s^-1 x); support moves to s*supp."""
-    return {mul(spec, s, x): v for x, v in f.items()}
-
-
 def _norm_and_gradients(spec: GroupSpec, f: dict, p: float, gens):
     """|f|_p and |f - lambda(s)f|_p for each generator s, by tuple arithmetic."""
     norm = lp_norm(f.values(), p)
@@ -59,7 +55,8 @@ def _norm_and_gradients(spec: GroupSpec, f: dict, p: float, gens):
         raise ZeroNorm("test function is identically zero")
     grads = []
     for s in gens:
-        diff = translate(spec, s, f)
+        # lambda(s)f, the left translate: (lambda(s)f)(x) = f(s^-1 x)
+        diff = {mul(spec, s, x): v for x, v in f.items()}
         for x, v in f.items():
             diff[x] = diff.get(x, 0.0) - v
         grads.append(lp_norm(diff.values(), p))
@@ -158,27 +155,20 @@ def _max_form(v, p, in_maps, escapes):
     return float(np.sum(np.abs(v) ** p) ** (1.0 / p)) / dmax
 
 
-def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
-                     init_values: dict | None = None) -> TestVector:
-    """Ascend the max-form Rayleigh value over functions on the ball.
+def optimize_profile(ball: BallTable, p: float) -> TestVector:
+    """Ascend the max-form Rayleigh value over functions on the ball, from
+    its Dirichlet principal vector.
 
     The certificate radius is ball.radius + 1 (the smallest open ball
     containing the support).  Never returns less than the dirac witness.
     """
-    if p < 1:
-        raise BadParam(f"exponent p = {p} must be >= 1")
+    if not 1 <= p < math.inf:
+        raise BadParam(f"exponent p = {p} outside [1, inf)")
     spec = ball.spec
     radius = ball.radius + 1
 
     in_maps, escapes = _structure(ball)
-    if init_values is None:
-        v = _dirichlet_pc(ball, in_maps)
-    else:
-        at = ball.index_of(init_values)
-        if (at < 0).any():
-            raise BadParam("initial vector leaves the ball")
-        v = np.zeros(len(ball))
-        v[at] = list(init_values.values())
+    v = _dirichlet_pc(ball, in_maps)
     norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
     if norm == 0.0:
         raise ZeroNorm("initial vector is identically zero")
@@ -188,7 +178,7 @@ def optimize_profile(ball: BallTable, p: float, max_iter: int = 500,
     best_val = _max_form(v, p, in_maps, escapes)
     step = 0.5
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAXITER):
         dpows = _grad_pows(v, p, in_maps, escapes)
         dmaxp = max(dpows)
         weights = np.exp(SOFTMAX_KAPPA * (np.array(dpows) / dmaxp - 1.0))
@@ -311,15 +301,3 @@ def profile_csv(curve: ProfileCurve) -> str:
     for r, j in curve.points:
         lines.append(f"{r},{j:.12g},{r / j:.12g}")
     return "\n".join(lines) + "\n"
-
-
-def vector_json(tv: TestVector) -> dict:
-    """JSON-ready dump keyed by canonical element strings."""
-    return {
-        "spec": spec_to_dict(tv.spec),
-        "radius": tv.radius,
-        "p": tv.p,
-        "certified_J": tv.certified_J,
-        "gradient_max": tv.gradient_max,
-        "values": {to_string(tv.spec, x): v for x, v in tv.values.items()},
-    }

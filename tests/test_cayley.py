@@ -128,6 +128,13 @@ class TestBfsBall:
         with pytest.raises(BadParam):
             bfs_ball(make_spec("bs-fin", m=2, n=3), -1)
 
+    @pytest.mark.parametrize("spec", [make_spec("bs-fin", m=2, n=4), make_spec("bs-inf", m=2)],
+                             ids=str)
+    def test_non_integer_radius_refused(self, spec):
+        # no level count equals 1.5: the BFS would run on to the whole group or the cap
+        with pytest.raises(BadParam, match="must be an integer"):
+            bfs_ball(spec, 1.5, cap=10_000)
+
 
 class TestCodeBfs:
     @pytest.mark.parametrize("radius", [0, 1, 3, None])

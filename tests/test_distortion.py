@@ -185,6 +185,10 @@ class TestEquivariant:
         with pytest.raises(BadParam):
             distortion_equivariant(b24, R=0)
 
+    def test_nan_scale_refused(self, b24):
+        with pytest.raises(BadParam, match="must be >= 1"):
+            distortion_equivariant(b24, R=math.nan)
+
     def test_incomplete_table_rejected(self):
         # the bundle carries the table distortion_equivariant measures against;
         # a radius-5 ball of this diameter-13 group once gave R = 5, not 13

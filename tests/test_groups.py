@@ -27,7 +27,6 @@ from cayleydist import (
     matrix_order,
     mul,
     project,
-    spec_from_dict,
     spec_to_dict,
     to_string,
 )
@@ -408,6 +407,63 @@ class TestSerialization:
         text = to_string(spec, x)
         assert from_string(spec, text) == x
 
+    @pytest.mark.parametrize("spec, text", [
+        (make_spec("bs-fin", m=2, n=4), "a:x|t:0"),
+        (make_spec("bs-fin", m=2, n=4), "a:1|t:y"),
+        (make_spec("lamplighter-fin", m=2, n=4), "lamps:0a01|pos:0"),
+        (make_spec("lamplighter-inf", m=2), "lamps:1|pos:0"),
+        (make_spec("lamplighter-inf", m=2), "lamps:1=x|pos:0"),
+        (make_spec("sol-fin", n=5), "v:(1)|t:0"),
+        (make_spec("sol-fin", n=5), "v:(1,2,3)|t:0"),
+        (make_spec("bs-inf", m=2), "a:1/2^x|t:0"),
+        (make_spec("bs-inf", m=2), "a:1/2|t:0"),
+    ], ids=str)
+    def test_unparsable_payload_is_bad_param(self, spec, text):
+        with pytest.raises(BadParam, match="malformed element string"):
+            from_string(spec, text)
+
+
+STRING_SPECS = ALL_SPECS + [make_spec("lamplighter-fin", m=12, n=3)]  # with comma-separated lamps
+# the grammar's characters, plus ones int() reads but no canonical string holds
+STRING_ALPHABET = "lampsotv:|,=/^()-0123456789" + " +_\u0663"
+
+
+@st.composite
+def _element_text(draw):
+    """A spec and either a string over STRING_ALPHABET or the canonical
+    string of an element (a word of up to 12 generators) with a few
+    characters inserted, deleted or replaced."""
+    spec = draw(st.sampled_from(STRING_SPECS))
+    if draw(st.booleans()):
+        return spec, draw(st.text(STRING_ALPHABET, max_size=24))
+    gens = generators(spec)
+    x = identity(spec)
+    for k in draw(st.lists(st.integers(0, 3), max_size=12)):
+        x = mul(spec, x, gens[k % len(gens)])
+    chars = list(to_string(spec, x))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(chars)))
+        c = draw(st.sampled_from(STRING_ALPHABET))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            chars.insert(i, c)
+        elif i < len(chars):
+            chars[i:i + 1] = [c] if edit == "replace" else []
+    return spec, "".join(chars)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(_element_text())
+def test_from_string_fuzz(case):
+    """Every string parses to the element whose canonical string it is, or is
+    refused with BadParam."""
+    spec, text = case
+    try:
+        x = from_string(spec, text)
+    except BadParam:
+        return
+    assert to_string(spec, x) == text
+
 
 class TestSpecJson:
     def test_examples(self):
@@ -418,14 +474,7 @@ class TestSpecJson:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_round_trip(self, spec):
-        blob = json.dumps(spec_to_dict(spec))
-        assert spec_from_dict(json.loads(blob)) == spec
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(BadParam):
-            spec_from_dict({"family": "bs-fin", "m": 2, "n": 3, "mood": "good"})
-        with pytest.raises(BadParam):
-            spec_from_dict({"m": 2, "n": 3})
+        assert make_spec(**json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 class TestCodeSpace:
@@ -535,7 +584,6 @@ class TestCodeSpace:
         table = bfs_ball(spec, None)
         distortion_equivariant(build_bundle(table, 2))
         table.in_map(generators(spec)[0])
-        table.index_of([identity(spec)])
         table.elements_at(np.arange(3))
         assert len(table.dist) == spec.order
         kernel_diameter(table)
