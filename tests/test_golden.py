@@ -30,12 +30,14 @@ COMMANDS = (
     "group info --family lamplighter-fin --m 2 --n 5",
     "group info --family bs-fin --m 2 --n 5 --format csv",
     "group info --family sol-fin --n 5",
+    "group info --family sol-fin --n 5 --format csv",
     "cayley ball --family lamplighter-fin --m 2 --n 5",
     "cayley ball --family bs-fin --m 2 --n 5 --radius 4 --format json",
     "cayley ball --family sol-fin --n 5 --format json",
     "cayley diam --family lamplighter-fin --m 2 --n 6",
     "cayley diam --family bs-fin --m 2 --n 6 --format csv",
     "cayley diam --family sol-fin --n 7",
+    "cayley diam --family sol-fin --n 7 --format csv",
     "girth --family lamplighter-fin --m 2 --n 5 --cap 4",
     "girth --family lamplighter-fin --m 2 --n 8 --cap 3",
     "girth --family bs-fin --m 2 --n 5 --cap 5",
