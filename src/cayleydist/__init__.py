@@ -24,10 +24,8 @@ from .cayley import (
     GirthReport,
     bfs_ball,
     diameter,
-    exp_radical_csv,
     exp_radical_scan,
     girth,
-    sphere_csv,
 )
 from .distortion import (
     C2Result,
@@ -37,7 +35,6 @@ from .distortion import (
     distortion_pairwise,
     exact_c2,
     metric_from_table,
-    report_json,
 )
 from .embed import (
     AprioriBound,
@@ -45,7 +42,6 @@ from .embed import (
     EmbeddingBundle,
     apriori_bound,
     build_bundle,
-    bundle_json,
     cocycle_defect,
     embed_norm,
     embed_norms_all,
@@ -57,7 +53,6 @@ from .profile import (
     dirichlet_pc,
     lp_norm,
     optimize_profile,
-    profile_csv,
     profile_curve,
     rayleigh,
     revalidate,

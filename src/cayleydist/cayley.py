@@ -112,6 +112,7 @@ class BallTable:
         BFS lists elements by word length, so the ball is a prefix of this
         table; r may exceed the radius only when the table is complete.
         """
+        r = int_radius(r)
         if r < 0 or (r > self.radius and not self.complete):
             raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
         n = self.ball_size(r)
@@ -120,6 +121,14 @@ class BallTable:
         return replace(self, radius=r, elements=elements,
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
+
+
+def int_radius(r) -> int:
+    """r through ``operator.index``: BadParam for 1.5, "2" or None."""
+    try:
+        return operator.index(r)
+    except TypeError:
+        raise BadParam(f"radius {r!r} must be an integer") from None
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
@@ -137,10 +146,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         if not spec.finite:
             raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
     else:
-        try:
-            radius = operator.index(radius)
-        except TypeError:
-            raise BadParam(f"radius {radius!r} must be an integer") from None
+        radius = int_radius(radius)
         if radius < 0:
             raise BadParam(f"radius {radius} must be >= 0")
         if not spec.finite and radius > INF_RADIUS_CAP:
@@ -374,21 +380,3 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     return ExpRadicalReport(spec=spec, r_max=r_max, rows=rows,
                             alpha_upper=alpha_upper, alpha_lower=alpha_lower,
                             alpha_hat=alpha_hat)
-
-
-def sphere_csv(table: BallTable) -> str:
-    """Sphere sizes as CSV: r, sphere, cumulative."""
-    lines = ["r,sphere,cumulative"]
-    total = 0
-    for r, s in enumerate(table.sphere_sizes):
-        total += s
-        lines.append(f"{r},{s},{total}")
-    return "\n".join(lines) + "\n"
-
-
-def exp_radical_csv(report: ExpRadicalReport) -> str:
-    """Kernel growth rows as CSV: r, min_log_norm, max_log_norm."""
-    lines = ["r,min_log_norm,max_log_norm"]
-    for r, lo, hi in report.rows:
-        lines.append(f"{r},{lo:.12g},{hi:.12g}")
-    return "\n".join(lines) + "\n"

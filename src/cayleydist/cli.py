@@ -17,19 +17,11 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import accumulate
 
-from .cayley import (
-    VERTEX_CAP,
-    bfs_ball,
-    diameter,
-    exp_radical_csv,
-    exp_radical_scan,
-    girth,
-    sphere_csv,
-)
-from .distortion import (C2_CAP, distortion_equivariant, exact_c2, metric_from_table,
-                          report_json)
-from .embed import apriori_bound, build_bundle, bundle_json, bundle_scale
+from .cayley import VERTEX_CAP, bfs_ball, diameter, exp_radical_scan, girth
+from .distortion import C2_CAP, distortion_equivariant, exact_c2, metric_from_table
+from .embed import apriori_bound, build_bundle, bundle_scale
 from .errors import (
     BadParam,
     CapExceeded,
@@ -41,7 +33,7 @@ from .errors import (
     ZeroNorm,
 )
 from .groups import generators, make_spec, spec_to_dict, to_string
-from .profile import checked_radii, profile_csv, profile_curve
+from .profile import checked_radii, profile_curve
 
 _NUMERIC_ERRORS = (NoConvergence, ZeroNorm, ZeroGradient, DegenerateInput)
 _CAP_ERRORS = (CapExceeded, Overflow)
@@ -168,10 +160,11 @@ def _csv_cell(v) -> str:
     return f'"{s}"' if "," in s else s
 
 
-def _kv_csv(pairs) -> str:
-    keys = ",".join(k for k, _ in pairs)
-    vals = ",".join(_csv_cell(v) for _, v in pairs)
-    return f"{keys}\n{vals}\n"
+def _csv(header, rows) -> str:
+    """The header line, then one line per row of cells."""
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit_json(obj) -> str:
@@ -190,31 +183,32 @@ def _run_group_info(args) -> str:
     info["finite"] = spec.finite
     info["generators"] = len(generators(spec))
     if args.format == "csv":
-        return _kv_csv(list(info.items()))
+        return _csv(info, [info.values()])
     return _emit_json(info)
 
 
 def _run_cayley_ball(args) -> str:
     spec = _spec_from_args(args)
     table = bfs_ball(spec, args.radius, cap=VERTEX_CAP if args.cap is None else args.cap)
+    sizes = list(table.sphere_sizes)
+    balls = list(accumulate(sizes))
     if args.format == "json":
-        sizes = list(table.sphere_sizes)
         return _emit_json({
             "radius": table.radius,
             "sphere_sizes": sizes,
-            "ball_sizes": [sum(sizes[: r + 1]) for r in range(len(sizes))],
+            "ball_sizes": balls,
             "complete": table.complete,
         })
-    return sphere_csv(table)
+    return _csv(("r", "sphere", "cumulative"), zip(range(len(sizes)), sizes, balls))
 
 
 def _run_cayley_diam(args) -> str:
     spec = _spec_from_args(args)
     report = diameter(spec)
-    pairs = [("diameter", report.diameter), ("diam_N", report.diam_N)]
+    blob = {"diameter": report.diameter, "diam_N": report.diam_N}
     if args.format == "csv":
-        return _kv_csv(pairs)
-    return _emit_json(dict(pairs))
+        return _csv(blob, [blob.values()])
+    return _emit_json(blob)
 
 
 def _run_girth(args) -> str:
@@ -225,8 +219,8 @@ def _run_girth(args) -> str:
     cap = args.cap if args.cap is not None else 6
     report = girth(parent, spec, cap=cap)
     if args.format == "csv":
-        return _kv_csv([("g_lower", report.g_lower), ("iso_lower", report.iso_lower),
-                        ("cap", report.cap)])
+        return _csv(("g_lower", "iso_lower", "cap"),
+                    [(report.g_lower, report.iso_lower, report.cap)])
     kernel = report.kernel_witness
     iso = report.iso_witness
     return _emit_json({
@@ -252,7 +246,7 @@ def _run_expradical(args) -> str:
             "alpha_lower": report.alpha_lower,
             "alpha_hat": report.alpha_hat,
         })
-    return exp_radical_csv(report)
+    return _csv(("r", "min_log_norm", "max_log_norm"), report.rows)
 
 
 def _run_profile(args) -> str:
@@ -273,7 +267,8 @@ def _run_profile(args) -> str:
             "C_hat": curve.C_hat,
             "points": [[r, j] for r, j in curve.points],
         })
-    return profile_csv(curve)
+    return _csv(("r", "certified_J", "ratio_r_over_J"),
+                [(r, j, r / j) for r, j in curve.points])
 
 
 def _table_from_args(args):
@@ -288,13 +283,25 @@ def _table_from_args(args):
 def _run_embed(args) -> str:
     p = _embed_exponent(args)
     bundle = build_bundle(_table_from_args(args), p, R=args.radius)
+    certified = [None] + [tv.certified_J for tv in bundle.vectors]
+    blocks = [{
+        "radius": radius,
+        "certified_J": j,
+        "coef": coef,
+        "support_size": len(values),
+    } for (radius, coef, values), j in zip(bundle.blocks(), certified)]
     if args.format == "csv":
-        lines = ["radius,certified_J,coef,support_size"]
-        for blk in bundle_json(bundle)["blocks"]:
-            lines.append(",".join(_fmt(blk[k])
-                                  for k in ("radius", "certified_J", "coef", "support_size")))
-        return "\n".join(lines) + "\n"
-    return _emit_json(bundle_json(bundle))
+        return _csv(blocks[0], [blk.values() for blk in blocks])
+    circle = bundle.circle
+    return _emit_json({
+        "spec": spec_to_dict(bundle.spec),
+        "p": bundle.p,
+        "R": bundle.R,
+        "K": bundle.K,
+        "C_hat": bundle.C_hat,
+        "blocks": blocks,
+        "circle": None if circle is None else {"q": circle.q, "c_q": circle.c_q},
+    })
 
 
 def _run_distort(args) -> str:
@@ -312,15 +319,21 @@ def _run_distort(args) -> str:
     report = distortion_equivariant(bundle, None if args.radius is None else R)
     bound = apriori_bound(bundle)
     if args.format == "csv":
-        return _kv_csv([("R", report.R), ("expansion", report.expansion),
-                        ("contraction", report.contraction), ("dist", report.dist),
-                        ("dist_bound", bound.dist_bound)])
-    blob = report_json(report, bundle.spec)
-    blob["lip_bound"] = bound.lip_bound
-    blob["colip_bound"] = bound.colip_bound
-    blob["dist_bound"] = bound.dist_bound
-    blob["closed_form"] = bound.closed_form
-    return _emit_json(blob)
+        return _csv(("R", "expansion", "contraction", "dist", "dist_bound"),
+                    [(report.R, report.expansion, report.contraction, report.dist,
+                      bound.dist_bound)])
+    return _emit_json({
+        "R": report.R,
+        "expansion": report.expansion,
+        "contraction": report.contraction,
+        "dist": report.dist,
+        "witness_expand": [to_string(bundle.spec, x) for x in report.witness_expand],
+        "witness_contract": [to_string(bundle.spec, x) for x in report.witness_contract],
+        "lip_bound": bound.lip_bound,
+        "colip_bound": bound.colip_bound,
+        "dist_bound": bound.dist_bound,
+        "closed_form": bound.closed_form,
+    })
 
 
 def _run_c2(args) -> str:
@@ -334,15 +347,11 @@ def _run_c2(args) -> str:
             raise BadParam(f"point count {spec.order} exceeds {C2_CAP}")
         metric = metric_from_table(bfs_ball(spec, None))
     result = exact_c2(metric, tol=1e-6 if args.tol is None else args.tol)
-    pairs = [("value", result.value), ("bracket_lo", result.bracket[0]),
-             ("bracket_hi", result.bracket[1])]
+    blob = {"value": result.value, "bracket_lo": result.bracket[0],
+            "bracket_hi": result.bracket[1]}
     if args.format == "csv":
-        return _kv_csv(pairs)
-    return _emit_json(dict(pairs))
-
-
-_SCAN_COLUMNS = ("n", "order", "diam", "C_hat", "dist_emp", "dist_bound",
-                 "log_diam_pow", "ratio")
+        return _csv(blob, [blob.values()])
+    return _emit_json(blob)
 
 
 def _scan_row(family: str, m, n: int, p: float) -> dict:
@@ -412,10 +421,7 @@ def _run_scan(args) -> str:
 
     if args.format == "json":
         return _emit_json(rows)
-    lines = [",".join(_SCAN_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in _SCAN_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv(rows[0], [row.values() for row in rows])
 
 
 # The flags each command reads and their types; a config file's keys are the

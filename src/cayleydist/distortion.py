@@ -187,18 +187,6 @@ def distortion_pairwise(points, metric, p: float = 2.0,
                             witness_expand=w_exp, witness_contract=w_con)
 
 
-def report_json(report: DistortionReport, spec) -> dict:
-    """JSON-ready report of the group ``spec``; witnesses as canonical strings."""
-    return {
-        "R": report.R,
-        "expansion": report.expansion,
-        "contraction": report.contraction,
-        "dist": report.dist,
-        "witness_expand": [to_string(spec, x) for x in report.witness_expand],
-        "witness_contract": [to_string(spec, x) for x in report.witness_contract],
-    }
-
-
 @dataclass(frozen=True)
 class C2Result:
     """Euclidean distortion of a tiny metric, as the heuristic oracle finds it.

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
-from .groups import Element, GroupSpec, code_space, identity, inv, mul, spec_to_dict
+from .groups import Element, GroupSpec, code_space, identity, inv, mul
 from .profile import TestVector, profile_curve
 
 POINT_CAP = 1 << 24
@@ -341,27 +341,3 @@ def apriori_bound(bundle: EmbeddingBundle) -> AprioriBound:
     colip = 8.0 * 2.0 ** (-1.0 / p)
     closed = 2.0 * bundle.C_hat * (2.0 * math.log(bundle.R / 2.0)) ** (1.0 / p)
     return AprioriBound(lip, colip, lip * colip, closed)
-
-
-def bundle_json(bundle: EmbeddingBundle) -> dict:
-    """JSON-ready manifest: scales, per-block certificates, circle parameters."""
-    blocks = [{"radius": 1, "certified_J": None, "coef": 1.0, "support_size": 1}]
-    for k, tv in enumerate(bundle.vectors, start=1):
-        blocks.append({
-            "radius": tv.radius,
-            "certified_J": tv.certified_J,
-            "coef": bundle.coefs[k],
-            "support_size": len(tv.values),
-        })
-    circle = None
-    if bundle.circle is not None:
-        circle = {"q": bundle.circle.q, "c_q": bundle.circle.c_q}
-    return {
-        "spec": spec_to_dict(bundle.spec),
-        "p": bundle.p,
-        "R": bundle.R,
-        "K": bundle.K,
-        "C_hat": bundle.C_hat,
-        "blocks": blocks,
-        "circle": circle,
-    }

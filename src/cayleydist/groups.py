@@ -511,7 +511,9 @@ def to_string(spec: GroupSpec, x: Element) -> str:
 
 
 def from_string(spec: GroupSpec, text: str) -> Element:
-    """Parse the canonical string form; BadParam on any other string."""
+    """Parse the canonical string form; BadParam on any other string or type."""
+    if not isinstance(text, str):
+        raise BadParam(f"element string {text!r} is not a str")
     try:
         x = _parse(spec, text)
     except ValueError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball
+from .cayley import BallTable, bfs_ball, int_radius
 from .errors import (
     BadParam,
     BadScale,
@@ -71,18 +71,14 @@ def rayleigh(spec: GroupSpec, f: dict, p: float, gens=None):
     return norm / max(grads), norm / lp_norm(grads, p)
 
 
-def dirichlet_pc(ball: BallTable) -> dict:
-    """Principal vector of the Dirichlet quadratic form on the ball.
+def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
+    """Principal vector of the Dirichlet quadratic form on the ball, by
+    position along it; ``in_maps`` is ``[ball.in_map(s) for s in ball.gens]``.
 
     Maximizes the p = 2 sum-form Rayleigh value over functions vanishing
     outside the ball: the top eigenvector of the ball-restricted adjacency
     with multiplicities, computed from the deterministic constant start.
     """
-    return dict(zip(ball.dist, _dirichlet_pc(ball, _structure(ball)[0]).tolist()))
-
-
-def _dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
-    """dirichlet_pc on the in-maps of ``_structure(ball)``, by position along the ball."""
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")
     n = len(ball)
@@ -168,7 +164,7 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
     radius = ball.radius + 1
 
     in_maps, escapes = _structure(ball)
-    v = _dirichlet_pc(ball, in_maps)
+    v = dirichlet_pc(ball, in_maps)
     norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
     if norm == 0.0:
         raise ZeroNorm("initial vector is identically zero")
@@ -248,7 +244,7 @@ class ProfileCurve:
 
 def checked_radii(radii) -> list[int]:
     """The distinct radii in increasing order; none, or one below 1, refused."""
-    radii = sorted(set(int(r) for r in radii))
+    radii = sorted(set(map(int_radius, radii)))
     if not radii:
         raise BadParam("no radii given")
     if radii[0] < 1:
@@ -293,11 +289,3 @@ def revalidate(tv: TestVector) -> dict:
     norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p, ball.gens)
     return {"support_ok": support_ok, "gradient_max": max(grads),
             "max_form": norm / max(grads)}
-
-
-def profile_csv(curve: ProfileCurve) -> str:
-    """Curve points as CSV: r, certified_J, ratio_r_over_J."""
-    lines = ["r,certified_J,ratio_r_over_J"]
-    for r, j in curve.points:
-        lines.append(f"{r},{j:.12g},{r / j:.12g}")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from cayleydist import (
     build_bundle,
     diameter,
     distortion_equivariant,
-    exp_radical_csv,
     exp_radical_scan,
     generators,
     girth,
@@ -24,10 +23,10 @@ from cayleydist import (
     make_spec,
     mul,
     project,
-    sphere_csv,
 )
 from cayleydist import cayley
 from cayleydist.cayley import VERTEX_CAP, kernel_diameter
+from cayleydist.cli import main
 from cayleydist.groups import right_step
 from conftest import CODE_FAMILIES
 
@@ -264,6 +263,13 @@ class TestBallPrefix:
         with pytest.raises(BadParam):
             table.ball(-1)
 
+    @pytest.mark.parametrize("r", [1.5, "2", None], ids=repr)
+    def test_non_integer_radius_refused(self, r):
+        # 1.5 leaked a TypeError about slice indices, "2" one from <
+        table = bfs_ball(make_spec("lamplighter-fin", m=2, n=4), None)
+        with pytest.raises(BadParam, match="must be an integer"):
+            table.ball(r)
+
 
 class TestDiameter:
     def test_two_lamp_cycle(self):
@@ -391,17 +397,20 @@ class TestExpRadical:
 
 
 class TestCsv:
-    def test_sphere_csv(self):
-        table = bfs_ball(make_spec("lamplighter-fin", m=2, n=2), None)
-        text = sphere_csv(table)
-        lines = text.strip().split("\n")
+    """The CSV that ``cayleydist cayley ball`` and ``expradical`` print."""
+
+    def test_sphere_csv(self, capsys):
+        assert main(["cayley", "ball", "--family", "lamplighter-fin", "--m", "2",
+                     "--n", "2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "r,sphere,cumulative"
         assert lines[1] == "0,1,1"
         assert lines[-1].endswith(",8")
 
-    def test_exp_radical_csv(self):
+    def test_exp_radical_csv(self, capsys):
         report = exp_radical_scan(make_spec("sol-inf"), 4)
-        lines = exp_radical_csv(report).strip().split("\n")
+        assert main(["expradical", "--family", "sol-inf", "--radius", "4"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "r,min_log_norm,max_log_norm"
         assert len(lines) == 1 + len(report.rows)
         assert lines[1] == "1,0,0"

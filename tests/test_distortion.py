@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -23,9 +24,9 @@ from cayleydist import (
     identity,
     make_spec,
     metric_from_table,
-    report_json,
 )
 from cayleydist import distortion
+from cayleydist.cli import main
 from cayleydist.distortion import C2_RESID_TOL, C2_SWEEPS
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
@@ -216,11 +217,13 @@ class TestEquivariant:
         assert pw.contraction == pytest.approx(eq.contraction, rel=1e-9)
         assert pw.dist == pytest.approx(eq.dist, rel=1e-9)
 
-    def test_report_json_round_trip(self, b24):
+    def test_report_json_round_trip(self, b24, capsys):
         report = distortion_equivariant(b24)
-        blob = report_json(report, spec=L24)
+        assert main(["distort", "--family", "lamplighter-fin", "--m", "2", "--n", "4"]) == 0
+        blob = json.loads(capsys.readouterr().out)
         assert set(blob) == {"R", "expansion", "contraction", "dist",
-                             "witness_expand", "witness_contract"}
+                             "witness_expand", "witness_contract",
+                             "lip_bound", "colip_bound", "dist_bound", "closed_form"}
         assert blob["dist"] == report.dist
         assert all(isinstance(s, str) for s in blob["witness_expand"])
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -14,7 +15,6 @@ from cayleydist import (
     apriori_bound,
     bfs_ball,
     build_bundle,
-    bundle_json,
     cocycle_defect,
     embed_norm,
     embed_norms_all,
@@ -26,6 +26,7 @@ from cayleydist import (
     mul,
 )
 from cayleydist import embed
+from cayleydist.cli import main
 from cayleydist.embed import _fftn, _gap_pow, _gap_sq_fourier
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
@@ -332,9 +333,15 @@ class TestApriori:
         assert bound.lip_bound > apriori_bound(bare).lip_bound
 
 
+def embed_json(capsys, *argv):
+    """The manifest ``cayleydist embed`` prints as JSON."""
+    assert main(["embed", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestManifest:
-    def test_keys_and_blocks(self, b28):
-        blob = bundle_json(b28)
+    def test_keys_and_blocks(self, capsys):
+        blob = embed_json(capsys, "--family", "lamplighter-fin", "--m", "2", "--n", "8")
         assert blob["p"] == 2 and blob["R"] == 18 and blob["K"] == 3
         assert blob["circle"] is None
         assert len(blob["blocks"]) == 4
@@ -344,7 +351,7 @@ class TestManifest:
             assert entry["radius"] == 2 ** k
             assert entry["support_size"] >= 1
 
-    def test_circle_parameters_present(self, bsol3):
-        blob = bundle_json(bsol3)
+    def test_circle_parameters_present(self, capsys):
+        blob = embed_json(capsys, "--family", "sol-fin", "--n", "3")
         assert blob["circle"]["q"] == 4
         assert blob["circle"]["c_q"] == pytest.approx(8 * math.sin(math.pi / 4), rel=1e-12)

@@ -397,7 +397,8 @@ class TestSerialization:
 
     def test_malformed(self):
         spec = make_spec("bs-fin", m=2, n=4)
-        for text in ["", "a:1", "x:1|t:0", "a:99|t:0", "a:1|t:9", "a:1|t:0|z:1"]:
+        for text in ["", "a:1", "x:1|t:0", "a:99|t:0", "a:1|t:9", "a:1|t:0|z:1",
+                     None, 5, b"a:1|t:0"]:
             with pytest.raises(BadParam):
                 from_string(spec, text)
 

@@ -19,19 +19,24 @@ from cayleydist import (
     make_spec,
     mul,
     optimize_profile,
-    profile_csv,
     profile_curve,
     rayleigh,
     revalidate,
 )
 from cayleydist import profile
-from cayleydist.profile import _structure
+from cayleydist.cli import main
+from cayleydist.profile import _structure, checked_radii
 from conftest import CODE_FAMILIES
 
 L28 = make_spec("lamplighter-fin", m=2, n=8)
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 L26 = make_spec("lamplighter-fin", m=2, n=6)
 L2INF = make_spec("lamplighter-inf", m=2)
+
+
+def pc(ball):
+    """dirichlet_pc on the ball's own in-maps."""
+    return dirichlet_pc(ball, [ball.in_map(s) for s in ball.gens])
 
 
 class TestLpNorm:
@@ -103,30 +108,30 @@ def test_structure_escapes_are_translates_leaving_the_ball(spec, prefix):
 class TestDirichlet:
     def test_singleton_ball_gives_dirac(self):
         ball = bfs_ball(L28, 0)
-        assert dirichlet_pc(ball) == {identity(L28): 1.0}
+        assert dict(zip(ball.dist, pc(ball))) == {identity(L28): 1.0}
 
     def test_complete_ball_rejected(self):
         spec = make_spec("lamplighter-fin", m=2, n=2)
         with pytest.raises(DegenerateInput):
-            dirichlet_pc(bfs_ball(spec, None))
+            pc(bfs_ball(spec, None))
 
     def test_nonnegative_unit_vector_on_support(self):
         ball = bfs_ball(L28, 3)
-        f = dirichlet_pc(ball)
-        assert set(f) <= set(ball.dist)
-        assert all(v >= 0 for v in f.values())
-        assert lp_norm(f.values(), 2) == pytest.approx(1.0, rel=1e-12)
+        v = pc(ball)
+        assert len(v) == len(ball)
+        assert all(v >= 0)
+        assert lp_norm(v, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic(self):
         ball = bfs_ball(L28, 2)
-        assert dirichlet_pc(ball) == dirichlet_pc(ball)
+        assert np.array_equal(pc(ball), pc(ball))
 
     def test_beats_tent_function(self):
         # the principal vector maximizes the p=2 sum form on the ball
         ball = bfs_ball(L28, 3)
         tent = {x: float(4 - d) for x, d in ball.dist.items()}
         _, tent_sum = rayleigh(L28, tent, 2, gens=ball.gens)
-        _, pc_sum = rayleigh(L28, dirichlet_pc(ball), 2, gens=ball.gens)
+        _, pc_sum = rayleigh(L28, dict(zip(ball.dist, pc(ball))), 2, gens=ball.gens)
         assert pc_sum >= tent_sum - 1e-12
 
 
@@ -162,7 +167,7 @@ class TestOptimizeProfile:
 
     def test_at_least_dirichlet_start(self):
         ball = bfs_ball(L28, 2)
-        start, _ = rayleigh(L28, dirichlet_pc(ball), 2, gens=ball.gens)
+        start, _ = rayleigh(L28, dict(zip(ball.dist, pc(ball))), 2, gens=ball.gens)
         tv = optimize_profile(ball, 2)
         assert tv.certified_J >= start - 1e-12
 
@@ -195,7 +200,7 @@ class TestOptimizeProfile:
             return v
 
         monkeypatch.setattr(profile, "ASCENT_MAXITER", 0)
-        monkeypatch.setattr(profile, "_dirichlet_pc", start)
+        monkeypatch.setattr(profile, "dirichlet_pc", start)
         tv = optimize_profile(ball, 2)
         assert tv.values == {e: 2 ** -0.5}
         assert tv.certified_J == pytest.approx(2 ** -0.5, rel=1e-12)
@@ -237,10 +242,17 @@ class TestProfileCurve:
             profile_curve(bfs_ball(L28, None), 2, [])
         with pytest.raises(BadParam):
             profile_curve(bfs_ball(L28, None), 2, [0, 2])
+        # int() once read 2.5 as 2, so [2.7] certified r = 2, and None leaked a TypeError
+        for radii in ([2.5, "3"], [None], [2.7]):
+            with pytest.raises(BadParam, match="must be an integer"):
+                checked_radii(radii)
+            with pytest.raises(BadParam, match="must be an integer"):
+                profile_curve(bfs_ball(L24, None), 2, radii)
 
-    def test_csv_shape(self):
-        curve = profile_curve(bfs_ball(L24, None), 2, [1, 2])
-        lines = profile_csv(curve).strip().split("\n")
+    def test_csv_shape(self, capsys):
+        assert main(["profile", "--family", "lamplighter-fin", "--m", "2", "--n", "4",
+                     "--radius", "1,2"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "r,certified_J,ratio_r_over_J"
         assert len(lines) == 3
         r, j, ratio = lines[1].split(",")
