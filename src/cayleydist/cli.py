@@ -318,11 +318,7 @@ def _run_distort(args) -> str:
     # the bound certifies scale R, so a requested R is also where distortion is measured
     report = distortion_equivariant(bundle, None if args.radius is None else R)
     bound = apriori_bound(bundle)
-    if args.format == "csv":
-        return _csv(("R", "expansion", "contraction", "dist", "dist_bound"),
-                    [(report.R, report.expansion, report.contraction, report.dist,
-                      bound.dist_bound)])
-    return _emit_json({
+    blob = {
         "R": report.R,
         "expansion": report.expansion,
         "contraction": report.contraction,
@@ -333,7 +329,11 @@ def _run_distort(args) -> str:
         "colip_bound": bound.colip_bound,
         "dist_bound": bound.dist_bound,
         "closed_form": bound.closed_form,
-    })
+    }
+    if args.format == "csv":
+        keys = ("R", "expansion", "contraction", "dist", "dist_bound")
+        return _csv(keys, [[blob[k] for k in keys]])
+    return _emit_json(blob)
 
 
 def _run_c2(args) -> str:

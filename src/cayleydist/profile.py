@@ -243,7 +243,7 @@ class ProfileCurve:
 
 
 def checked_radii(radii) -> list[int]:
-    """The distinct radii in increasing order; none, or one below 1, refused."""
+    """The distinct radii in increasing order; none, a non-integer or one below 1 refused."""
     radii = sorted(set(map(int_radius, radii)))
     if not radii:
         raise BadParam("no radii given")
