@@ -353,6 +353,49 @@ class TestGirth:
             girth(spec, spec, cap=0)
 
 
+def _girth_by_pairs(parent, quotient, cap):
+    """(g_lower, iso_lower) from the definitions, over all pairs of each
+    parent r-ball with r <= cap and ``pair_distance`` on both tables."""
+    ptable = bfs_ball(parent, 2 * cap)
+    qtable = bfs_ball(quotient, None)
+    merge = None  # shortest parent distance between two points with one image
+    iso_lower = 0
+    for r in range(1, cap + 1):
+        ball = list(ptable.ball(r).dist)
+        images = [project(parent, quotient, x) for x in ball]
+        onto = set(images) == set(qtable.ball(r).dist)
+        isometric = True
+        for i in range(len(ball)):
+            for j in range(i + 1, len(ball)):
+                dp = ptable.pair_distance(ball[i], ball[j])
+                dq = qtable.pair_distance(images[i], images[j])
+                isometric = isometric and dp == dq
+                if dq == 0 and (merge is None or dp < merge):
+                    merge = dp
+        if isometric and onto and iso_lower == r - 1:
+            iso_lower = r
+    # a kernel element of length k <= 2 * cap is x^-1 y for a merging pair of the cap-ball
+    return (cap if merge is None else min(cap, merge)), iso_lower
+
+
+GIRTH_PAIRS = (
+    [(make_spec("lamplighter-inf", m=2), make_spec("lamplighter-fin", m=2, n=n))
+     for n in range(3, 9)]
+    + [(make_spec("lamplighter-inf", m=3), make_spec("lamplighter-fin", m=3, n=n))
+       for n in range(2, 5)]
+    + [(make_spec("bs-inf", m=2), make_spec("bs-fin", m=2, n=n)) for n in range(2, 10)]
+    + [(make_spec("sol-inf"), make_spec("sol-fin", n=n)) for n in range(2, 9)]
+    + [(make_spec("lamplighter-fin", m=2, n=3), make_spec("lamplighter-fin", m=2, n=3))])
+
+
+@pytest.mark.parametrize("parent, quotient", GIRTH_PAIRS,
+                         ids=[f"{p.family}-{q.family}-{q.m}-{q.n}" for p, q in GIRTH_PAIRS])
+def test_girth_matches_all_pairs_definition(parent, quotient):
+    for cap in range(1, 5):
+        report = girth(parent, quotient, cap=cap)
+        assert (report.g_lower, report.iso_lower) == _girth_by_pairs(parent, quotient, cap)
+
+
 class TestExpRadical:
     def test_infinite_scan_matches_enumeration(self):
         report = exp_radical_scan(make_spec("sol-inf"), 6)

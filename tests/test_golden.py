@@ -89,6 +89,8 @@ COMMANDS = (
     "cayley ball --family lamplighter-inf --m 2 --radius 12 --cap 1000",
     "cayley ball --family bs-inf --m 1000000 --radius 40 --cap 5000",
     "cayley ball --family bs-inf --m 1000000 --radius 40 --cap 6547",
+    "girth --family lamplighter-fin --m 2 --n 4 --cap 4",
+    "girth --family bs-fin --m 2 --n 12 --cap 3",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
