@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import gc
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 
 import numpy as np
 
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius, Overflow
-from .groups import (Element, GroupSpec, code_space, generators, identity, inv, mul, project,
-                     right_step)
+from .groups import (Element, GroupSpec, code_space, generators, identity, int_param, inv, mul,
+                     project, right_step)
 
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
@@ -104,31 +103,26 @@ class BallTable:
         return self.word_length(mul(self.spec, inv(self.spec, x), y))
 
     def ball_size(self, r: int) -> int:
+        """Number of elements of word length <= r; r may exceed the radius
+        only when the table is complete."""
+        r = int_param(r)
+        if r < 0 or (r > self.radius and not self.complete):
+            raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
         return sum(self.sphere_sizes[: r + 1])
 
     def ball(self, r: int) -> BallTable:
         """The radius-r ball, equal to ``bfs_ball(spec, r)``.
 
         BFS lists elements by word length, so the ball is a prefix of this
-        table; r may exceed the radius only when the table is complete.
+        table of ``ball_size(r)`` entries.
         """
-        r = int_radius(r)
-        if r < 0 or (r > self.radius and not self.complete):
-            raise BadParam(f"no radius-{r} ball in a table of radius {self.radius}")
+        r = int_param(r)
         n = self.ball_size(r)
         elements = (self.elements[:n] if self.spec.finite
                     else dict(islice(self.elements.items(), n)))
         return replace(self, radius=r, elements=elements,
                        sphere_sizes=self.sphere_sizes[: r + 1],
                        complete=self.spec.finite and n == self.spec.order)
-
-
-def int_radius(r) -> int:
-    """r through ``operator.index``: BadParam for 1.5, "2" or None."""
-    try:
-        return operator.index(r)
-    except TypeError:
-        raise BadParam(f"radius {r!r} must be an integer") from None
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
@@ -146,7 +140,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         if not spec.finite:
             raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
     else:
-        radius = int_radius(radius)
+        radius = int_param(radius)
         if radius < 0:
             raise BadParam(f"radius {radius} must be >= 0")
         if not spec.finite and radius > INF_RADIUS_CAP:
@@ -260,61 +254,52 @@ class GirthReport:
     iso_witness: tuple[Element, Element] | None
 
 
-def _ball_isometric(parent, quotient, big: BallTable, qtable: BallTable, r: int):
-    """Check the radius-r balls match through project; big has radius 2r."""
-    elems_r = list(islice(big.dist, big.ball_size(r)))
-    qcount = qtable.ball_size(min(r, len(qtable.sphere_sizes) - 1))
-
-    all_images = [project(parent, quotient, x) for x in big.dist]
-    if len(set(all_images)) == len(all_images) and len(elems_r) == qcount:
-        # injectivity on the double ball forces distance preservation:
-        # a dropped distance would lift to a second preimage inside it
-        return True, None
-
-    images = all_images[: len(elems_r)]
-    seen: dict[Element, Element] = {}
-    for x, y in zip(elems_r, images):
-        if y in seen:
-            return False, (seen[y], x)
-        seen[y] = x
-    if len(elems_r) != qcount:
-        return False, None
-    for i in range(len(elems_r)):
-        for j in range(i + 1, len(elems_r)):
-            dp = big.pair_distance(elems_r[i], elems_r[j])
-            dq = qtable.pair_distance(images[i], images[j])
-            if dp != dq:
-                return False, (elems_r[i], elems_r[j])
-    return True, None
+def _iso_witness(parent, quotient, ptable: BallTable, qtable: BallTable, r: int):
+    """The first pair of the parent r-ball that the projection merges, in BFS
+    order, else the first pair i < j whose distance it shrinks."""
+    ball = list(islice(ptable.dist, ptable.ball_size(r)))
+    images = [project(parent, quotient, x) for x in ball]
+    first: dict[Element, Element] = {}
+    for x, y in zip(ball, images):
+        if first.setdefault(y, x) != x:
+            return first[y], x
+    return next((x, y) for (x, a), (y, b) in combinations(zip(ball, images), 2)
+                if ptable.pair_distance(x, y) != qtable.pair_distance(a, b))
 
 
 def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
-    """Girth of the quotient map, capped; see GirthReport for both readings."""
+    """Girth of the quotient map, capped; see GirthReport for both readings.
+
+    The projection maps the parent r-ball onto the quotient r-ball and never
+    lengthens a word.  It is a bijective isometry there exactly when it keeps
+    the word length of every element of the parent 2r-ball, each being x^-1 y
+    with x and y in the r-ball.  So radius r compares word lengths on the
+    parent spheres 2r - 1 and 2r, the first drop ends the scan, and only then
+    are pairs searched, once, for ``iso_witness``.
+    """
+    cap = int_param(cap, "cap")
     if cap < 1:
         raise BadParam(f"cap {cap} must be >= 1")
     project(parent, quotient, identity(parent))  # validates the pair
 
     ptable = bfs_ball(parent, cap)
     e_q = identity(quotient)
-    kernel_witness = None
-    shortest = None
-    for x, d in islice(ptable.dist.items(), 1, None):
-        if project(parent, quotient, x) == e_q:
-            kernel_witness, shortest = x, d
-            break
-    g_lower = cap if shortest is None else min(cap, shortest)
+    kernel_witness = next((x for x in islice(ptable.dist, 1, None)
+                           if project(parent, quotient, x) == e_q), None)
+    g_lower = cap if kernel_witness is None else ptable.dist[kernel_witness]
 
     qtable = bfs_ball(quotient, 2 * cap)  # pair distances in an r-ball are at most 2r
     iso_lower = 0
-    iso_witness = None
     for r in range(1, cap + 1):
         if 2 * r > ptable.radius:
             ptable = bfs_ball(parent, 2 * r)
-        ok, witness = _ball_isometric(parent, quotient, ptable.ball(2 * r), qtable, r)
-        if not ok:
-            iso_witness = witness
+        sphere = islice(ptable.dist.items(), ptable.ball_size(2 * r - 2), ptable.ball_size(2 * r))
+        if any(qtable.dist[project(parent, quotient, x)] < d for x, d in sphere):
             break
         iso_lower = r
+    iso_witness = None
+    if iso_lower < cap:
+        iso_witness = _iso_witness(parent, quotient, ptable, qtable, iso_lower + 1)
 
     return GirthReport(parent=parent, quotient=quotient, cap=cap,
                        g_lower=g_lower, iso_lower=iso_lower,
@@ -353,6 +338,7 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     """Per-radius extremes of log-norm over the plane subgroup, plus fit."""
     if spec.family not in ("sol-fin", "sol-inf"):
         raise FamilyMismatch(f"exponential-kernel scan needs a sol family, got {spec.family}")
+    r_max = int_param(r_max, "r_max")
     if r_max < 1:
         raise BadParam(f"r_max {r_max} must be >= 1")
     if spec.family == "sol-inf" and r_max > 20:

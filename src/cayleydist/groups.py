@@ -91,6 +91,14 @@ class GroupSpec:
         return "(" + ", ".join(parts) + ")"
 
 
+def int_param(value, name: str = "radius") -> int:
+    """value through ``operator.index``: BadParam for 1.5, "2", nan or None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParam(f"{name} {value!r} must be an integer") from None
+
+
 def _as_matrix(A) -> Matrix:
     try:
         rows = tuple(tuple(operator.index(v) for v in row) for row in A)
@@ -160,16 +168,16 @@ def make_spec(family: str, m: int | None = None, n: int | None = None,
 
     needs_m = family in ("lamplighter-fin", "lamplighter-inf", "bs-fin", "bs-inf")
     if needs_m:
-        if m is None or int(m) < 2:
+        m = m if m is None else int_param(m, "m")
+        if m is None or m < 2:
             raise BadParam(f"family {family} needs m >= 2, got {m}")
-        m = int(m)
     elif m is not None:
         raise BadParam(f"family {family} takes no parameter m")
 
     if family in FINITE_FAMILIES:
-        if n is None or int(n) < 2:
+        n = n if n is None else int_param(n, "n")
+        if n is None or n < 2:
             raise BadParam(f"family {family} needs n >= 2, got {n}")
-        n = int(n)
     elif n is not None:
         raise BadParam(f"family {family} takes no parameter n")
 

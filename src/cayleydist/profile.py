@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball, int_radius
+from .cayley import BallTable, bfs_ball
 from .errors import (
     BadParam,
     BadScale,
@@ -29,7 +29,7 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import GroupSpec, generators, identity, inv, mul
+from .groups import GroupSpec, generators, identity, int_param, inv, mul
 
 DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
@@ -244,7 +244,7 @@ class ProfileCurve:
 
 def checked_radii(radii) -> list[int]:
     """The distinct radii in increasing order; none, a non-integer or one below 1 refused."""
-    radii = sorted(set(map(int_radius, radii)))
+    radii = sorted(set(map(int_param, radii)))
     if not radii:
         raise BadParam("no radii given")
     if radii[0] < 1:

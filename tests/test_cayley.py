@@ -270,6 +270,18 @@ class TestBallPrefix:
         with pytest.raises(BadParam, match="must be an integer"):
             table.ball(r)
 
+    def test_ball_size_refuses_bad_radii(self):
+        # -3 sliced to 54 of the 64 elements, 1.5 leaked a TypeError about slice indices
+        table = bfs_ball(make_spec("lamplighter-fin", m=2, n=4), None)
+        assert table.ball_size(99) == 64
+        for r in (-3, -1):
+            with pytest.raises(BadParam, match=f"no radius-{r} ball"):
+                table.ball_size(r)
+        with pytest.raises(BadParam, match="must be an integer"):
+            table.ball_size(1.5)
+        with pytest.raises(BadParam, match="no radius-3 ball"):
+            bfs_ball(make_spec("lamplighter-inf", m=2), 2).ball_size(3)
+
 
 class TestDiameter:
     def test_two_lamp_cycle(self):
@@ -351,6 +363,13 @@ class TestGirth:
         spec = make_spec("bs-fin", m=2, n=3)
         with pytest.raises(BadParam):
             girth(spec, spec, cap=0)
+
+    @pytest.mark.parametrize("cap", ["2", None, 2.0], ids=repr)
+    def test_non_integer_cap_refused(self, cap):
+        # "2" and None leaked a TypeError from cap < 1
+        spec = make_spec("bs-fin", m=2, n=3)
+        with pytest.raises(BadParam, match="cap .* must be an integer"):
+            girth(make_spec("bs-inf", m=2), spec, cap=cap)
 
 
 def _girth_by_pairs(parent, quotient, cap):
@@ -437,6 +456,12 @@ class TestExpRadical:
     def test_radius_cap(self):
         with pytest.raises(CapExceeded):
             exp_radical_scan(make_spec("sol-inf"), 21)
+
+    @pytest.mark.parametrize("r_max", ["3", None, 3.0], ids=repr)
+    def test_non_integer_r_max_refused(self, r_max):
+        # "3" and None leaked a TypeError from r_max < 1
+        with pytest.raises(BadParam, match="r_max .* must be an integer"):
+            exp_radical_scan(make_spec("sol-fin", n=5), r_max)
 
 
 class TestCsv:

@@ -101,6 +101,28 @@ class TestMakeSpec:
         with pytest.raises(BadParam):
             make_spec("nonsense", m=2, n=2)
 
+    @pytest.mark.parametrize("kw", [dict(m=2.7, n=3), dict(m=2, n=3.9), dict(m=2.0, n=3),
+                                    dict(m="2", n=3), dict(m=[2], n=3),
+                                    dict(m=2, n=float("nan")), dict(m=2, n=float("inf"))],
+                             ids=repr)
+    def test_non_integer_params_refused(self, kw):
+        # 2.7 and 3.9 were truncated, "2" accepted, [2] leaked TypeError, nan ValueError
+        name = next(k for k, v in kw.items() if type(v) is not int)
+        with pytest.raises(BadParam, match=f"^{name} .* must be an integer"):
+            make_spec("bs-fin", **kw)
+
+    def test_integer_like_params_accepted(self):
+        assert make_spec("bs-fin", m=np.int64(2), n=np.int64(3)) == make_spec("bs-fin", m=2, n=3)
+        assert type(make_spec("lamplighter-fin", m=np.int64(2), n=4).m) is int
+
+    def test_missing_and_small_param_messages(self):
+        with pytest.raises(BadParam, match="^family bs-fin needs m >= 2, got None$"):
+            make_spec("bs-fin", n=3)
+        with pytest.raises(BadParam, match="^family sol-fin needs n >= 2, got 1$"):
+            make_spec("sol-fin", n=1)
+        with pytest.raises(BadParam, match="^family lamplighter-inf needs m >= 2, got 1$"):
+            make_spec("lamplighter-inf", m=1)
+
     def test_param_shape(self):
         with pytest.raises(BadParam):
             make_spec("sol-fin", m=2, n=5)
