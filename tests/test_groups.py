@@ -310,7 +310,43 @@ def test_bs_plane_step_overflow_past_radius_cap(x, message):
         assert _outcome(right_step(spec, g), x) == want
 
 
+A_32 = ((3, 2), (1, 1))
+A_FIB = ((1, 1), (1, 0))
+GENERATORS = [
+    ("lamplighter-fin", dict(m=2, n=2), (((1, 0), 0), ((0, 0), 1))),
+    ("lamplighter-fin", dict(m=2, n=3),
+     (((1, 0, 0), 0), ((0, 0, 0), 1), ((0, 0, 0), 2))),
+    ("lamplighter-fin", dict(m=3, n=2), (((1, 0), 0), ((2, 0), 0), ((0, 0), 1))),
+    ("lamplighter-fin", dict(m=3, n=3),
+     (((1, 0, 0), 0), ((2, 0, 0), 0), ((0, 0, 0), 1), ((0, 0, 0), 2))),
+    ("lamplighter-inf", dict(m=2), ((((0, 1),), 0), ((), 1), ((), -1))),
+    ("lamplighter-inf", dict(m=3), ((((0, 1),), 0), (((0, 2),), 0), ((), 1), ((), -1))),
+    ("bs-fin", dict(m=2, n=2), ((1, 0), (2, 0), (0, 1))),
+    ("bs-fin", dict(m=2, n=3), ((1, 0), (6, 0), (0, 1), (0, 2))),
+    ("bs-fin", dict(m=3, n=2), ((1, 0), (7, 0), (0, 1))),
+    ("bs-fin", dict(m=3, n=3), ((1, 0), (25, 0), (0, 1), (0, 2))),
+    ("bs-inf", dict(m=2), (((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1))),
+    ("bs-inf", dict(m=3), (((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1))),
+    ("sol-fin", dict(n=2), (((1, 0), 0), ((0, 0), 1), ((0, 0), 2))),
+    ("sol-fin", dict(n=3), (((1, 0), 0), ((2, 0), 0), ((0, 0), 1), ((0, 0), 3))),
+    ("sol-fin", dict(n=5), (((1, 0), 0), ((4, 0), 0), ((0, 0), 1), ((0, 0), 9))),
+    ("sol-fin", dict(n=2, A=A_32), (((1, 0), 0), ((0, 0), 1))),
+    ("sol-fin", dict(n=3, A=A_32), (((1, 0), 0), ((2, 0), 0), ((0, 0), 1), ((0, 0), 5))),
+    ("sol-fin", dict(n=5, A=A_32), (((1, 0), 0), ((4, 0), 0), ((0, 0), 1), ((0, 0), 2))),
+    ("sol-fin", dict(n=2, A=A_FIB), (((1, 0), 0), ((0, 0), 1), ((0, 0), 2))),
+    ("sol-fin", dict(n=3, A=A_FIB), (((1, 0), 0), ((2, 0), 0), ((0, 0), 1), ((0, 0), 7))),
+    ("sol-fin", dict(n=5, A=A_FIB), (((1, 0), 0), ((4, 0), 0), ((0, 0), 1), ((0, 0), 19))),
+] + [("sol-inf", dict(A=A), (((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1)))
+     for A in (A_DEFAULT, A_32, A_FIB)]
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("family, params, want", GENERATORS,
+                             ids=[f"{f}-{p}" for f, p, _ in GENERATORS])
+    def test_literal_generators(self, family, params, want):
+        """a, a^-1, t, t^-1 in that order, duplicates and the identity dropped."""
+        assert generators(make_spec(family, **params)) == want
+
     def test_lamplighter_m2_collapses(self):
         spec = make_spec("lamplighter-fin", m=2, n=4)
         gens = generators(spec)
