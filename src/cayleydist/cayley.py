@@ -288,11 +288,11 @@ def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
                            if project(parent, quotient, x) == e_q), None)
     g_lower = cap if kernel_witness is None else ptable.dist[kernel_witness]
 
-    qtable = bfs_ball(quotient, 2 * cap)  # pair distances in an r-ball are at most 2r
+    qtable = bfs_ball(quotient, cap)  # regrown with ptable: it must hold the image of its 2r-ball
     iso_lower = 0
     for r in range(1, cap + 1):
         if 2 * r > ptable.radius:
-            ptable = bfs_ball(parent, 2 * r)
+            ptable, qtable = bfs_ball(parent, 2 * r), bfs_ball(quotient, 2 * r)
         sphere = islice(ptable.dist.items(), ptable.ball_size(2 * r - 2), ptable.ball_size(2 * r))
         if any(qtable.dist[project(parent, quotient, x)] < d for x, d in sphere):
             break

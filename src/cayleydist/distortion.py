@@ -268,13 +268,8 @@ def exact_c2(metric, tol: float = 1e-6) -> C2Result:
 
     scale = float(M.matrix.max())
     D2 = (M.matrix / scale) ** 2
-    Q = np.zeros((M.n, M.n))
-    ok, Q1 = _project_feasible(D2, 1.0, Q)
-    if ok:
-        return C2Result(value=1.0, gram=Q1 * scale ** 2, bracket=(1.0, 1.0))
-
-    lo, hi = 1.0, 2.0
-    ok, Qh = _project_feasible(D2, hi, Q1)
+    lo = hi = 1.0
+    ok, Qh = _project_feasible(D2, hi, np.zeros((M.n, M.n)))
     while not ok:
         lo, hi = hi, hi * 2.0
         if hi > 2.0 ** 20:

@@ -32,8 +32,8 @@ import numpy as np
 
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
-from .groups import Element, GroupSpec, code_space, identity, inv, mul
-from .profile import TestVector, profile_curve
+from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul
+from .profile import TestVector, profile_curve, translate_gap
 
 POINT_CAP = 1 << 24
 
@@ -116,7 +116,7 @@ def bundle_scale(table: BallTable, R: int | None = None) -> tuple[int, int]:
             R = max(2, kernel_diameter(table))
         else:
             R = diam
-    R = int(R)
+    R = int_param(R, "scale R")
     if R < 2:
         raise BadParam(f"scale R = {R} must be >= 2")
     if R > diam:
@@ -152,12 +152,7 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
 
 def _gap_pow(spec: GroupSpec, values: dict, g: Element, p: float) -> float:
     """||f - lambda(g)f||_p^p for sparse f."""
-    diff = {}
-    for x, v in values.items():
-        diff[x] = diff.get(x, 0.0) + v
-        gx = mul(spec, g, x)
-        diff[gx] = diff.get(gx, 0.0) - v
-    return math.fsum(abs(v) ** p for v in diff.values())
+    return math.fsum(abs(v) ** p for v in translate_gap(spec, values, g).values())
 
 
 def embed_norm(bundle: EmbeddingBundle, g: Element) -> float:

@@ -275,8 +275,6 @@ def identity(spec: GroupSpec) -> Element:
         return ((), 0)
     if f == "bs-fin":
         return (0, 0)
-    if f == "bs-inf":
-        return ((0, 0), 0)
     return ((0, 0), 0)
 
 
@@ -314,23 +312,13 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
         m = spec.m
         num = ux * m ** (E - ex) + uy * m ** (E - e2)
         return (_bs_reduce(m, num, E), s + t)
-    if f == "sol-fin":
+    if f in ("sol-fin", "sol-inf"):
         ((v1, v2), s), ((w1, w2), t) = x, y
-        n = spec.n
-        M = _sol_pows(spec)[s]
-        return (
-            ((v1 + M[0][0] * w1 + M[0][1] * w2) % n,
-             (v2 + M[1][0] * w1 + M[1][1] * w2) % n),
-            (s + t) % spec.oA,
-        )
-    if f == "sol-inf":
-        ((v1, v2), s), ((w1, w2), t) = x, y
-        M = _sol_pow_z(spec.A, s)
-        return (
-            (v1 + M[0][0] * w1 + M[0][1] * w2,
-             v2 + M[1][0] * w1 + M[1][1] * w2),
-            s + t,
-        )
+        M = _sol_pows(spec)[s] if f == "sol-fin" else _sol_pow_z(spec.A, s)
+        v1, v2 = v1 + M[0][0] * w1 + M[0][1] * w2, v2 + M[1][0] * w1 + M[1][1] * w2
+        if f == "sol-fin":
+            return ((v1 % spec.n, v2 % spec.n), (s + t) % spec.oA)
+        return ((v1, v2), s + t)
     raise FamilyMismatch(f"unknown family {f!r}")
 
 
@@ -404,57 +392,37 @@ def inv(spec: GroupSpec, x: Element) -> Element:
     if f == "bs-inf":
         (u, e), s = x
         return (_bs_reduce(spec.m, -u, e + s), -s)
-    if f == "sol-fin":
+    if f in ("sol-fin", "sol-inf"):
         (v1, v2), s = x
-        n, oA = spec.n, spec.oA
-        si = (oA - s) % oA
-        M = _sol_pows(spec)[si]
-        return (
-            ((-(M[0][0] * v1 + M[0][1] * v2)) % n,
-             (-(M[1][0] * v1 + M[1][1] * v2)) % n),
-            si,
-        )
-    if f == "sol-inf":
-        (v1, v2), s = x
-        M = _sol_pow_z(spec.A, -s)
-        return (
-            (-(M[0][0] * v1 + M[0][1] * v2),
-             -(M[1][0] * v1 + M[1][1] * v2)),
-            -s,
-        )
+        M = _sol_pows(spec)[-s % spec.oA] if f == "sol-fin" else _sol_pow_z(spec.A, -s)
+        v1, v2 = -(M[0][0] * v1 + M[0][1] * v2), -(M[1][0] * v1 + M[1][1] * v2)
+        if f == "sol-fin":
+            return ((v1 % spec.n, v2 % spec.n), -s % spec.oA)
+        return ((v1, v2), -s)
     raise FamilyMismatch(f"unknown family {f!r}")
 
 
 def generators(spec: GroupSpec) -> tuple[Element, ...]:
-    """Symmetric generating set, duplicates collapsed keeping first occurrence.
+    """Symmetric generating set a, a^-1, t, t^-1, duplicates collapsed keeping
+    the first occurrence.
 
-    Order: normal-part generator and its inverse, then the time step and its
-    inverse.  Size is at most 4.
+    a is a unit of the normal part (lamp 0 lit, the residue 1, or the vector
+    (1, 0)) and t is the time step, the identity's payload at time 1; their
+    inverses come from ``inv``.
     """
     f = spec.family
-    if f == "lamplighter-fin":
-        n, m = spec.n, spec.m
-        zero = (0,) * n
-        lamp = ((1,) + (0,) * (n - 1), 0)
-        raw = [lamp, inv(spec, lamp), (zero, 1), (zero, (n - 1) % n)]
-    elif f == "lamplighter-inf":
-        m = spec.m
-        raw = [(((0, 1),), 0), (((0, m - 1),), 0), ((), 1), ((), -1)]
-    elif f == "bs-fin":
-        raw = [(1, 0), (spec.q - 1, 0), (0, 1), (0, (spec.n - 1) % spec.n)]
-    elif f == "bs-inf":
-        raw = [((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1)]
-    elif f == "sol-fin":
-        n, oA = spec.n, spec.oA
-        raw = [((1, 0), 0), ((n - 1, 0), 0), ((0, 0), 1), ((0, 0), (oA - 1) % oA)]
-    elif f == "sol-inf":
-        raw = [((1, 0), 0), ((-1, 0), 0), ((0, 0), 1), ((0, 0), -1)]
-    else:
-        raise FamilyMismatch(f"unknown family {f!r}")
-
     e = identity(spec)
+    if f == "lamplighter-fin":
+        a = ((1,) + e[0][1:], 0)
+    elif f == "lamplighter-inf":
+        a = (((0, 1),), 0)
+    elif f == "bs-fin":
+        a = (1, 0)
+    else:
+        a = ((1, 0), 0)
+    t = (e[0], 1)
     out: list[Element] = []
-    for g in raw:
+    for g in (a, inv(spec, a), t, inv(spec, t)):
         if g != e and g not in out:
             out.append(g)
     if not out:

@@ -29,7 +29,7 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import GroupSpec, generators, identity, int_param, inv, mul
+from .groups import Element, GroupSpec, generators, identity, int_param, inv, mul
 
 DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
@@ -48,26 +48,28 @@ def lp_norm(values, p: float) -> float:
     return m * math.fsum((v / m) ** p for v in vals) ** (1.0 / p)
 
 
-def _norm_and_gradients(spec: GroupSpec, f: dict, p: float, gens):
+def translate_gap(spec: GroupSpec, f: dict, g: Element) -> dict:
+    """f - lambda(g)f for sparse f, where (lambda(g)f)(x) = f(g^-1 x)."""
+    diff = {mul(spec, g, x): -v for x, v in f.items()}
+    for x, v in f.items():
+        diff[x] = diff.get(x, 0.0) + v
+    return diff
+
+
+def _norm_and_gradients(spec: GroupSpec, f: dict, p: float):
     """|f|_p and |f - lambda(s)f|_p for each generator s, by tuple arithmetic."""
     norm = lp_norm(f.values(), p)
     if norm == 0.0:
         raise ZeroNorm("test function is identically zero")
-    grads = []
-    for s in gens:
-        # lambda(s)f, the left translate: (lambda(s)f)(x) = f(s^-1 x)
-        diff = {mul(spec, s, x): v for x, v in f.items()}
-        for x, v in f.items():
-            diff[x] = diff.get(x, 0.0) - v
-        grads.append(lp_norm(diff.values(), p))
+    grads = [lp_norm(translate_gap(spec, f, s).values(), p) for s in generators(spec)]
     if max(grads) == 0.0:
         raise ZeroGradient("all generator differences vanish")
     return norm, grads
 
 
-def rayleigh(spec: GroupSpec, f: dict, p: float, gens=None):
+def rayleigh(spec: GroupSpec, f: dict, p: float):
     """(max_form, sum_form) Rayleigh values of a finitely supported function."""
-    norm, grads = _norm_and_gradients(spec, f, p, generators(spec) if gens is None else gens)
+    norm, grads = _norm_and_gradients(spec, f, p)
     return norm / max(grads), norm / lp_norm(grads, p)
 
 
@@ -221,7 +223,7 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
     support = np.flatnonzero(best_v)
     values = dict(zip(ball.elements_at(support), (best_v[support] / gmax).tolist()))
     # re-checked by tuple arithmetic, independently of the ascent's index maps
-    norm, grads = _norm_and_gradients(spec, values, p, ball.gens)
+    norm, grads = _norm_and_gradients(spec, values, p)
     return TestVector(spec=spec, radius=radius, p=p, values=values,
                       certified_J=norm / max(grads), gradient_max=max(grads),
                       converged=converged)
@@ -286,6 +288,6 @@ def revalidate(tv: TestVector) -> dict:
     """
     ball = bfs_ball(tv.spec, tv.radius - 1)
     support_ok = all(x in ball.dist for x in tv.values)
-    norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p, ball.gens)
+    norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p)
     return {"support_ok": support_ok, "gradient_max": max(grads),
             "max_form": norm / max(grads)}

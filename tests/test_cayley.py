@@ -415,6 +415,27 @@ def test_girth_matches_all_pairs_definition(parent, quotient):
         assert (report.g_lower, report.iso_lower) == _girth_by_pairs(parent, quotient, cap)
 
 
+@pytest.mark.parametrize("parent, quotient, cap", [
+    (make_spec("lamplighter-inf", m=2), make_spec("lamplighter-fin", m=2, n=8), 8),
+    (make_spec("bs-inf", m=2), make_spec("bs-fin", m=2, n=9), 8),
+    (make_spec("sol-inf"), make_spec("sol-fin", n=8), 6),
+    (make_spec("bs-inf", m=2), make_spec("bs-fin", m=2, n=12), 3),
+], ids=["lamplighter", "bs", "sol", "bs-regrown"])
+def test_girth_grows_quotient_with_scan(monkeypatch, parent, quotient, cap):
+    """The quotient ball is built to the cap and regrown with the parent's 2r,
+    never to 2 * cap past the first shorter image."""
+    calls = []
+
+    def spy(spec, radius=None, *args, **kwargs):
+        calls.append((spec, radius))
+        return bfs_ball(spec, radius, *args, **kwargs)
+
+    monkeypatch.setattr(cayley, "bfs_ball", spy)
+    report = girth(parent, quotient, cap=cap)
+    radii = [r for spec, r in calls if spec == quotient]
+    assert radii and max(radii) <= max(cap, 2 * (report.iso_lower + 1))
+
+
 class TestExpRadical:
     def test_infinite_scan_matches_enumeration(self):
         report = exp_radical_scan(make_spec("sol-inf"), 6)

@@ -253,6 +253,14 @@ class TestExactC2:
                 assert v >= D[i, j] ** 2 - 1e-6
                 assert v <= T * D[i, j] ** 2 + 1e-6
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_gram_psd_on_value_one(self, n):
+        """A path embeds isometrically, so T = 1 is feasible at once; gram is
+        still the PSD part, not the last slab pass (-1.3e-10 to -1.9e-8 before)."""
+        res = exact_c2(path_metric(n))
+        assert res.value == 1.0 and res.bracket == (1.0, 1.0)
+        assert np.linalg.eigvalsh(res.gram).min() >= -1e-14
+
     def test_bracket_consistent(self):
         res = exact_c2(STAR)
         lo, hi = res.bracket

@@ -124,6 +124,12 @@ class TestBuildBundle:
         with pytest.raises(BadScale):
             build_bundle(bfs_ball(L28, None), 2, R=19)
 
+    @pytest.mark.parametrize("R", [4.5, 2.9, "4", math.nan, [4]], ids=repr)
+    def test_scale_must_be_integer(self, R):
+        """R is read as an integer, not truncated: 4.5 is refused, not run at 4."""
+        with pytest.raises(BadParam, match="scale R .* must be an integer"):
+            build_bundle(bfs_ball(L24, None), 2, R=R)
+
     def test_exponent_validation(self):
         with pytest.raises(BadParam):
             build_bundle(bfs_ball(L28, None), 1.5)
