@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -385,6 +386,46 @@ def test_regressions(capsys, tmp_path, line, config, code, text):
     assert time.perf_counter() - start < 10  # each is refused before the costly work
     assert (got, out) == (code, "")
     assert err.count("\n") == 1 and text in err
+
+
+# one desk-size invocation of each command
+DESK = {
+    "group info": "--family bs-fin --m 2 --n 4",
+    "cayley ball": "--family lamplighter-fin --m 2 --n 4",
+    "cayley diam": "--family bs-fin --m 2 --n 4",
+    "girth": "--family lamplighter-fin --m 2 --n 4 --cap 3",
+    "expradical": "--family sol-fin --n 5 --radius 4",
+    "profile": "--family lamplighter-fin --m 2 --n 4 --radius 1,2",
+    "embed": "--family bs-fin --m 2 --n 4",
+    "distort": "--family bs-fin --m 2 --n 4",
+    "c2": "--family bs-fin --m 2 --n 2",
+    "scan": "--family bs-fin --m 2 --n 3,4",
+}
+
+
+def _readme_defaults() -> dict:
+    """Each command's default format, as the README's "Defaults:" sentence states it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = text.split("Defaults:", 1)[1].split(".", 1)[0]
+    return {name: "json" if "JSON" in clause else "csv"
+            for clause in sentence.split(";") for name in re.findall(r"`([^`]+)`", clause)}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", DESK)
+def test_format_by_flag_config_and_out(capsys, tmp_path, command, fmt):
+    """--format F, a config's {"format": F} and --out write the same bytes; the
+    default is the README's."""
+    argv = command.split() + DESK[command].split()
+    code, text, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert text.startswith(("{", "[")) is (fmt == "json")
+    assert run(capsys, *argv, *_config(tmp_path, {"format": fmt})) == (0, text, "")
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--format", fmt, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == text
+    if _readme_defaults()[command] == fmt:
+        assert run(capsys, *argv) == (0, text, "")
 
 
 # Each fuzz case starts from a valid desk-scale invocation, split at random

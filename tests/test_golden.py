@@ -61,6 +61,7 @@ COMMANDS = (
     "distort --family sol-fin --n 7 --zero-block 1 --p 3",
     "c2 --family lamplighter-fin --m 2 --n 2",
     "c2 --family bs-fin --m 2 --n 2",
+    "c2 --family bs-fin --m 2 --n 2 --format csv",
     "c2 --family sol-fin --n 2 --tol 1e-4",
     "scan --family lamplighter-fin --m 2 --n 3,4,5",
     "scan --family bs-fin --m 2 --n 3,4,5 --format json",
@@ -119,10 +120,17 @@ def text_matches(got: str, want: str) -> bool:
         for i, (x, y) in enumerate(zip(g, w)))
 
 
+def _c2_value(line: str, stdout: str) -> float:
+    """``value`` from the JSON object, or from the first cell of the CSV data line."""
+    if "--format csv" in line:
+        return float(stdout.split("\n")[1].split(",")[0])
+    return json.loads(stdout)["value"]
+
+
 def _c2_value_matches(line: str, got: str, want: str) -> bool:
     args = line.split()
     tol = float(args[args.index("--tol") + 1]) if "--tol" in args else 1e-6
-    a, b = json.loads(got)["value"], json.loads(want)["value"]
+    a, b = _c2_value(line, got), _c2_value(line, want)
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
