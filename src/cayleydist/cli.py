@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
                                                                     required=True)
               for head, text in (("group", "family member inspection"),
                                  ("cayley", "ball and diameter scans"))}
-    for command, (_, text, flags) in _COMMANDS.items():
+    for command, (_, _, text, flags) in _COMMANDS.items():
         head, _, tail = command.partition(" ")
         parser = (nested[head].add_parser(tail, help=text) if tail
                   else sub.add_parser(head, help=text))
@@ -112,7 +112,7 @@ def _parse(argv) -> argparse.Namespace:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    flags = _COMMANDS[args.command][2]
+    flags = _COMMANDS[args.command][3]
     data = {} if args.config is None else _read_config(args.config)
     unknown = data.keys() - flags.keys()
     if unknown:
@@ -160,21 +160,18 @@ def _csv_cell(v) -> str:
     return f'"{s}"' if "," in s else s
 
 
-def _csv(header, rows) -> str:
-    """The header line, then one line per row of cells."""
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+def _csv(records) -> str:
+    """The first record's keys as the header line, then one line per record."""
+    lines = [",".join(records[0])]
+    lines += [",".join(_csv_cell(v) for v in rec.values()) for rec in records]
     return "\n".join(lines) + "\n"
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # --------------------------------------------------------------------------
-# handlers
+# handlers: each returns (obj, records), the object JSON prints and a
+# non-empty list of dicts, one per CSV line
 
-def _run_group_info(args) -> str:
+def _run_group_info(args):
     spec = _spec_from_args(args)
     info = spec_to_dict(spec)
     info["q"] = spec.q
@@ -182,74 +179,63 @@ def _run_group_info(args) -> str:
     info["order"] = spec.order
     info["finite"] = spec.finite
     info["generators"] = len(generators(spec))
-    if args.format == "csv":
-        return _csv(info, [info.values()])
-    return _emit_json(info)
+    return info, [info]
 
 
-def _run_cayley_ball(args) -> str:
+def _run_cayley_ball(args):
     spec = _spec_from_args(args)
     table = bfs_ball(spec, args.radius, cap=VERTEX_CAP if args.cap is None else args.cap)
     sizes = list(table.sphere_sizes)
     balls = list(accumulate(sizes))
-    if args.format == "json":
-        return _emit_json({
-            "radius": table.radius,
-            "sphere_sizes": sizes,
-            "ball_sizes": balls,
-            "complete": table.complete,
-        })
-    return _csv(("r", "sphere", "cumulative"), zip(range(len(sizes)), sizes, balls))
+    return {
+        "radius": table.radius,
+        "sphere_sizes": sizes,
+        "ball_sizes": balls,
+        "complete": table.complete,
+    }, [{"r": r, "sphere": s, "cumulative": b}
+        for r, (s, b) in enumerate(zip(sizes, balls))]
 
 
-def _run_cayley_diam(args) -> str:
+def _run_cayley_diam(args):
     spec = _spec_from_args(args)
     report = diameter(spec)
     blob = {"diameter": report.diameter, "diam_N": report.diam_N}
-    if args.format == "csv":
-        return _csv(blob, [blob.values()])
-    return _emit_json(blob)
+    return blob, [blob]
 
 
-def _run_girth(args) -> str:
+def _run_girth(args):
     spec = _spec_from_args(args)
     if spec.family not in _PARENT:
         raise BadParam(f"girth compares a finite member to its parent, got {spec.family}")
     parent = make_spec(_PARENT[spec.family], m=spec.m, A=spec.A)
     cap = args.cap if args.cap is not None else 6
     report = girth(parent, spec, cap=cap)
-    if args.format == "csv":
-        return _csv(("g_lower", "iso_lower", "cap"),
-                    [(report.g_lower, report.iso_lower, report.cap)])
     kernel = report.kernel_witness
     iso = report.iso_witness
-    return _emit_json({
-        "g_lower": report.g_lower,
-        "iso_lower": report.iso_lower,
-        "cap": report.cap,
+    bounds = {"g_lower": report.g_lower, "iso_lower": report.iso_lower, "cap": report.cap}
+    return {
+        **bounds,
         "kernel_witness": None if kernel is None else to_string(parent, kernel),
         "iso_witness": None if iso is None else [to_string(parent, x) for x in iso],
-    })
+    }, [bounds]
 
 
-def _run_expradical(args) -> str:
+def _run_expradical(args):
     spec = _spec_from_args(args)
     if args.radius is None:
         raise BadParam("--radius (maximal word length) is required")
     report = exp_radical_scan(spec, args.radius,
                               cap=VERTEX_CAP if args.cap is None else args.cap)
-    if args.format == "json":
-        return _emit_json({
-            "r_max": report.r_max,
-            "rows": [list(row) for row in report.rows],
-            "alpha_upper": report.alpha_upper,
-            "alpha_lower": report.alpha_lower,
-            "alpha_hat": report.alpha_hat,
-        })
-    return _csv(("r", "min_log_norm", "max_log_norm"), report.rows)
+    return {
+        "r_max": report.r_max,
+        "rows": [list(row) for row in report.rows],
+        "alpha_upper": report.alpha_upper,
+        "alpha_lower": report.alpha_lower,
+        "alpha_hat": report.alpha_hat,
+    }, [{"r": r, "min_log_norm": lo, "max_log_norm": hi} for r, lo, hi in report.rows]
 
 
-def _run_profile(args) -> str:
+def _run_profile(args):
     spec = _spec_from_args(args)
     p = 2.0 if args.p is None else args.p
     if not 1 <= p <= 8:
@@ -260,15 +246,12 @@ def _run_profile(args) -> str:
         raise BadParam(f"profile curves need a finite family, got {spec.family}")
     radii = checked_radii(args.radius)  # cheap, so refused before the BFS
     curve = profile_curve(bfs_ball(spec, None), p, radii)
-    if args.format == "json":
-        return _emit_json({
-            "p": curve.p,
-            "diameter": curve.diameter,
-            "C_hat": curve.C_hat,
-            "points": [[r, j] for r, j in curve.points],
-        })
-    return _csv(("r", "certified_J", "ratio_r_over_J"),
-                [(r, j, r / j) for r, j in curve.points])
+    return {
+        "p": curve.p,
+        "diameter": curve.diameter,
+        "C_hat": curve.C_hat,
+        "points": [[r, j] for r, j in curve.points],
+    }, [{"r": r, "certified_J": j, "ratio_r_over_J": r / j} for r, j in curve.points]
 
 
 def _table_from_args(args):
@@ -280,7 +263,7 @@ def _table_from_args(args):
     return bfs_ball(spec, None)
 
 
-def _run_embed(args) -> str:
+def _run_embed(args):
     p = _embed_exponent(args)
     bundle = build_bundle(_table_from_args(args), p, R=args.radius)
     certified = [None] + [tv.certified_J for tv in bundle.vectors]
@@ -290,10 +273,8 @@ def _run_embed(args) -> str:
         "coef": coef,
         "support_size": len(values),
     } for (radius, coef, values), j in zip(bundle.blocks(), certified)]
-    if args.format == "csv":
-        return _csv(blocks[0], [blk.values() for blk in blocks])
     circle = bundle.circle
-    return _emit_json({
+    return {
         "spec": spec_to_dict(bundle.spec),
         "p": bundle.p,
         "R": bundle.R,
@@ -301,10 +282,10 @@ def _run_embed(args) -> str:
         "C_hat": bundle.C_hat,
         "blocks": blocks,
         "circle": None if circle is None else {"q": circle.q, "c_q": circle.c_q},
-    })
+    }, blocks
 
 
-def _run_distort(args) -> str:
+def _run_distort(args):
     p = _embed_exponent(args)
     table = _table_from_args(args)
     R, K = bundle_scale(table, args.radius)
@@ -330,13 +311,11 @@ def _run_distort(args) -> str:
         "dist_bound": bound.dist_bound,
         "closed_form": bound.closed_form,
     }
-    if args.format == "csv":
-        keys = ("R", "expansion", "contraction", "dist", "dist_bound")
-        return _csv(keys, [[blob[k] for k in keys]])
-    return _emit_json(blob)
+    keys = ("R", "expansion", "contraction", "dist", "dist_bound")
+    return blob, [{k: blob[k] for k in keys}]
 
 
-def _run_c2(args) -> str:
+def _run_c2(args):
     if args.metric is not None:
         metric = args.metric
     else:
@@ -349,9 +328,7 @@ def _run_c2(args) -> str:
     result = exact_c2(metric, tol=1e-6 if args.tol is None else args.tol)
     blob = {"value": result.value, "bracket_lo": result.bracket[0],
             "bracket_hi": result.bracket[1]}
-    if args.format == "csv":
-        return _csv(blob, [blob.values()])
-    return _emit_json(blob)
+    return blob, [blob]
 
 
 def _scan_row(family: str, m, n: int, p: float) -> dict:
@@ -398,7 +375,7 @@ print("wrote scan.png")
 """
 
 
-def _run_scan(args) -> str:
+def _run_scan(args):
     if args.family is None:
         raise BadParam("--family is required")
     if args.family not in _PARENT:
@@ -418,37 +395,35 @@ def _run_scan(args) -> str:
         )
         with open(args.plot_script, "w", encoding="utf-8") as fh:
             fh.write(script)
-
-    if args.format == "json":
-        return _emit_json(rows)
-    return _csv(rows[0], [row.values() for row in rows])
+    return rows, rows
 
 
-# The flags each command reads and their types; a config file's keys are the
-# same names.  None marks a key only a config file sets, to a JSON value.
+# Each command's handler, default format, help text, and the flags it reads with
+# their types; a config file's keys are the same names.  None marks a key only a
+# config file sets, to a JSON value.
 _GROUP = {"family": str, "m": int, "n": int, "A": None}
 _OUTPUT = {"format": ("json", "csv"), "out": _path}
 
 _COMMANDS = {
-    "group info": (_run_group_info, "parameters and derived constants",
+    "group info": (_run_group_info, "json", "parameters and derived constants",
                    {**_GROUP, **_OUTPUT}),
-    "cayley ball": (_run_cayley_ball, "sphere sizes out to a radius",
+    "cayley ball": (_run_cayley_ball, "csv", "sphere sizes out to a radius",
                     {**_GROUP, "radius": int, "cap": int, **_OUTPUT}),
-    "cayley diam": (_run_cayley_diam, "diameter (and kernel diameter)",
+    "cayley diam": (_run_cayley_diam, "json", "diameter (and kernel diameter)",
                     {**_GROUP, **_OUTPUT}),
-    "girth": (_run_girth, "finite member against its infinite parent",
+    "girth": (_run_girth, "json", "finite member against its infinite parent",
               {**_GROUP, "cap": int, **_OUTPUT}),
-    "expradical": (_run_expradical, "kernel norm growth (sol)",
+    "expradical": (_run_expradical, "csv", "kernel norm growth (sol)",
                    {**_GROUP, "radius": int, "cap": int, **_OUTPUT}),
-    "profile": (_run_profile, "certified profile lower bounds",
+    "profile": (_run_profile, "csv", "certified profile lower bounds",
                 {**_GROUP, "p": _finite, "radius": _ints, **_OUTPUT}),
-    "embed": (_run_embed, "embedding manifest",
+    "embed": (_run_embed, "json", "embedding manifest",
               {**_GROUP, "p": _finite, "radius": int, **_OUTPUT}),
-    "distort": (_run_distort, "measured distortion against the certified bound",
+    "distort": (_run_distort, "json", "measured distortion against the certified bound",
                 {**_GROUP, "p": _finite, "radius": int, "zero_block": int, **_OUTPUT}),
-    "c2": (_run_c2, "heuristic Euclidean distortion bracket, tiny metrics",
+    "c2": (_run_c2, "json", "heuristic Euclidean distortion bracket, tiny metrics",
            {**_GROUP, "metric": None, "tol": _finite, **_OUTPUT}),
-    "scan": (_run_scan, "n-sweep distortion table",
+    "scan": (_run_scan, "csv", "n-sweep distortion table",
              {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": _path,
               **_OUTPUT}),
 }
@@ -457,7 +432,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
-        text = _COMMANDS[args.command][0](args)
+        run, default, _, _ = _COMMANDS[args.command]
+        obj, records = run(args)
+        if (args.format or default) == "json":
+            text = json.dumps(obj, indent=2) + "\n"
+        else:
+            text = _csv(records)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

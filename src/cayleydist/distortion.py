@@ -267,6 +267,8 @@ def exact_c2(metric, tol: float = 1e-6) -> C2Result:
         return C2Result(value=1.0, gram=np.zeros((M.n, M.n)), bracket=(1.0, 1.0))
 
     scale = float(M.matrix.max())
+    if not math.isfinite(scale * scale):  # the gram is rescaled by scale^2
+        raise BadParam(f"largest distance {scale:g} has no finite square")
     D2 = (M.matrix / scale) ** 2
     lo = hi = 1.0
     ok, Qh = _project_feasible(D2, hi, np.zeros((M.n, M.n)))

@@ -279,7 +279,8 @@ def identity(spec: GroupSpec) -> Element:
 
 
 def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
-    """Product xy under the twisted law (x, s)(y, t) = (x + phi_s(y), s + t)."""
+    """Product xy under the twisted law (x, s)(y, t) = (x + phi_s(y), s + t);
+    a finite family reads each time index mod its time order, n or o(A, n)."""
     f = spec.family
     if f == "lamplighter-fin":
         (fx, s), (fy, t) = x, y
@@ -301,7 +302,7 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
     if f == "bs-fin":
         (a, s), (b, t) = x, y
         q, n = spec.q, spec.n
-        return ((a + _bs_pows(spec)[s] * b) % q, (s + t) % n)
+        return ((a + _bs_pows(spec)[s % n] * b) % q, (s + t) % n)
     if f == "bs-inf":
         ((ux, ex), s), ((uy, ey), t) = x, y
         # x + m^s * y = ux / m^ex + uy / m^(ey - s)
@@ -314,7 +315,7 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
         return (_bs_reduce(m, num, E), s + t)
     if f in ("sol-fin", "sol-inf"):
         ((v1, v2), s), ((w1, w2), t) = x, y
-        M = _sol_pows(spec)[s] if f == "sol-fin" else _sol_pow_z(spec.A, s)
+        M = _sol_pows(spec)[s % spec.oA] if f == "sol-fin" else _sol_pow_z(spec.A, s)
         v1, v2 = v1 + M[0][0] * w1 + M[0][1] * w2, v2 + M[1][0] * w1 + M[1][1] * w2
         if f == "sol-fin":
             return ((v1 % spec.n, v2 % spec.n), (s + t) % spec.oA)

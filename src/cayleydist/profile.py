@@ -137,20 +137,18 @@ def _structure(ball: BallTable):
     return in_maps, escapes
 
 
-def _grad_pows(v, p, in_maps, escapes):
-    """d_s^p for each generator, on the array representation."""
-    out = []
+def _measure(v, p, in_maps, escapes):
+    """The max-form Rayleigh value of v, then d_s^p and lambda(s)v - v inside
+    the ball for each generator s, on the array representation."""
+    dpows, diffs = [], []
     for im, esc in zip(in_maps, escapes):
-        g = np.where(im >= 0, v[im], 0.0)
-        out.append(float(np.sum(np.abs(g - v) ** p) + np.sum(np.abs(v[esc]) ** p)))
-    return out
-
-
-def _max_form(v, p, in_maps, escapes):
-    dmax = max(_grad_pows(v, p, in_maps, escapes)) ** (1.0 / p)
+        u = np.where(im >= 0, v[im], 0.0) - v
+        dpows.append(float(np.sum(np.abs(u) ** p) + np.sum(np.abs(v[esc]) ** p)))
+        diffs.append(u)
+    dmax = max(dpows) ** (1.0 / p)
     if dmax == 0.0:
         raise ZeroGradient("all generator differences vanish")
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p)) / dmax
+    return float(np.sum(np.abs(v) ** p) ** (1.0 / p)) / dmax, dpows, diffs
 
 
 def optimize_profile(ball: BallTable, p: float) -> TestVector:
@@ -172,23 +170,19 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
         raise ZeroNorm("initial vector is identically zero")
     v /= norm
 
-    best_v = v.copy()
-    best_val = _max_form(v, p, in_maps, escapes)
+    val, dpows, diffs = _measure(v, p, in_maps, escapes)
     step = 0.5
     converged = False
     for _ in range(ASCENT_MAXITER):
-        dpows = _grad_pows(v, p, in_maps, escapes)
         dmaxp = max(dpows)
         weights = np.exp(SOFTMAX_KAPPA * (np.array(dpows) / dmaxp - 1.0))
         weights /= weights.sum()
 
         vp = np.abs(v) ** (p - 1.0) * np.sign(v)
         grad = vp / float(np.sum(np.abs(v) ** p))
-        for w, im, esc, dsp in zip(weights, in_maps, escapes, dpows):
+        for w, im, esc, dsp, u in zip(weights, in_maps, escapes, dpows, diffs):
             if dsp == 0.0 or w == 0.0:
                 continue
-            g = np.where(im >= 0, v[im], 0.0)
-            u = g - v
             up = np.abs(u) ** (p - 1.0) * np.sign(u)
             part = -up
             np.add.at(part, im[im >= 0], up[im >= 0])
@@ -201,10 +195,10 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
             cnorm = float(np.sum(np.abs(cand) ** p) ** (1.0 / p))
             if cnorm > 0.0:
                 cand /= cnorm
-                val = _max_form(cand, p, in_maps, escapes)
-                if val > best_val * (1.0 + 1e-13):
+                measured = _measure(cand, p, in_maps, escapes)
+                if measured[0] > val * (1.0 + 1e-13):
                     v = cand
-                    best_v, best_val = cand.copy(), val
+                    val, dpows, diffs = measured
                     improved = True
                     step *= 1.5
                     break
@@ -214,14 +208,14 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
             break
 
     dirac_val = 2.0 ** (-1.0 / p)
-    if best_val < dirac_val - 1e-15:
+    if val < dirac_val - 1e-15:
         f = {identity(spec): dirac_val}
         return TestVector(spec=spec, radius=radius, p=p, values=f,
                           certified_J=dirac_val, gradient_max=1.0, converged=True)
 
-    gmax = max(_grad_pows(best_v, p, in_maps, escapes)) ** (1.0 / p)
-    support = np.flatnonzero(best_v)
-    values = dict(zip(ball.elements_at(support), (best_v[support] / gmax).tolist()))
+    gmax = max(dpows) ** (1.0 / p)
+    support = np.flatnonzero(v)
+    values = dict(zip(ball.elements_at(support), (v[support] / gmax).tolist()))
     # re-checked by tuple arithmetic, independently of the ascent's index maps
     norm, grads = _norm_and_gradients(spec, values, p)
     return TestVector(spec=spec, radius=radius, p=p, values=values,

@@ -373,6 +373,7 @@ REGRESSIONS = [
     ("cayley diam --n 10", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z/10"),
     ("distort --n 10", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z/10"),
     ("girth --n 9", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z:"),
+    ("c2", {"metric": [[0, 1e300], [1e300, 0]]}, 1, "1e+300 has no finite square"),
 ]
 
 

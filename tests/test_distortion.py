@@ -261,6 +261,12 @@ class TestExactC2:
         assert res.value == 1.0 and res.bracket == (1.0, 1.0)
         assert np.linalg.eigvalsh(res.gram).min() >= -1e-14
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_unsquarable_scale_refused(self, scale):
+        """The gram is rescaled by the largest distance squared, which must be finite."""
+        with pytest.raises(BadParam, match="has no finite square"):
+            exact_c2([[0, scale], [scale, 0]])
+
     def test_bracket_consistent(self):
         res = exact_c2(STAR)
         lo, hi = res.bracket

@@ -223,6 +223,16 @@ class TestArithmetic:
             assert mul(spec, x, inv(spec, x)) == e
             assert mul(spec, inv(spec, x), x) == e
 
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.finite], ids=str)
+    def test_time_index_read_mod_time_order(self, spec):
+        """A finite family's mul reads x's time index mod its time order T, as inv does."""
+        T = spec.oA if spec.family == "sol-fin" else spec.n
+        rng = random.Random(5)
+        for _ in range(200):
+            (a, s), y = random_element(spec, rng), random_element(spec, rng)
+            for k in (1, 3):
+                assert mul(spec, (a, s + k * T), y) == mul(spec, (a, s), y)
+
     def test_bs_inf_stays_reduced(self):
         spec = make_spec("bs-inf", m=2)
         rng = random.Random(3)
