@@ -329,8 +329,7 @@ def _sol_norm_inf(spec: GroupSpec, v: tuple[int, int]) -> int:
     if spec.family == "sol-inf":
         return max(abs(v[0]), abs(v[1]))
     n = spec.n
-    return max(min(v[0], n - v[0]) if v[0] else 0,
-               min(v[1], n - v[1]) if v[1] else 0)
+    return max(min(v[0], n - v[0]), min(v[1], n - v[1]))
 
 
 def exp_radical_scan(spec: GroupSpec, r_max: int,
@@ -360,9 +359,8 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
         for r, (lo, hi) in sorted(extremes.items())
     )
     alpha_upper = max((hi / r for r, _lo, hi in rows), default=0.0)
-    lower_terms = [r / hi for r, _lo, hi in rows if hi > 0.0]
-    alpha_lower = max(lower_terms) if lower_terms else None
-    alpha_hat = max(alpha_upper, alpha_lower) if alpha_lower is not None else alpha_upper
+    alpha_lower = max((r / hi for r, _lo, hi in rows if hi > 0.0), default=None)
+    alpha_hat = max(alpha_upper, alpha_lower or 0.0)
     return ExpRadicalReport(spec=spec, r_max=r_max, rows=rows,
                             alpha_upper=alpha_upper, alpha_lower=alpha_lower,
                             alpha_hat=alpha_hat)

@@ -32,17 +32,11 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import generators, make_spec, spec_to_dict, to_string
+from .groups import PARENT_FAMILY, generators, make_spec, spec_to_dict, to_string
 from .profile import checked_radii, profile_curve
 
 _NUMERIC_ERRORS = (NoConvergence, ZeroNorm, ZeroGradient, DegenerateInput)
 _CAP_ERRORS = (CapExceeded, Overflow)
-
-_PARENT = {
-    "lamplighter-fin": "lamplighter-inf",
-    "bs-fin": "bs-inf",
-    "sol-fin": "sol-inf",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,9 +199,9 @@ def _run_cayley_diam(args):
 
 def _run_girth(args):
     spec = _spec_from_args(args)
-    if spec.family not in _PARENT:
+    if spec.family not in PARENT_FAMILY:
         raise BadParam(f"girth compares a finite member to its parent, got {spec.family}")
-    parent = make_spec(_PARENT[spec.family], m=spec.m, A=spec.A)
+    parent = make_spec(PARENT_FAMILY[spec.family], m=spec.m, A=spec.A)
     cap = args.cap if args.cap is not None else 6
     report = girth(parent, spec, cap=cap)
     kernel = report.kernel_witness
@@ -378,7 +372,7 @@ print("wrote scan.png")
 def _run_scan(args):
     if args.family is None:
         raise BadParam("--family is required")
-    if args.family not in _PARENT:
+    if args.family not in PARENT_FAMILY:
         raise BadParam(f"scan sweeps finite families, got {args.family}")
     if not args.n:
         raise BadParam("--n (comma-separated sweep values) is required")

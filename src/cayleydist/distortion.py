@@ -17,6 +17,7 @@ metric moved the value by as much as 6.5e-3 relative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,10 @@ def exact_c2(metric, tol: float = 1e-6) -> C2Result:
     scale = float(M.matrix.max())
     if not math.isfinite(scale * scale):  # the gram is rescaled by scale^2
         raise BadParam(f"largest distance {scale:g} has no finite square")
+    d_min = float(M.matrix[~np.eye(M.n, dtype=bool)].min())
+    if min(d_min, d_min / scale) ** 2 < sys.float_info.min:  # D2 holds one, the gram the other
+        raise BadParam(f"smallest distance {d_min:g}, or its ratio {d_min / scale:g} "
+                       f"to the largest, squares below the smallest normal float")
     D2 = (M.matrix / scale) ** 2
     lo = hi = 1.0
     ok, Qh = _project_feasible(D2, hi, np.zeros((M.n, M.n)))

@@ -136,18 +136,12 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
     if not 2 <= p < math.inf:
         raise BadParam(f"exponent p = {p} outside [2, inf)")
     R, K = bundle_scale(table, R)
-    radii = [2 ** k for k in range(1, K + 1)]
-    if radii:
-        curve = profile_curve(table, p, radii)
-        vectors = curve.vectors
-        coefs = (1.0,) + tuple(
-            (2.0 ** k) / tv.certified_J for k, tv in enumerate(vectors, start=1))
-    else:
-        vectors, coefs = (), (1.0,)
-    c_hat = max(coefs[1:]) if K >= 1 else 1.0
+    vectors = profile_curve(table, p, [2 ** k for k in range(1, K + 1)]).vectors if K else ()
+    coefs = (1.0,) + tuple(
+        (2.0 ** k) / tv.certified_J for k, tv in enumerate(vectors, start=1))
     circle = CircleMap(spec.oA) if spec.family == "sol-fin" else None
     return EmbeddingBundle(table=table, p=p, R=R, K=K, vectors=vectors,
-                           coefs=coefs, C_hat=c_hat, circle=circle)
+                           coefs=coefs, C_hat=max(coefs[1:], default=1.0), circle=circle)
 
 
 def _gap_pow(spec: GroupSpec, values: dict, g: Element, p: float) -> float:

@@ -20,7 +20,9 @@ Elements are plain (payload, time) tuples so they hash cheaply in BFS tables:
 * sol-fin / sol-inf: ((v1, v2), t).
 
 The group law everywhere is (x, s)(y, t) = (x + phi_s(y), s + t) where phi_s is
-the relevant twist; residue payloads stay reduced into [0, modulus).
+the relevant twist; residue payloads stay reduced into [0, modulus).  The
+product ``mul(spec, identity(spec), x)`` is the one place an element is reduced:
+``from_string`` and ``project`` go through it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .errors import (
 FINITE_FAMILIES = ("lamplighter-fin", "bs-fin", "sol-fin")
 INFINITE_FAMILIES = ("lamplighter-inf", "bs-inf", "sol-inf")
 FAMILIES = FINITE_FAMILIES + INFINITE_FAMILIES
+PARENT_FAMILY = dict(zip(FINITE_FAMILIES, INFINITE_FAMILIES))
 
 DEFAULT_MATRIX = ((2, 1), (1, 1))
 ORDER_CAP = 1 << 22
@@ -434,30 +437,26 @@ def generators(spec: GroupSpec) -> tuple[Element, ...]:
 def project(parent: GroupSpec, quotient: GroupSpec, x: Element) -> Element:
     """Canonical quotient map from an infinite parent onto its finite quotient.
 
-    Also accepts identical specs (identity map).  Lamp values are summed over
-    position classes mod n; the bs dyadic u / m^e reduces via the inverse of m
-    mod q; sol coordinates reduce mod n and time mod o(A, n).
+    Also accepts identical specs (identity map).  The parent's payload is read
+    in the quotient's coordinates, unreduced: lamp values summed over position
+    classes mod n, and the bs m-adic u / m^e as u * m^((n-1)e), since m^n = 1
+    mod q; the quotient's ``mul`` by its identity then reduces the result.
     """
     if parent == quotient:
         return x
-    pf, qf = parent.family, quotient.family
-    if pf == "lamplighter-inf" and qf == "lamplighter-fin" and parent.m == quotient.m:
-        lamps, pos = x
-        n, m = quotient.n, quotient.m
-        acc = [0] * n
-        for i, v in lamps:
-            acc[i % n] = (acc[i % n] + v) % m
-        return (tuple(acc), pos % n)
-    if pf == "bs-inf" and qf == "bs-fin" and parent.m == quotient.m:
-        (u, e), t = x
-        q, n, m = quotient.q, quotient.n, quotient.m
-        minv = pow(m, n - 1, q)  # m * m^(n-1) = m^n = 1 mod q
-        return ((u * pow(minv, e, q)) % q, t % n)
-    if pf == "sol-inf" and qf == "sol-fin" and parent.A == quotient.A:
-        (v1, v2), t = x
-        n = quotient.n
-        return ((v1 % n, v2 % n), t % quotient.oA)
-    raise IncompatibleSpecs(f"no canonical projection {parent} -> {quotient}")
+    if (PARENT_FAMILY.get(quotient.family) != parent.family
+            or (parent.m, parent.A) != (quotient.m, quotient.A)):
+        raise IncompatibleSpecs(f"no canonical projection {parent} -> {quotient}")
+    a, t = x
+    if parent.family == "lamplighter-inf":
+        lamps = [0] * quotient.n
+        for i, v in a:
+            lamps[i % quotient.n] += v
+        a = tuple(lamps)
+    elif parent.family == "bs-inf":
+        u, e = a
+        a = u * quotient.m ** ((quotient.n - 1) * e)
+    return mul(quotient, identity(quotient), (a, t))
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +487,22 @@ def to_string(spec: GroupSpec, x: Element) -> str:
 
 
 def from_string(spec: GroupSpec, text: str) -> Element:
-    """Parse the canonical string form; BadParam on any other string or type."""
+    """Parse the canonical string form; BadParam on any other string or type.
+
+    The text is accepted only as the string of the element that ``mul`` by the
+    identity reduces it to, so every range, order and reduction rule is the
+    group law's; a bs-inf payload past the caps of ``mul`` is refused.
+    """
     if not isinstance(text, str):
         raise BadParam(f"element string {text!r} is not a str")
     try:
-        x = _parse(spec, text)
+        x = mul(spec, identity(spec), _parse(spec, text))
     except ValueError as exc:
         raise BadParam(f"malformed element string {text!r}") from exc
-    # refuses wrong keys and brackets, and what int() reads besides plain
-    # digits: signs, spaces, underscores, leading zeros and other scripts
+    except Overflow as exc:
+        raise BadParam(f"element string {text!r} exceeds the arithmetic caps: {exc}") from exc
+    # refuses wrong keys and brackets, unreduced payloads, and what int() reads
+    # besides plain digits: signs, spaces, underscores, leading zeros and other scripts
     canonical = to_string(spec, x)
     if canonical != text:
         raise BadParam(f"element string {text!r} is not in canonical form {canonical!r}")
@@ -504,8 +510,8 @@ def from_string(spec: GroupSpec, text: str) -> Element:
 
 
 def _parse(spec: GroupSpec, text: str) -> Element:
-    """from_string before its canonical-form check, which also covers the keys
-    and separators this reads past; ValueError on bad syntax."""
+    """The unreduced element that ``text`` writes, read past the keys and
+    separators that the canonical-form check covers; ValueError on bad syntax."""
     f = spec.family
     left, right = text.split("|")
     _, lval = left.split(":", 1)
@@ -516,46 +522,27 @@ def _parse(spec: GroupSpec, text: str) -> Element:
             digits = tuple(int(c) for c in lval)
         else:
             digits = tuple(int(c) for c in lval.split(","))
-        if len(digits) != spec.n or any(not 0 <= d < spec.m for d in digits):
-            raise BadParam(f"bad lamp digits in {text!r}")
-        pos = int(rval)
-        if not 0 <= pos < spec.n:
-            raise BadParam(f"pos {pos} out of range in {text!r}")
-        return (digits, pos)
+        if len(digits) != spec.n:  # mul reads exactly n lamps
+            raise ValueError(f"{len(digits)} lamps, expected {spec.n}")
+        return (digits, int(rval))
     if f == "lamplighter-inf":
         pairs = []
         if lval:
             for item in lval.split(","):
                 i, v = item.split("=")
                 pairs.append((int(i), int(v)))
-        if any(not 1 <= v < spec.m for _, v in pairs):
-            raise BadParam(f"lamp value out of range in {text!r}")
-        if sorted(pairs) != pairs or len({i for i, _ in pairs}) != len(pairs):
-            raise BadParam(f"lamp support not sorted-unique in {text!r}")
         return (tuple(pairs), int(rval))
     if f == "bs-fin":
-        a, t = int(lval), int(rval)
-        if not (0 <= a < spec.q and 0 <= t < spec.n):
-            raise BadParam(f"payload out of range in {text!r}")
-        return (a, t)
+        return (int(lval), int(rval))
     if f == "bs-inf":
         if "/" in lval:
             num, den = lval.split("/")
             _, exp = den.split("^")
-            u, e = int(num), int(exp)
-            if e <= 0 or u % spec.m == 0:
-                raise BadParam(f"unreduced dyadic payload in {text!r}")
-        else:
-            u, e = int(lval), 0
-        return ((u, e), int(rval))
+            return ((int(num), int(exp)), int(rval))
+        return ((int(lval), 0), int(rval))
     if f in ("sol-fin", "sol-inf"):
         v1, v2 = (int(c) for c in lval[1:-1].split(","))
-        t = int(rval)
-        if f == "sol-fin":
-            n = spec.n
-            if not (0 <= v1 < n and 0 <= v2 < n and 0 <= t < spec.oA):
-                raise BadParam(f"payload out of range in {text!r}")
-        return ((v1, v2), t)
+        return ((v1, v2), int(rval))
     raise FamilyMismatch(f"unknown family {f!r}")
 
 

@@ -269,7 +269,7 @@ def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
         vectors.append(tv)
 
     in_range = [(r, j) for r, j in points if 2 <= r <= diam / 2]
-    c_hat = max((r / j for r, j in in_range), default=None) if in_range else None
+    c_hat = max((r / j for r, j in in_range), default=None)
     return ProfileCurve(spec=spec, p=p, points=tuple(points),
                         vectors=tuple(vectors), C_hat=c_hat, diameter=diam)
 

@@ -484,6 +484,10 @@ class TestExpRadical:
         with pytest.raises(BadParam, match="r_max .* must be an integer"):
             exp_radical_scan(make_spec("sol-fin", n=5), r_max)
 
+    def test_r_max_below_one_refused(self):
+        with pytest.raises(BadParam, match="^r_max 0 must be >= 1$"):
+            exp_radical_scan(make_spec("sol-fin", n=5), 0)
+
 
 class TestCsv:
     """The CSV that ``cayleydist cayley ball`` and ``expradical`` print."""

@@ -339,8 +339,9 @@ def test_distort_at_the_fourier_path_size(capsys):
 
 
 def _config(tmp_path, data):
+    """--config naming a file of ``data`` as JSON, or of the text itself for a str."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_text(data if isinstance(data, str) else json.dumps(data))
     return ["--config", str(cfg)]
 
 
@@ -374,6 +375,11 @@ REGRESSIONS = [
     ("distort --n 10", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z/10"),
     ("girth --n 9", {"family": "sol-fin", "A": [[3, 1], [2, 1]]}, 1, "unit in Z:"),
     ("c2", {"metric": [[0, 1e300], [1e300, 0]]}, 1, "1e+300 has no finite square"),
+    ("c2", {"metric": [[0, 1e-170], [1e-170, 0]]}, 1, "below the smallest normal float"),
+    ("group info", "not json", 1, "config is not valid JSON"),
+    ("group info", [1, 2], 1, "config must be a JSON object"),
+    ("profile --family lamplighter-fin --m 2 --n 4", None, 1, "--radius"),
+    ("scan --n 3,4", None, 1, "--family is required"),
 ]
 
 

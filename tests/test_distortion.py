@@ -151,6 +151,10 @@ class TestPairwise:
         with pytest.raises(BadParam):
             distortion_pairwise([[0.0], [1.0]], path_metric(3), 2)
 
+    def test_nonpositive_scale_refused(self):
+        with pytest.raises(BadParam, match="scale R = 0 must be positive"):
+            distortion_pairwise([[0.0], [1.0]], path_metric(2), R=0)
+
     def test_no_pairs_within_scale(self):
         with pytest.raises(DegenerateInput):
             distortion_pairwise([[0.0], [1.0]], path_metric(2), 2, R=0.5)
@@ -266,6 +270,32 @@ class TestExactC2:
         """The gram is rescaled by the largest distance squared, which must be finite."""
         with pytest.raises(BadParam, match="has no finite square"):
             exact_c2([[0, scale], [scale, 0]])
+
+    @pytest.mark.parametrize("metric", [
+        [[0, 1e-155], [1e-155, 0]],
+        [[0, 1e-170], [1e-170, 0]],
+        [[0, 1e-200], [1e-200, 0]],
+        [[0, 1e-100, 1e100], [1e-100, 0, 1e100], [1e100, 1e100, 0]],
+    ], ids=["1e-155", "1e-170", "1e-200", "ratio"])
+    def test_subnormal_square_refused(self, metric):
+        """The smallest distance squared, and its ratio to the largest squared,
+        must be normal floats: below that the gram (all zeros from 1e-170 on)
+        or the scaled problem loses the pair, and value read 1.0 for points that
+        coincide (the ratio metric's factored gram had distortion 7.8e191)."""
+        with pytest.raises(BadParam, match="squares below the smallest normal float"):
+            exact_c2(metric)
+
+    def test_small_normal_scale_accepted(self):
+        metric = [[0, 1e-150], [1e-150, 0]]
+        res = exact_c2(metric)
+        w, V = np.linalg.eigh(res.gram)
+        points = V * np.sqrt(np.maximum(w, 0.0))
+        assert distortion_pairwise(points, metric, 2).dist <= res.value * (1 + 1e-6)
+
+    def test_one_point(self):
+        res = exact_c2([[0]])
+        assert (res.value, res.bracket) == (1.0, (1.0, 1.0))
+        assert res.gram.shape == (1, 1) and not res.gram.any()
 
     def test_bracket_consistent(self):
         res = exact_c2(STAR)

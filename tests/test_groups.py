@@ -140,6 +140,11 @@ class TestMakeSpec:
             make_spec("sol-fin", n=5, A=[[0, 1], [1, 0]])  # det -1, trace 0
         make_spec("sol-fin", n=5, A=[[1, 1], [1, 0]])  # det -1, trace 1: fine
 
+    @pytest.mark.parametrize("A", [[[1, 2, 3], [4, 5, 6]], [[2, 1]]], ids=repr)
+    def test_matrix_not_2x2_refused(self, A):
+        with pytest.raises(BadMatrix, match="^matrix must be 2x2"):
+            make_spec("sol-fin", n=5, A=A)
+
     def test_generators_must_generate(self):
         # (1,0) and t generate exactly when A[1][0] is a unit mod n (of Z for sol-inf)
         A = ((3, 1), (2, 1))
@@ -190,6 +195,10 @@ class TestMatrixOrder:
     def test_singular_matrix(self):
         with pytest.raises(BadMatrix):
             matrix_order(((2, 0), (0, 2)), 5)
+
+    def test_modulus_below_one_refused(self):
+        with pytest.raises(BadParam, match="^modulus n = 0 must be >= 1$"):
+            matrix_order(A_DEFAULT, 0)
 
 
 class TestArithmetic:
@@ -246,6 +255,14 @@ class TestArithmetic:
         spec = make_spec("bs-inf", m=2)
         with pytest.raises(Overflow):
             mul(spec, ((1, 0), -200), ((1, 0), 0))
+
+    def test_sol_inf_twist_power_past_cap(self):
+        with pytest.raises(Overflow, match=r"^twist power \|t\| = 3000 exceeds cap 2048$"):
+            mul(make_spec("sol-inf"), ((0, 0), 3000), ((1, 0), 0))
+
+    def test_bs_inf_inverse_denominator_past_cap(self):
+        with pytest.raises(Overflow, match="^denominator exponent 600 exceeds cap 512$"):
+            inv(make_spec("bs-inf", m=2), ((1, 0), -600))
 
     def test_sol_inf_twist_power_up_to_cap(self):
         """A^t on a cold cache, in a fresh interpreter: |t| = 2000 is computed,
@@ -410,6 +427,15 @@ class TestProject:
         with pytest.raises(IncompatibleSpecs):
             project(make_spec("bs-inf", m=2),
                     make_spec("lamplighter-fin", m=2, n=3), ((0, 0), 0))
+        # another twist, another m, and a finite group onto a smaller one
+        with pytest.raises(IncompatibleSpecs, match="no canonical projection"):
+            project(make_spec("sol-inf", A=((3, 2), (1, 1))), make_spec("sol-fin", n=5),
+                    ((0, 0), 0))
+        with pytest.raises(IncompatibleSpecs, match="no canonical projection"):
+            project(make_spec("bs-inf", m=2), make_spec("bs-fin", m=3, n=3), ((0, 0), 0))
+        with pytest.raises(IncompatibleSpecs, match="no canonical projection"):
+            project(make_spec("lamplighter-fin", m=2, n=5),
+                    make_spec("lamplighter-fin", m=2, n=4), ((0,) * 5, 0))
 
     @pytest.mark.parametrize("pair", [
         ("lamplighter-inf", dict(m=2), "lamplighter-fin", dict(m=2, n=4)),
@@ -468,6 +494,44 @@ class TestSerialization:
         for text in ["", "a:1", "x:1|t:0", "a:99|t:0", "a:1|t:9", "a:1|t:0|z:1",
                      None, 5, b"a:1|t:0"]:
             with pytest.raises(BadParam):
+                from_string(spec, text)
+
+    @pytest.mark.parametrize("spec, text", [
+        (make_spec("lamplighter-fin", m=2, n=4), "lamps:0120|pos:0"),
+        (make_spec("lamplighter-fin", m=2, n=4), "lamps:0100|pos:4"),
+        (make_spec("lamplighter-fin", m=12, n=3), "lamps:12,0,0|pos:0"),
+        (make_spec("lamplighter-inf", m=3), "lamps:1=1,0=2|pos:0"),
+        (make_spec("lamplighter-inf", m=3), "lamps:0=1,0=2|pos:0"),
+        (make_spec("lamplighter-inf", m=3), "lamps:0=3|pos:0"),
+        (make_spec("bs-fin", m=2, n=4), "a:15|t:0"),
+        (make_spec("bs-fin", m=2, n=4), "a:1|t:4"),
+        (make_spec("bs-inf", m=2), "a:2/2^1|t:0"),
+        (make_spec("bs-inf", m=2), "a:0/2^3|t:0"),
+        (make_spec("bs-inf", m=2), "a:1/2^0|t:0"),
+        (make_spec("bs-inf", m=2), "a:1/2^-1|t:0"),
+        (make_spec("sol-fin", n=5), "v:(5,0)|t:0"),
+        (make_spec("sol-fin", n=5), "v:(0,0)|t:10"),
+    ], ids=str)
+    def test_unreduced_refused(self, spec, text):
+        """A string that mul by the identity reduces to another element's string."""
+        with pytest.raises(BadParam, match="is not in canonical form"):
+            from_string(spec, text)
+
+    @pytest.mark.parametrize("text, accepted", [
+        ("a:1/2^512|t:0", True),
+        ("a:1/2^513|t:0", False),
+        (f"a:{2**127 - 1}|t:0", True),
+        (f"a:{2**127 + 1}|t:0", False),
+        (f"a:-{2**127 + 1}/2^3|t:1", False),
+    ], ids=["e512", "e513", "u2^127-1", "u2^127+1", "-u2^127-1/2^3"])
+    def test_bs_inf_caps(self, text, accepted):
+        """A canonical bs-inf string past the caps of mul is refused, since mul by
+        the identity overflows on it; the caps themselves are accepted."""
+        spec = make_spec("bs-inf", m=2)
+        if accepted:
+            assert to_string(spec, from_string(spec, text)) == text
+        else:
+            with pytest.raises(BadParam, match="exceeds the arithmetic caps"):
                 from_string(spec, text)
 
     def test_wide_alphabet_lamps(self):

@@ -232,6 +232,21 @@ class TestProfileCurve:
         with pytest.raises(BadParam):
             profile_curve(bfs_ball(L2INF, 4), 2, [2])
 
+    def test_best_witness_carried_forward(self, monkeypatch):
+        """A larger radius that certifies less keeps the best witness so far,
+        its radius set to r: that witness's support lies in the larger ball too."""
+        real = profile.optimize_profile
+
+        def weaker_on_radius_two(ball, p):
+            tv = real(ball, p)
+            return replace(tv, certified_J=tv.certified_J / 10) if ball.radius == 2 else tv
+
+        monkeypatch.setattr(profile, "optimize_profile", weaker_on_radius_two)
+        curve = profile_curve(bfs_ball(L28, None), 2, [2, 3])
+        first, second = curve.vectors
+        assert second == replace(first, radius=3)
+        assert curve.points == ((2, first.certified_J), (3, first.certified_J))
+
     def test_partial_ball_refused(self):
         # a radius-5 ball of a diameter-13 group once passed for the whole group
         with pytest.raises(BadParam, match="complete table"):
