@@ -7,7 +7,6 @@ from .errors import (
     BadScale,
     CapExceeded,
     CayleyDistError,
-    DegenerateGenerators,
     DegenerateInput,
     FamilyMismatch,
     IncompatibleSpecs,

@@ -239,10 +239,11 @@ class GirthReport:
     """How far the quotient map preserves the local metric.
 
     ``g_lower`` is min(cap, length of the shortest nontrivial element collapsed
-    to the identity); ``kernel_witness`` is that element when found within cap.
-    ``iso_lower`` is the largest radius r <= cap at which the projection is a
-    bijective isometry from the parent r-ball onto the quotient r-ball, with
-    ``iso_witness`` a colliding or distance-dropping pair at iso_lower + 1.
+    to the identity); ``kernel_witness`` is the first such element of the
+    parent cap-ball in BFS order.  ``iso_lower`` is the largest radius r <= cap
+    at which the projection is a bijective isometry from the parent r-ball
+    onto the quotient r-ball; ``iso_witness`` is the first pair of the parent
+    (iso_lower + 1)-ball, in BFS order, that it merges, else that it shrinks.
     """
 
     parent: GroupSpec
@@ -254,9 +255,9 @@ class GirthReport:
     iso_witness: tuple[Element, Element] | None
 
 
-def _iso_witness(parent, quotient, ptable: BallTable, qtable: BallTable, r: int):
+def _iso_witness(parent, quotient, ptable: BallTable, qlen: dict, r: int):
     """The first pair of the parent r-ball that the projection merges, in BFS
-    order, else the first pair i < j whose distance it shrinks."""
+    order, else the first pair i < j whose distance it shrinks, read in ``qlen``."""
     ball = list(islice(ptable.dist, ptable.ball_size(r)))
     images = [project(parent, quotient, x) for x in ball]
     first: dict[Element, Element] = {}
@@ -264,18 +265,19 @@ def _iso_witness(parent, quotient, ptable: BallTable, qtable: BallTable, r: int)
         if first.setdefault(y, x) != x:
             return first[y], x
     return next((x, y) for (x, a), (y, b) in combinations(zip(ball, images), 2)
-                if ptable.pair_distance(x, y) != qtable.pair_distance(a, b))
+                if ptable.pair_distance(x, y) != qlen[mul(quotient, inv(quotient, a), b)])
 
 
 def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
     """Girth of the quotient map, capped; see GirthReport for both readings.
 
-    The projection maps the parent r-ball onto the quotient r-ball and never
-    lengthens a word.  It is a bijective isometry there exactly when it keeps
-    the word length of every element of the parent 2r-ball, each being x^-1 y
-    with x and y in the r-ball.  So radius r compares word lengths on the
-    parent spheres 2r - 1 and 2r, the first drop ends the scan, and only then
-    are pairs searched, once, for ``iso_witness``.
+    The projection maps each parent r-ball onto the quotient r-ball, so an
+    image's quotient word length is the least parent length reaching it, the
+    first met along the parent ball in BFS order; no quotient ball is built.
+    The map is a bijective isometry on the r-ball exactly when it keeps the
+    word length of every x^-1 y, x and y in the r-ball: the parent 2r-ball.
+    So radius r walks the parent spheres 2r - 1 and 2r, an image met before at
+    a shorter length ends the scan, and only then are pairs searched, once.
     """
     cap = int_param(cap, "cap")
     if cap < 1:
@@ -288,18 +290,18 @@ def girth(parent: GroupSpec, quotient: GroupSpec, cap: int) -> GirthReport:
                            if project(parent, quotient, x) == e_q), None)
     g_lower = cap if kernel_witness is None else ptable.dist[kernel_witness]
 
-    qtable = bfs_ball(quotient, cap)  # regrown with ptable: it must hold the image of its 2r-ball
+    qlen = {e_q: 0}  # quotient word length per image; a list walks whole spheres into it
     iso_lower = 0
     for r in range(1, cap + 1):
         if 2 * r > ptable.radius:
-            ptable, qtable = bfs_ball(parent, 2 * r), bfs_ball(quotient, 2 * r)
+            ptable = bfs_ball(parent, 2 * r)
         sphere = islice(ptable.dist.items(), ptable.ball_size(2 * r - 2), ptable.ball_size(2 * r))
-        if any(qtable.dist[project(parent, quotient, x)] < d for x, d in sphere):
+        if any([qlen.setdefault(project(parent, quotient, x), d) < d for x, d in sphere]):
             break
         iso_lower = r
     iso_witness = None
     if iso_lower < cap:
-        iso_witness = _iso_witness(parent, quotient, ptable, qtable, iso_lower + 1)
+        iso_witness = _iso_witness(parent, quotient, ptable, qlen, iso_lower + 1)
 
     return GirthReport(parent=parent, quotient=quotient, cap=cap,
                        g_lower=g_lower, iso_lower=iso_lower,

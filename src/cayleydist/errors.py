@@ -29,10 +29,6 @@ class IncompatibleSpecs(CayleyDistError):
     """No canonical projection between the two specs."""
 
 
-class DegenerateGenerators(CayleyDistError):
-    """Generator set collapsed to nothing after deduplication."""
-
-
 class InfiniteNeedsRadius(BadParam):
     """BFS over an infinite parent requires an explicit radius."""
 

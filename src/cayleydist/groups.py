@@ -40,7 +40,6 @@ from .errors import (
     BadMatrix,
     BadParam,
     CapExceeded,
-    DegenerateGenerators,
     FamilyMismatch,
     IncompatibleSpecs,
     Overflow,
@@ -322,6 +321,8 @@ def mul(spec: GroupSpec, x: Element, y: Element) -> Element:
         v1, v2 = v1 + M[0][0] * w1 + M[0][1] * w2, v2 + M[1][0] * w1 + M[1][1] * w2
         if f == "sol-fin":
             return ((v1 % spec.n, v2 % spec.n), (s + t) % spec.oA)
+        if abs(s + t) > SOL_TIME_CAP:
+            raise Overflow(f"twist power |t| = {abs(s + t)} exceeds cap {SOL_TIME_CAP}")
         return ((v1, v2), s + t)
     raise FamilyMismatch(f"unknown family {f!r}")
 
@@ -429,8 +430,6 @@ def generators(spec: GroupSpec) -> tuple[Element, ...]:
     for g in (a, inv(spec, a), t, inv(spec, t)):
         if g != e and g not in out:
             out.append(g)
-    if not out:
-        raise DegenerateGenerators(f"no non-identity generators for {spec}")
     return tuple(out)
 
 
@@ -491,7 +490,7 @@ def from_string(spec: GroupSpec, text: str) -> Element:
 
     The text is accepted only as the string of the element that ``mul`` by the
     identity reduces it to, so every range, order and reduction rule is the
-    group law's; a bs-inf payload past the caps of ``mul`` is refused.
+    group law's, and a payload or time past the caps of ``mul`` is refused.
     """
     if not isinstance(text, str):
         raise BadParam(f"element string {text!r} is not a str")

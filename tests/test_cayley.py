@@ -373,28 +373,44 @@ class TestGirth:
 
 
 def _girth_by_pairs(parent, quotient, cap):
-    """(g_lower, iso_lower) from the definitions, over all pairs of each
-    parent r-ball with r <= cap and ``pair_distance`` on both tables."""
+    """(g_lower, iso_lower, kernel_witness, iso_witness) from the definitions,
+    over all pairs of each parent r-ball with r <= cap and ``pair_distance`` on
+    both tables, the quotient's covering the whole group."""
     ptable = bfs_ball(parent, 2 * cap)
     qtable = bfs_ball(quotient, None)
     merge = None  # shortest parent distance between two points with one image
     iso_lower = 0
+    pairs = {}  # per radius: the ball in BFS order and each pair's two distances
     for r in range(1, cap + 1):
         ball = list(ptable.ball(r).dist)
         images = [project(parent, quotient, x) for x in ball]
         onto = set(images) == set(qtable.ball(r).dist)
-        isometric = True
+        dists = {}  # (i, j): the parent and the quotient distance of ball[i], ball[j]
+        pairs[r] = ball, dists
         for i in range(len(ball)):
             for j in range(i + 1, len(ball)):
                 dp = ptable.pair_distance(ball[i], ball[j])
                 dq = qtable.pair_distance(images[i], images[j])
-                isometric = isometric and dp == dq
+                dists[i, j] = dp, dq
                 if dq == 0 and (merge is None or dp < merge):
                     merge = dp
+        isometric = all(dp == dq for dp, dq in dists.values())
         if isometric and onto and iso_lower == r - 1:
             iso_lower = r
+    e_q = identity(quotient)
+    kernel_witness = next((x for x in list(ptable.ball(cap).dist)[1:]
+                           if project(parent, quotient, x) == e_q), None)
+    iso_witness = None
+    if iso_lower < cap:
+        ball, dists = pairs[iso_lower + 1]
+        # the first j with an earlier i of the same image, with the least such i
+        merged = [(j, i) for (i, j), (_dp, dq) in dists.items() if dq == 0]
+        dropped = [(i, j) for (i, j), (dp, dq) in dists.items() if dq < dp]
+        i, j = min(merged)[::-1] if merged else min(dropped)
+        iso_witness = ball[i], ball[j]
     # a kernel element of length k <= 2 * cap is x^-1 y for a merging pair of the cap-ball
-    return (cap if merge is None else min(cap, merge)), iso_lower
+    return ((cap if merge is None else min(cap, merge)), iso_lower,
+            kernel_witness, iso_witness)
 
 
 GIRTH_PAIRS = (
@@ -412,7 +428,8 @@ GIRTH_PAIRS = (
 def test_girth_matches_all_pairs_definition(parent, quotient):
     for cap in range(1, 5):
         report = girth(parent, quotient, cap=cap)
-        assert (report.g_lower, report.iso_lower) == _girth_by_pairs(parent, quotient, cap)
+        assert ((report.g_lower, report.iso_lower, report.kernel_witness, report.iso_witness)
+                == _girth_by_pairs(parent, quotient, cap))
 
 
 @pytest.mark.parametrize("parent, quotient, cap", [
@@ -421,9 +438,9 @@ def test_girth_matches_all_pairs_definition(parent, quotient):
     (make_spec("sol-inf"), make_spec("sol-fin", n=8), 6),
     (make_spec("bs-inf", m=2), make_spec("bs-fin", m=2, n=12), 3),
 ], ids=["lamplighter", "bs", "sol", "bs-regrown"])
-def test_girth_grows_quotient_with_scan(monkeypatch, parent, quotient, cap):
-    """The quotient ball is built to the cap and regrown with the parent's 2r,
-    never to 2 * cap past the first shorter image."""
+def test_girth_grows_only_the_parent(monkeypatch, parent, quotient, cap):
+    """No quotient ball is built; the parent is grown to the cap and regrown
+    with the scan's 2r, never to 2 * cap past the first shorter image."""
     calls = []
 
     def spy(spec, radius=None, *args, **kwargs):
@@ -432,8 +449,8 @@ def test_girth_grows_quotient_with_scan(monkeypatch, parent, quotient, cap):
 
     monkeypatch.setattr(cayley, "bfs_ball", spy)
     report = girth(parent, quotient, cap=cap)
-    radii = [r for spec, r in calls if spec == quotient]
-    assert radii and max(radii) <= max(cap, 2 * (report.iso_lower + 1))
+    assert calls and {spec for spec, _ in calls} == {parent}
+    assert max(r for _, r in calls) <= max(cap, 2 * (report.iso_lower + 1))
 
 
 class TestExpRadical:

@@ -260,6 +260,11 @@ class TestArithmetic:
         with pytest.raises(Overflow, match=r"^twist power \|t\| = 3000 exceeds cap 2048$"):
             mul(make_spec("sol-inf"), ((0, 0), 3000), ((1, 0), 0))
 
+    def test_sol_inf_product_time_past_cap(self):
+        """Both factors are within the cap, their product's time is not."""
+        with pytest.raises(Overflow, match=r"^twist power \|t\| = 2100 exceeds cap 2048$"):
+            mul(make_spec("sol-inf"), ((0, 0), 2000), ((1, 0), 100))
+
     def test_bs_inf_inverse_denominator_past_cap(self):
         with pytest.raises(Overflow, match="^denominator exponent 600 exceeds cap 512$"):
             inv(make_spec("bs-inf", m=2), ((1, 0), -600))
@@ -530,6 +535,23 @@ class TestSerialization:
         spec = make_spec("bs-inf", m=2)
         if accepted:
             assert to_string(spec, from_string(spec, text)) == text
+        else:
+            with pytest.raises(BadParam, match="exceeds the arithmetic caps"):
+                from_string(spec, text)
+
+    @pytest.mark.parametrize("t, accepted", [
+        (2048, True), (-2048, True), (2049, False), (-2049, False), (3000, False),
+    ])
+    def test_sol_inf_time_cap(self, t, accepted):
+        """A sol-inf time past SOL_TIME_CAP is refused, since mul by the identity
+        overflows on it; at the cap, inv and mul by a generator still work."""
+        spec = make_spec("sol-inf")
+        text = f"v:(0,0)|t:{t}"
+        if accepted:
+            x = from_string(spec, text)
+            assert to_string(spec, x) == text
+            assert inv(spec, x)[1] == -t
+            assert mul(spec, x, generators(spec)[0])[1] == t
         else:
             with pytest.raises(BadParam, match="exceeds the arithmetic caps"):
                 from_string(spec, text)
