@@ -20,9 +20,11 @@ Elements are plain (payload, time) tuples so they hash cheaply in BFS tables:
 * sol-fin / sol-inf: ((v1, v2), t).
 
 The group law everywhere is (x, s)(y, t) = (x + phi_s(y), s + t) where phi_s is
-the relevant twist; residue payloads stay reduced into [0, modulus).  The
-product ``mul(spec, identity(spec), x)`` is the one place an element is reduced:
-``from_string`` and ``project`` go through it.
+the relevant twist; residue payloads stay reduced into [0, modulus).  ``mul`` is
+the one statement of the law and the one place an element is reduced: ``inv``
+is the product (0, -s)(-x, 0), ``from_string`` and ``project`` reduce through
+products with the identity, and the fast paths ``right_step`` and ``CodeSpace``
+are tested equal to it.
 """
 
 from __future__ import annotations
@@ -250,14 +252,9 @@ def _sol_pow_z(A: Matrix, s: int) -> Matrix:
 
 
 def _bs_reduce(m: int, num: int, exp: int) -> tuple[int, int]:
-    """Canonical (u, e) for the value num / m^exp; exp may be negative."""
+    """Canonical (u, e) for the value num / m^exp, exp >= 0."""
     if num == 0:
         return (0, 0)
-    if exp < 0:
-        if -exp > BS_EXPONENT_CAP:
-            raise Overflow(f"denominator exponent {-exp} exceeds cap {BS_EXPONENT_CAP}")
-        num *= m ** (-exp)
-        exp = 0
     while exp > 0 and num % m == 0:
         num //= m
         exp -= 1
@@ -377,34 +374,20 @@ def right_step(spec: GroupSpec, g: Element):
 
 
 def inv(spec: GroupSpec, x: Element) -> Element:
-    """Inverse (x, s)^{-1} = (-phi_{-s}(x), -s)."""
+    """Inverse (x, s)^{-1} = (0, -s)(-x, 0) through ``mul``, reduced and capped
+    like every product (a bs-inf spread |e + s| > BS_EXPONENT_CAP raises
+    Overflow); only negating the payload depends on the family."""
+    a, s = x
     f = spec.family
-    if f == "lamplighter-fin":
-        fx, s = x
-        n, m = spec.n, spec.m
-        lamps = tuple((-fx[(i + s) % n]) % m for i in range(n))
-        return (lamps, (-s) % n)
-    if f == "lamplighter-inf":
-        fx, s = x
-        m = spec.m
-        lamps = tuple(sorted((i - s, (-v) % m) for i, v in fx))
-        return (lamps, -s)
     if f == "bs-fin":
-        a, s = x
-        q, n = spec.q, spec.n
-        si = (n - s) % n
-        return ((-_bs_pows(spec)[si] * a) % q, si)
-    if f == "bs-inf":
-        (u, e), s = x
-        return (_bs_reduce(spec.m, -u, e + s), -s)
-    if f in ("sol-fin", "sol-inf"):
-        (v1, v2), s = x
-        M = _sol_pows(spec)[-s % spec.oA] if f == "sol-fin" else _sol_pow_z(spec.A, -s)
-        v1, v2 = -(M[0][0] * v1 + M[0][1] * v2), -(M[1][0] * v1 + M[1][1] * v2)
-        if f == "sol-fin":
-            return ((v1 % spec.n, v2 % spec.n), -s % spec.oA)
-        return ((v1, v2), -s)
-    raise FamilyMismatch(f"unknown family {f!r}")
+        neg = -a
+    elif f == "bs-inf":
+        neg = (-a[0], a[1])
+    elif f == "lamplighter-inf":
+        neg = tuple((i, -v) for i, v in a)
+    else:
+        neg = tuple(-v for v in a)
+    return mul(spec, (identity(spec)[0], -s), (neg, 0))
 
 
 def generators(spec: GroupSpec) -> tuple[Element, ...]:
@@ -488,14 +471,17 @@ def to_string(spec: GroupSpec, x: Element) -> str:
 def from_string(spec: GroupSpec, text: str) -> Element:
     """Parse the canonical string form; BadParam on any other string or type.
 
-    The text is accepted only as the string of the element that ``mul`` by the
-    identity reduces it to, so every range, order and reduction rule is the
-    group law's, and a payload or time past the caps of ``mul`` is refused.
+    The text is accepted only as the string of the element e x e that ``mul``
+    by the identity e on both sides reduces it to, so every range, order and
+    reduction rule is the group law's, and an element on which ``mul``
+    overflows is refused: a payload or time past the caps, or a bs-inf
+    u / m^e at time t with exponent spread |e + t| > BS_EXPONENT_CAP.
     """
     if not isinstance(text, str):
         raise BadParam(f"element string {text!r} is not a str")
+    e = identity(spec)
     try:
-        x = mul(spec, identity(spec), _parse(spec, text))
+        x = mul(spec, mul(spec, e, _parse(spec, text)), e)
     except ValueError as exc:
         raise BadParam(f"malformed element string {text!r}") from exc
     except Overflow as exc:

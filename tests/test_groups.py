@@ -265,9 +265,12 @@ class TestArithmetic:
         with pytest.raises(Overflow, match=r"^twist power \|t\| = 2100 exceeds cap 2048$"):
             mul(make_spec("sol-inf"), ((0, 0), 2000), ((1, 0), 100))
 
-    def test_bs_inf_inverse_denominator_past_cap(self):
-        with pytest.raises(Overflow, match="^denominator exponent 600 exceeds cap 512$"):
-            inv(make_spec("bs-inf", m=2), ((1, 0), -600))
+    @pytest.mark.parametrize("x", [((1, 0), -600), ((5, 0), 516)], ids=str)
+    def test_bs_inf_inverse_past_cap(self, x):
+        """inv is a product through mul, so an inverse whose exponent spread
+        |e + s| exceeds the cap raises mul's Overflow."""
+        with pytest.raises(Overflow, match="^exponent spread exceeds cap 512$"):
+            inv(make_spec("bs-inf", m=2), x)
 
     def test_sol_inf_twist_power_up_to_cap(self):
         """A^t on a cold cache, in a fresh interpreter: |t| = 2000 is computed,
@@ -340,6 +343,34 @@ def test_bs_plane_step_overflow_past_radius_cap(x, message):
         want = _outcome(lambda y: mul(spec, y, g), x)
         assert want[1][0] is Overflow and want[1][1].startswith(message)
         assert _outcome(right_step(spec, g), x) == want
+
+
+@st.composite
+def _inverse_case(draw):
+    """A spec and an element: uniform for a finite spec, a random word for an
+    infinite one, or a bs-inf u / m^e at time t near the caps, reduced by e x."""
+    spec = draw(st.sampled_from(ALL_SPECS + [make_spec("bs-inf", m=3)]))
+    if spec.family == "bs-inf" and draw(st.booleans()):
+        u = draw(st.sampled_from([1, -1, 3, 2**127 - 1]))
+        e, t = draw(st.sampled_from([0, 1, 511, 512])), draw(st.integers(-700, 700))
+        return spec, mul(spec, identity(spec), ((u, e), t))
+    return spec, random_element(spec, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_inverse_case())
+@example((make_spec("bs-inf", m=2), ((5, 0), 516)))
+def test_inverse_within_caps(case):
+    """inv(x) raises Overflow or returns y with x y = e = y x, and from_string
+    accepts y's string: no inverse leaves the caps of mul."""
+    spec, x = case
+    try:
+        y = inv(spec, x)
+    except Overflow:
+        return
+    e = identity(spec)
+    assert mul(spec, x, y) == e == mul(spec, y, x)
+    assert from_string(spec, to_string(spec, y)) == y
 
 
 A_32 = ((3, 2), (1, 1))
@@ -555,6 +586,35 @@ class TestSerialization:
         else:
             with pytest.raises(BadParam, match="exceeds the arithmetic caps"):
                 from_string(spec, text)
+
+    @pytest.mark.parametrize("text, inverse", [
+        ("a:1|t:512", "a:-1/2^512|t:-512"),
+        ("a:1/2^512|t:-512", "a:-1|t:512"),
+        ("a:1|t:-512", Overflow),  # -2^512 at time 512: past the numerator cap
+        ("a:1|t:513", BadParam),
+        ("a:1|t:600", BadParam),
+        ("a:1|t:-600", BadParam),
+        ("a:1/2^300|t:300", BadParam),
+    ])
+    def test_bs_inf_time_cap(self, text, inverse):
+        """A bs-inf u / m^e at time t with exponent spread |e + t| past
+        BS_EXPONENT_CAP is refused, since mul by the identity on the right
+        overflows on it; at the cap, mul by the identity keeps x, and inv
+        fails only where its numerator passes the 128-bit cap."""
+        spec = make_spec("bs-inf", m=2)
+        if inverse is BadParam:
+            with pytest.raises(BadParam, match="exceeds the arithmetic caps"):
+                from_string(spec, text)
+            return
+        x = from_string(spec, text)
+        assert to_string(spec, x) == text
+        assert mul(spec, x, identity(spec)) == x
+        if inverse is Overflow:
+            with pytest.raises(Overflow, match="^numerator needs more than 128 bits"):
+                inv(spec, x)
+        else:
+            assert to_string(spec, inv(spec, x)) == inverse
+            assert from_string(spec, inverse) == inv(spec, x)
 
     def test_wide_alphabet_lamps(self):
         spec = make_spec("lamplighter-fin", m=12, n=3)
