@@ -130,12 +130,14 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     """Enumerate the closed ball of the given radius (whole group if None),
     level by level, in FIFO discovery order: x * g for x in level order and g
     in generator order, first occurrence kept.  Finite families do this on
-    ``CodeSpace`` code arrays and keep the codes.  Infinite families step each
-    generator with its ``right_step`` map and grow the table through
-    ``dict.setdefault``, checking the vertex cap after each ``INF_SLICE``
-    elements of a level, so a cap hit overshoots by at most 4 * INF_SLICE.
+    ``CodeSpace`` code arrays and keep the codes: ``act_right`` steps a
+    level's codes, decoding only the digits a generator moves.  Infinite
+    families step each generator with its ``right_step`` map and grow the
+    table through ``dict.setdefault``, checking the vertex cap after each
+    ``INF_SLICE`` elements of a level, so a cap hit overshoots by at most
+    4 * INF_SLICE.
     """
-    gens = generators(spec)
+    gens, cap = generators(spec), int_param(cap, "cap")
     if radius is None:
         if not spec.finite:
             raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
@@ -166,9 +168,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             d = len(sphere)
             if spec.finite:
                 seen[level] = True
-                payload = cs.payload(level)
-                cand = np.stack([cs.act_right(g, payload) for g in gens], axis=1).ravel()
-                del payload  # the level's digits, dead before the candidates are filtered
+                cand = np.stack([cs.act_right(g, level) for g in gens], axis=1).ravel()
                 cand = cand[~seen[cand]]
                 nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
                 if sum(sphere) + len(nxt) > cap:

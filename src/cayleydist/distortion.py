@@ -25,7 +25,7 @@ import numpy as np
 from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
-from .groups import code_space, identity, inv, to_string
+from .groups import code_space, identity, inv, real_param, to_string
 
 C2_CAP = 16
 C2_SWEEPS = 1500  # alternating projections per feasibility test
@@ -123,7 +123,7 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     diam = len(table.sphere_sizes) - 1
     if R is None:
         R = diam
-    if not R >= 1:
+    if not real_param(R, "scale R") >= 1:
         raise BadParam(f"scale R = {R} must be >= 1")
     if R > diam:
         raise BadScale(f"scale R = {R} exceeds diameter {diam}")
@@ -162,9 +162,10 @@ def distortion_pairwise(points, metric, p: float = 2.0,
     if X.ndim != 2 or X.shape[0] != M.n:
         raise BadParam(f"{M.n} metric points but point array of shape {X.shape}")
     D = M.matrix
+    p = real_param(p, "exponent p")
     if R is None:
         R = float(D.max())
-    if R <= 0:
+    if real_param(R, "scale R") <= 0:
         raise BadParam(f"scale R = {R} must be positive")
 
     expansion = contraction = -math.inf
@@ -262,7 +263,7 @@ def exact_c2(metric, tol: float = 1e-6) -> C2Result:
     M = _as_metric(metric)
     if M.n > C2_CAP:
         raise BadParam(f"point count {M.n} exceeds {C2_CAP}")
-    if not tol >= 1e-6:
+    if not real_param(tol, "tol") >= 1e-6:
         raise BadParam(f"tol {tol} below the supported floor 1e-6")
     if M.n < 2:
         return C2Result(value=1.0, gram=np.zeros((M.n, M.n)), bracket=(1.0, 1.0))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
-from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul
+from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul, real_param
 from .profile import TestVector, profile_curve, translate_gap
 
 POINT_CAP = 1 << 24
@@ -50,8 +50,8 @@ class CircleMap:
     q: int
 
     def __post_init__(self):
-        if self.q < 3:
-            raise BadParam(f"circle needs q >= 3, got {self.q}")
+        if self.q < 2:
+            raise BadParam(f"circle needs q >= 2, got {self.q}")
 
     @property
     def c_q(self) -> float:
@@ -133,7 +133,7 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
     spec = table.spec
     if not table.complete:
         raise BadParam(f"embeddings need a complete table, got radius {table.radius}")
-    if not 2 <= p < math.inf:
+    if not 2 <= real_param(p, "exponent p") < math.inf:
         raise BadParam(f"exponent p = {p} outside [2, inf)")
     R, K = bundle_scale(table, R)
     vectors = profile_curve(table, p, [2 ** k for k in range(1, K + 1)]).vectors if K else ()

@@ -30,6 +30,7 @@ are tested equal to it.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -101,6 +102,13 @@ def int_param(value, name: str = "radius") -> int:
         return operator.index(value)
     except TypeError:
         raise BadParam(f"{name} {value!r} must be an integer") from None
+
+
+def real_param(value, name: str):
+    """value itself if it is a real number: BadParam for "2", None or 1j."""
+    if not isinstance(value, numbers.Real):
+        raise BadParam(f"{name} {value!r} must be a real number")
+    return value
 
 
 def _as_matrix(A) -> Matrix:
@@ -562,8 +570,7 @@ class CodeSpace:
     * sol-fin: T = o(A, n), k = n, (v1, v2) of weights (n, 1), M_s = A^s mod n.
 
     A code is t + T * sum_i a_i w_i, so the digit sum indexes N as an array of
-    shape ``normal_shape`` in C order.  ``payload`` decodes codes once for
-    repeated actions on one support (``act_left``) or BFS level (``act_right``).
+    shape ``normal_shape`` in C order; ``payload`` caches ``act_left``'s decode of one support.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -637,14 +644,17 @@ class CodeSpace:
         a = self._twisted_index(self._rows[s], digits, (b,) if self._scalar else b)
         return _mod(t + s, self.time_order) + self.time_order * a
 
-    def act_right(self, g: Element, payload) -> np.ndarray:
-        """Codes of x * g for every x that ``payload`` decodes: (a + M_t b, t + s)."""
-        (digits, t), (b, s) = payload, g
+    def act_right(self, g: Element, codes: np.ndarray) -> np.ndarray:
+        """Codes of x * g = (a + M_t b, t + s) for every code x = (a, t) in ``codes``."""
+        (b, s), T = g, self.time_order
+        t = _mod(codes, T)
+        out = codes - t + _mod(t + s, T)  # a time step (b = 0) decodes no digit
         shifts = (self._twists @ np.array(b, dtype=np.int64).reshape(-1)).T  # [i, t]: (M_t b)_i
-        a = np.zeros(len(t), dtype=np.int64)
-        for u, shift, w in zip(digits, shifts, self._weights):
-            a += (_mod(u + shift[t], self.radix) if shift.any() else u) * w
-        return _mod(t + s, self.time_order) + self.time_order * a
+        for shift, w in zip(shifts, self._weights):
+            if shift.any():  # decode only the digits that some M_t b moves
+                u = _mod(codes // (T * w), self.radix)
+                out += (_mod(u + shift[t], self.radix) - u) * (T * w)
+        return out
 
     def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, a) of each code: the time index and the flat index into N."""

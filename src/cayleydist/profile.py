@@ -29,7 +29,7 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import Element, GroupSpec, generators, identity, int_param, inv, mul
+from .groups import Element, GroupSpec, generators, identity, int_param, inv, mul, real_param
 
 DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
@@ -158,7 +158,7 @@ def optimize_profile(ball: BallTable, p: float) -> TestVector:
     The certificate radius is ball.radius + 1 (the smallest open ball
     containing the support).  Never returns less than the dirac witness.
     """
-    if not 1 <= p < math.inf:
+    if not 1 <= real_param(p, "exponent p") < math.inf:
         raise BadParam(f"exponent p = {p} outside [1, inf)")
     spec = ball.spec
     radius = ball.radius + 1

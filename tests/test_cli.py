@@ -160,6 +160,14 @@ class TestEmbedDistort:
         blob = json.loads(out)
         assert 1.0 <= blob["dist"] <= blob["dist_bound"] + 1e-9
 
+    def test_distort_time_order_two(self, capsys, tmp_path):
+        # o(A, 2) = 2: the circle coordinate has two points
+        code, out, _ = run(capsys, "distort", "--family", "sol-fin", "--n", "2",
+                           *_config(tmp_path, {"A": [[3, 2], [1, 1]]}))
+        assert code == 0
+        blob = json.loads(out)
+        assert 1.0 <= blob["dist"] <= blob["dist_bound"]
+
     @pytest.mark.parametrize("radius", [2, 4, 7])
     def test_distort_measured_at_requested_radius(self, capsys, radius):
         code, out, _ = run(capsys, "distort", "--family", "lamplighter-fin",
@@ -562,10 +570,11 @@ def _child_vmhwm_mb(line: str) -> float:
 
 
 def test_whole_group_diameter_memory():
-    """The finite BFS keeps codes: lamplighter n=16 (1,048,576 elements) stays far below
-    the 320 MB that a dict of its decoded elements peaks at.  The child reads its own
+    """The finite BFS keeps codes and decodes no level into digit arrays: lamplighter
+    n=16 (1,048,576 elements) peaks at 52-56 MB, against 69 MB with per-level digit
+    arrays and 320 MB with a dict of decoded elements.  The child reads its own
     VmHWM, as in test_infinite_ball_memory."""
-    assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 200
+    assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 60
 
 
 def test_infinite_ball_memory():

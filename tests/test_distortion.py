@@ -20,10 +20,12 @@ from cayleydist import (
     embed_norm,
     embed_point,
     exact_c2,
+    exp_radical_scan,
     generators,
     identity,
     make_spec,
     metric_from_table,
+    optimize_profile,
 )
 from cayleydist import distortion
 from cayleydist.cli import main
@@ -428,3 +430,27 @@ def test_project_feasible_one_eigh_per_sweep(monkeypatch):
     calls.update(eigh=0, eigvalsh=0)
     distortion._project_feasible(D2, 4.0, Q0)
     assert calls == {"eigh": sweeps + 1, "eigvalsh": 0}
+
+
+_L23 = make_spec("lamplighter-fin", m=2, n=3)
+_T23 = bfs_ball(_L23, None)
+_PTS = np.array([[0.0, 0.0], [1.0, 0.0]])
+_UNIT = [[0, 1], [1, 0]]
+NON_NUMBER_CALLS = {
+    "optimize_profile p='2'": lambda: optimize_profile(_T23.ball(1), "2"),
+    "optimize_profile p=None": lambda: optimize_profile(_T23.ball(1), None),
+    "build_bundle p='2'": lambda: build_bundle(_T23, "2"),
+    "distortion_equivariant R='3'": lambda: distortion_equivariant(build_bundle(_T23, 2), "3"),
+    "distortion_pairwise p='2'": lambda: distortion_pairwise(_PTS, _UNIT, p="2"),
+    "distortion_pairwise R='1'": lambda: distortion_pairwise(_PTS, _UNIT, R="1"),
+    "exact_c2 tol='1'": lambda: exact_c2(_UNIT, tol="1"),
+    "bfs_ball cap='9'": lambda: bfs_ball(_L23, 3, cap="9"),
+    "exp_radical_scan cap='9'": lambda: exp_radical_scan(make_spec("sol-fin", n=5), 3, cap="9"),
+}
+
+
+@pytest.mark.parametrize("call", NON_NUMBER_CALLS.values(), ids=NON_NUMBER_CALLS.keys())
+def test_non_number_scalars_refused(call):
+    # each leaked a TypeError from a comparison or a ufunc
+    with pytest.raises(BadParam, match="must be (a real number|an integer)"):
+        call()

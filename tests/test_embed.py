@@ -16,6 +16,7 @@ from cayleydist import (
     bfs_ball,
     build_bundle,
     cocycle_defect,
+    distortion_equivariant,
     embed_norm,
     embed_norms_all,
     embed_point,
@@ -52,14 +53,15 @@ def bsol3():
 
 class TestCircleMap:
     def test_small_q_rejected(self):
-        with pytest.raises(BadParam):
-            CircleMap(2)
+        for q in (1, 0):
+            with pytest.raises(BadParam, match="q >= 2"):
+                CircleMap(q)
 
     def test_origin(self):
         assert np.array_equal(CircleMap(5).point(0), np.zeros(2))
 
     def test_adjacent_chord_is_one(self):
-        for q in (3, 4, 7, 97):
+        for q in (2, 3, 4, 7, 97):
             assert CircleMap(q).chord(1) == 1.0
 
     def test_adjacent_points_at_distance_one(self):
@@ -175,6 +177,20 @@ class TestEmbedNorm:
         table = bfs_ball(spec, None)
         for x in table.dist:
             assert norms[cs.encode(x)] == pytest.approx(embed_norm(bundle, x), abs=1e-10)
+
+
+SOL_T2 = make_spec("sol-fin", n=2, A=((3, 2), (1, 1)))  # time order o(A, 2) = 2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_time_order_two_embeds(p):
+    assert SOL_T2.oA == 2
+    bundle = build_bundle(bfs_ball(SOL_T2, None), p)
+    cs = CodeSpace(SOL_T2)
+    norms = embed_norms_all(bundle)
+    for code in range(SOL_T2.order):
+        assert norms[code] == pytest.approx(embed_norm(bundle, cs.decode(code)), abs=1e-10)
+    assert distortion_equivariant(bundle).dist <= apriori_bound(bundle).dist_bound
 
 
 FOURIER_SPECS = [

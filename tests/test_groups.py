@@ -734,10 +734,9 @@ class TestCodeSpace:
         rng = random.Random(19)
         xs = [random_element(spec, rng) for _ in range(64)]
         codes = cs.encode_many(xs)
-        payload = cs.payload(codes)
         for g in list(generators(spec)) + [random_element(spec, rng) for _ in range(20)]:
             expected = np.array([cs.encode(mul(spec, x, g)) for x in xs])
-            assert np.array_equal(cs.act_right(g, payload), expected)
+            assert np.array_equal(cs.act_right(g, codes), expected)
 
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
     def test_decode_many_inverts_encode_many(self, spec):
