@@ -24,6 +24,8 @@ from .groups import (Element, GroupSpec, code_space, generators, identity, int_p
 VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
 INF_SLICE = 4096  # elements of an infinite level grown between two cap checks
+CODE_SLICE = 1 << 16  # codes of a finite level stepped at once, bounding the temporaries
+UNSEEN = np.iinfo(np.int32).max  # the position of a code outside a finite table
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,11 @@ class BallTable:
     table covering the whole group.  Equality compares spec, radius, sphere
     sizes, completeness and gens, not the elements they determine.
 
-    ``in_map`` and ``elements_at`` work on positions along
-    ``elements`` without decoding the ball: a finite table looks codes up in
-    its own codes sorted once (an array of the ball's size, not the
-    group's), an infinite one in an {element: position} dict.
+    ``in_map`` and ``elements_at`` work on positions along ``elements``
+    without decoding the ball.  A finite table reads them in ``position``, the
+    BFS's int32 array of each code's place along ``elements`` (``UNSEEN`` if
+    never reached); a prefix ``ball(r)`` shares it and reads a place past its
+    own length as absent.  An infinite table looks elements up in a dict.
     """
 
     spec: GroupSpec
@@ -50,6 +53,7 @@ class BallTable:
     sphere_sizes: tuple[int, ...]
     complete: bool
     gens: tuple[Element, ...]
+    position: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -65,17 +69,8 @@ class BallTable:
         return np.repeat(np.arange(len(self.sphere_sizes)), self.sphere_sizes)
 
     @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray] | dict:
-        if not self.spec.finite:
-            return {x: i for i, x in enumerate(self.elements)}
-        by_code = np.argsort(self.elements)
-        return self.elements[by_code], by_code
-
-    def _positions(self, codes: np.ndarray) -> np.ndarray:
-        """Position of each code along the finite ``elements``, -1 if absent."""
-        sorted_codes, by_code = self._index
-        i = np.minimum(np.searchsorted(sorted_codes, codes), len(self) - 1)
-        return np.where(sorted_codes[i] == codes, by_code[i], -1)
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     def in_map(self, s: Element) -> np.ndarray:
         """The position in this ball of s^-1 x for each x along ``elements``,
@@ -86,7 +81,8 @@ class BallTable:
             index = self._index
             return np.fromiter((index.get(mul(spec, s_inv, x), -1) for x in self.elements),
                                dtype=np.int64)
-        return self._positions(code_space(spec).act_left(s_inv, self.elements))
+        p = self.position[code_space(spec).act_left(s_inv, self.elements)]
+        return np.where(p < len(self), p, -1)
 
     def elements_at(self, positions: np.ndarray) -> list[Element]:
         """The elements at the given positions along ``elements``."""
@@ -129,12 +125,13 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
              cap: int = VERTEX_CAP) -> BallTable:
     """Enumerate the closed ball of the given radius (whole group if None),
     level by level, in FIFO discovery order: x * g for x in level order and g
-    in generator order, first occurrence kept.  Finite families do this on
-    ``CodeSpace`` code arrays and keep the codes: ``act_right`` steps a
-    level's codes, decoding only the digits a generator moves.  Infinite
-    families step each generator with its ``right_step`` map and grow the
-    table through ``dict.setdefault``, checking the vertex cap after each
-    ``INF_SLICE`` elements of a level, so a cap hit overshoots by at most
+    in generator order, first occurrence kept, one slice of a level at a time
+    with the vertex cap checked after each.  Finite families step slices of
+    ``CODE_SLICE`` codes with ``act_right``, which decodes only the digits a
+    generator moves, into one code buffer of the group's order; ``position``
+    records each code's place in it.  Infinite families step slices of
+    ``INF_SLICE`` elements with each generator's ``right_step`` map and grow
+    the table through ``dict.setdefault``, so a cap hit overshoots by at most
     4 * INF_SLICE.
     """
     gens, cap = generators(spec), int_param(cap, "cap")
@@ -148,16 +145,16 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         if not spec.finite and radius > INF_RADIUS_CAP:
             raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
 
-    e = identity(spec)
-    dist: dict[Element, int] = {e: 0}
-    sphere = [1]
-    level = [e]
+    sphere, position = [1], None
     if spec.finite:
-        cs = code_space(spec)
-        level = np.array([cs.encode(e)])
-        levels = [level]
-        seen = np.zeros(spec.order, dtype=bool)
-    steps = [right_step(spec, g) for g in gens]
+        cs, width = code_space(spec), CODE_SLICE
+        codes = np.empty(spec.order, dtype=np.int64)
+        position = np.full(spec.order, UNSEEN, dtype=np.int32)
+        codes[0] = cs.encode(identity(spec))
+        position[codes[0]] = 0
+    else:
+        dist: dict[Element, int] = {identity(spec): 0}
+        steps, width = [right_step(spec, g) for g in gens], INF_SLICE
     # The infinite table holds only tuples of ints, which the cyclic collector
     # keeps re-scanning but can never free: pause it for the level loop.
     paused = not spec.finite and gc.isenabled()
@@ -165,31 +162,34 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         gc.disable()
     try:
         while len(sphere) - 1 != radius:
-            d = len(sphere)
-            if spec.finite:
-                seen[level] = True
-                cand = np.stack([cs.act_right(g, level) for g in gens], axis=1).ravel()
-                cand = cand[~seen[cand]]
-                nxt = cand[np.sort(np.unique(cand, return_index=True)[1])]
-                if sum(sphere) + len(nxt) > cap:
-                    raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                levels.append(nxt)
-            else:
-                for i in range(0, len(level), INF_SLICE):
-                    part = level[i:i + INF_SLICE]
+            d, start, end = len(sphere), sum(sphere[:-1]), sum(sphere)
+            size = end
+            level = codes[start:end] if spec.finite else list(islice(dist, start, end))
+            for lo in range(0, len(level), width):
+                part = level[lo:lo + width]
+                if spec.finite:
+                    cand = np.stack([cs.act_right(g, part) for g in gens], axis=1).ravel()
+                    cand = cand[position[cand] == UNSEEN]
+                    # np.minimum.at is unbuffered: each code keeps its first index in cand
+                    i = np.arange(len(cand), dtype=np.int32)
+                    np.minimum.at(position, cand, i)
+                    nxt = cand[position[cand] == i]
+                    codes[size:size + len(nxt)] = nxt
+                    position[nxt] = np.arange(size, size + len(nxt), dtype=np.int32)
+                    size += len(nxt)
+                else:
                     cand = chain.from_iterable(zip(*(map(st, part) for st in steps)))
                     try:
                         deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
                     except Overflow:
                         if len(dist) <= cap:  # a table past the cap hit it before the Overflow
                             raise
-                    if len(dist) > cap:
-                        raise CapExceeded(f"ball exceeds vertex cap {cap}")
-                nxt = list(islice(dist, sum(sphere), None))
-            if not len(nxt):
+                    size = len(dist)
+                if size > cap:
+                    raise CapExceeded(f"ball exceeds vertex cap {cap}")
+            if size == end:
                 break
-            sphere.append(len(nxt))
-            level = nxt
+            sphere.append(size - end)
     finally:
         if paused:
             gc.enable()
@@ -197,10 +197,11 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     return BallTable(
         spec=spec,
         radius=radius if radius is not None else len(sphere) - 1,
-        elements=np.concatenate(levels) if spec.finite else dist,
+        elements=codes[:sum(sphere)] if spec.finite else dist,
         sphere_sizes=tuple(sphere),
         complete=spec.finite and sum(sphere) == spec.order,
         gens=gens,
+        position=position,
     )
 
 

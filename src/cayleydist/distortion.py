@@ -101,13 +101,11 @@ def metric_from_table(table: BallTable) -> MetricTable:
     """Word metric of a fully enumerated group as a MetricTable."""
     if not table.complete:
         raise BadParam("metric extraction needs a complete enumeration")
-    spec = table.spec
+    spec, position, lengths = table.spec, table.position, table.lengths()
     cs = code_space(spec)
-    by_code = np.empty(spec.order, dtype=np.int64)
-    by_code[table.elements] = table.lengths()
     payload = cs.payload(table.elements)
     # row i holds the word lengths of x_i^-1 x_j, the points in BFS order
-    D = [by_code[cs.act_left(inv(spec, x), table.elements, payload)]
+    D = [lengths[position[cs.act_left(inv(spec, x), table.elements, payload)]]
          for x in cs.decode_many(table.elements)]
     return MetricTable(D)
 
@@ -129,24 +127,20 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
         raise BadScale(f"scale R = {R} exceeds diameter {diam}")
 
     cs = code_space(spec)
-    norms = embed_norms_all(bundle)
-    lengths = np.empty(spec.order, dtype=np.int64)
-    lengths[table.elements] = table.lengths()
-    mask = (lengths >= 1) & (lengths <= R)
-    if (norms[mask] == 0.0).any():
-        bad = cs.decode_many(np.flatnonzero(mask & (norms == 0.0))[:1])[0]
+    ball = table.ball(math.floor(R))  # the elements with |g| <= R, in BFS order
+    codes = ball.elements[1:]
+    norms = embed_norms_all(bundle)[codes]
+    lengths = ball.lengths()[1:]
+    if (norms == 0.0).any():
+        bad = cs.decode(int(codes[norms == 0.0].min()))
         raise ZeroNorm(f"embedding collapses {to_string(spec, bad)}")
 
     def arg_lex(ratios):
-        top = ratios[mask].max()
-        cand = np.flatnonzero(mask & (ratios == top))
-        return top, min(cs.decode_many(cand))
+        top = ratios.max()
+        return top, min(cs.decode_many(codes[ratios == top]))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exp_ratio = np.where(mask, norms / lengths, -np.inf)
-        con_ratio = np.where(mask, lengths / norms, -np.inf)
-    expansion, g_exp = arg_lex(exp_ratio)
-    contraction, g_con = arg_lex(con_ratio)
+    expansion, g_exp = arg_lex(norms / lengths)
+    contraction, g_con = arg_lex(lengths / norms)
     e = identity(spec)
     return DistortionReport(R=float(R), expansion=float(expansion),
                             contraction=float(contraction),
@@ -162,10 +156,11 @@ def distortion_pairwise(points, metric, p: float = 2.0,
     if X.ndim != 2 or X.shape[0] != M.n:
         raise BadParam(f"{M.n} metric points but point array of shape {X.shape}")
     D = M.matrix
-    p = real_param(p, "exponent p")
+    if not 1 <= real_param(p, "exponent p") < math.inf:
+        raise BadParam(f"exponent p = {p} outside [1, inf)")
     if R is None:
         R = float(D.max())
-    if real_param(R, "scale R") <= 0:
+    if not real_param(R, "scale R") > 0:
         raise BadParam(f"scale R = {R} must be positive")
 
     expansion = contraction = -math.inf

@@ -50,7 +50,7 @@ class CircleMap:
     q: int
 
     def __post_init__(self):
-        if self.q < 2:
+        if int_param(self.q, "circle order q") < 2:
             raise BadParam(f"circle needs q >= 2, got {self.q}")
 
     @property

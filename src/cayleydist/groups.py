@@ -156,6 +156,7 @@ def _mat_inv_int(A: Matrix) -> Matrix:
 def matrix_order(A, n: int, cap: int = MATRIX_ORDER_CAP) -> int:
     """Least k >= 1 with A^k congruent to the identity mod n."""
     A = _as_matrix(A)
+    n = int_param(n, "modulus n")
     if n < 1:
         raise BadParam(f"modulus n = {n} must be >= 1")
     det = A[0][0] * A[1][1] - A[0][1] * A[1][0]

@@ -39,6 +39,8 @@ SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generat
 
 def lp_norm(values, p: float) -> float:
     """lp norm with max-factoring so large supports cannot overflow."""
+    if not 1 <= real_param(p, "exponent p") < math.inf:
+        raise BadParam(f"exponent p = {p} outside [1, inf)")
     vals = [abs(v) for v in values]
     m = max(vals, default=0.0)
     if m == 0.0:
@@ -240,7 +242,11 @@ class ProfileCurve:
 
 def checked_radii(radii) -> list[int]:
     """The distinct radii in increasing order; none, a non-integer or one below 1 refused."""
-    radii = sorted(set(map(int_param, radii)))
+    try:
+        items = iter(radii)
+    except TypeError:
+        raise BadParam(f"radii {radii!r} must be an iterable of integers") from None
+    radii = sorted(set(map(int_param, items)))
     if not radii:
         raise BadParam("no radii given")
     if radii[0] < 1:

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cayleydist import (
@@ -151,6 +152,24 @@ class TestCodeBfs:
         assert len(bfs_ball(spec, radius, cap=size)) == size
         with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}"):
             bfs_ball(spec, radius, cap=size - 1)
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_position_indexes_the_codes(self, spec):
+        for table in (bfs_ball(spec, None), bfs_ball(spec, 2)):
+            assert np.array_equal(table.position[table.elements], np.arange(len(table)))
+            outside = np.setdiff1d(np.arange(spec.order), table.elements)
+            assert (table.position[outside] == cayley.UNSEEN).all()
+            assert table.ball(1).position is table.position
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_slices_keep_the_order(self, spec, monkeypatch):
+        # slices of two codes split every level past the first into many
+        want = bfs_ball(spec, None)
+        monkeypatch.setattr(cayley, "CODE_SLICE", 2)
+        got = bfs_ball(spec, None)
+        assert np.array_equal(got.elements, want.elements)
+        assert np.array_equal(got.position, want.position)
+        assert got.sphere_sizes == want.sphere_sizes
 
     def test_numeric_paths_never_decode_the_whole_table(self):
         table = bfs_ball(make_spec("lamplighter-fin", m=2, n=8), None)

@@ -555,7 +555,13 @@ def test_scipy_left_unloaded(code):
 
 def _child_vmhwm_mb(line: str) -> float:
     """Peak RSS of ``cayleydist <line>`` run in a fresh interpreter, read by the
-    child itself from its VmHWM."""
+    child itself from its VmHWM, less the peak of a ``group info`` child run the
+    same way.  The difference leaves out the interpreter and the imports, whose
+    size moves by about 2 MB with whether ``src/`` holds bytecode."""
+    return _vmhwm_mb(line) - _vmhwm_mb("group info --family lamplighter-fin --m 2 --n 4")
+
+
+def _vmhwm_mb(line: str) -> float:
     src = str(Path(cayleydist.__file__).resolve().parents[1])
     code = ("import runpy, sys\n"
             f"sys.argv = 'cayleydist {line}'.split()\n"
@@ -570,17 +576,20 @@ def _child_vmhwm_mb(line: str) -> float:
 
 
 def test_whole_group_diameter_memory():
-    """The finite BFS keeps codes and decodes no level into digit arrays: lamplighter
-    n=16 (1,048,576 elements) peaks at 52-56 MB, against 69 MB with per-level digit
-    arrays and 320 MB with a dict of decoded elements.  The child reads its own
-    VmHWM, as in test_infinite_ball_memory."""
-    assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 60
+    """The finite BFS writes codes into one buffer and steps each level in slices
+    of CODE_SLICE codes, so lamplighter n=16 (1,048,576 elements) peaks 15.5-17.8 MB
+    above a ``group info`` child, against 22.6-23.6 MB when a whole level is
+    stepped at once and 21.7-26.5 MB when each level was deduplicated by
+    ``np.unique`` and the levels concatenated at the end; it peaked at 320 MB
+    with a dict of decoded elements.  The child reads
+    its own VmHWM, as in test_infinite_ball_memory."""
+    assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 21
 
 
 def test_infinite_ball_memory():
     """Time steps share the payload tuple of the element they start from, so the
     lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the
-    150 MB it peaked at with a fresh lamp tuple per element.  The child reads its
-    own VmHWM: its ru_maxrss would also hold this process's peak, carried over
-    through the exec that starts it."""
-    assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 100
+    150 MB it peaked at with a fresh lamp tuple per element; it reads 35-37 MB above
+    a ``group info`` child.  The child reads its own VmHWM: its ru_maxrss would
+    also hold this process's peak, carried over through the exec that starts it."""
+    assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 66

@@ -23,9 +23,13 @@ from cayleydist import (
     exp_radical_scan,
     generators,
     identity,
+    lp_norm,
     make_spec,
+    matrix_order,
     metric_from_table,
     optimize_profile,
+    profile_curve,
+    rayleigh,
 )
 from cayleydist import distortion
 from cayleydist.cli import main
@@ -208,17 +212,29 @@ class TestEquivariant:
         assert distortion_equivariant(zeroed).R == len(b24.table.sphere_sizes) - 1
 
     def test_broken_bundle_raises_zero_norm(self, b24):
+        # every element collapses; the error names the smallest code, t (code 1),
+        # not the first element in BFS order, the lamp (code 4)
         broken = replace(b24, coefs=tuple(0.0 for _ in b24.coefs))
-        with pytest.raises(ZeroNorm):
+        with pytest.raises(ZeroNorm, match=r"collapses lamps:0000\|pos:1$"):
             distortion_equivariant(broken)
 
     @pytest.mark.parametrize("spec", [L24, BS23], ids=["L24", "BS23"])
     def test_oracle_agreement_all_pairs(self, spec):
+        self.check_oracle_agreement(spec, None)
+
+    @pytest.mark.parametrize("R", [2.5, 3])
+    @pytest.mark.parametrize("spec", [L24, BS23], ids=["L24", "BS23"])
+    def test_oracle_agreement_at_scale(self, spec, R):
+        # below the diameter the equivariant path reads a BFS prefix of the table
+        self.check_oracle_agreement(spec, R)
+
+    @staticmethod
+    def check_oracle_agreement(spec, R):
         table = bfs_ball(spec, None)
         bundle = build_bundle(table, 2)
-        eq = distortion_equivariant(bundle)
+        eq = distortion_equivariant(bundle, R)
         pts = np.array([embed_point(bundle, x) for x in table.dist])
-        pw = distortion_pairwise(pts, metric_from_table(table), 2)
+        pw = distortion_pairwise(pts, metric_from_table(table), 2, R=R)
         assert pw.expansion == pytest.approx(eq.expansion, rel=1e-9)
         assert pw.contraction == pytest.approx(eq.contraction, rel=1e-9)
         assert pw.dist == pytest.approx(eq.dist, rel=1e-9)
@@ -446,11 +462,33 @@ NON_NUMBER_CALLS = {
     "exact_c2 tol='1'": lambda: exact_c2(_UNIT, tol="1"),
     "bfs_ball cap='9'": lambda: bfs_ball(_L23, 3, cap="9"),
     "exp_radical_scan cap='9'": lambda: exp_radical_scan(make_spec("sol-fin", n=5), 3, cap="9"),
+    "matrix_order n='5'": lambda: matrix_order(((2, 1), (1, 1)), "5"),
+    "CircleMap q='3'": lambda: CircleMap("3"),
+    "profile_curve radii=None": lambda: profile_curve(_T23, 2, None),
 }
 
 
 @pytest.mark.parametrize("call", NON_NUMBER_CALLS.values(), ids=NON_NUMBER_CALLS.keys())
 def test_non_number_scalars_refused(call):
-    # each leaked a TypeError from a comparison or a ufunc
-    with pytest.raises(BadParam, match="must be (a real number|an integer)"):
+    # each leaked a TypeError from a comparison, a ufunc or an iteration
+    with pytest.raises(BadParam, match="must be (a real number|an integer|an iterable of integers)"):
+        call()
+
+
+BAD_EXPONENT_CALLS = {
+    "distortion_pairwise p=0": lambda: distortion_pairwise(_PTS, _UNIT, p=0),
+    "distortion_pairwise p=0.5": lambda: distortion_pairwise(_PTS, _UNIT, p=0.5),
+    "distortion_pairwise p=nan": lambda: distortion_pairwise(_PTS, _UNIT, p=math.nan),
+    "distortion_pairwise p=inf": lambda: distortion_pairwise(_PTS, _UNIT, p=math.inf),
+    "distortion_pairwise R=nan": lambda: distortion_pairwise(_PTS, _UNIT, R=math.nan),
+    "lp_norm p=0": lambda: lp_norm([1.0, 2.0], 0),
+    "lp_norm p=nan": lambda: lp_norm([1.0, 2.0], math.nan),
+    "rayleigh p=nan": lambda: rayleigh(_L23, {identity(_L23): 1.0}, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", BAD_EXPONENT_CALLS.values(), ids=BAD_EXPONENT_CALLS.keys())
+def test_exponent_and_scale_outside_range_refused(call):
+    # p = 0 raised ZeroDivisionError; the others returned a report or a nan
+    with pytest.raises(BadParam, match=r"outside \[1, inf\)|must be positive"):
         call()
