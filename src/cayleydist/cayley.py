@@ -25,7 +25,6 @@ VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
 INF_SLICE = 4096  # elements of an infinite level grown between two cap checks
 CODE_SLICE = 1 << 16  # codes of a finite level stepped at once, bounding the temporaries
-UNSEEN = np.iinfo(np.int32).max  # the position of a code outside a finite table
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,10 @@ class BallTable:
 
     ``in_map`` and ``elements_at`` work on positions along ``elements``
     without decoding the ball.  A finite table reads them in ``position``, the
-    BFS's int32 array of each code's place along ``elements`` (``UNSEEN`` if
-    never reached); a prefix ``ball(r)`` shares it and reads a place past its
-    own length as absent.  An infinite table looks elements up in a dict.
+    BFS's zero-filled int32 array of each code's place along ``elements`` plus
+    one (0 if never reached), read nowhere else; a prefix ``ball(r)`` shares it
+    and reads a place past its own length as absent.  An infinite table looks
+    elements up in a dict.
     """
 
     spec: GroupSpec
@@ -82,14 +82,19 @@ class BallTable:
             return np.fromiter((index.get(mul(spec, s_inv, x), -1) for x in self.elements),
                                dtype=np.int64)
         p = self.position[code_space(spec).act_left(s_inv, self.elements)]
+        p -= 1  # in place: the gather is a fresh array
         return np.where(p < len(self), p, -1)
 
-    def elements_at(self, positions: np.ndarray) -> list[Element]:
-        """The elements at the given positions along ``elements``."""
+    def elements_at(self, positions) -> list[Element]:
+        """The elements at the given integer positions along ``elements``."""
+        at = np.asarray(positions)
+        if at.size and not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < len(self)):
+            raise BadParam(f"positions must be integers in 0..{len(self) - 1}")
+        at = at.astype(np.int64)  # an empty list reads as float64
         if self.spec.finite:
-            return code_space(self.spec).decode_many(self.elements[positions])
+            return code_space(self.spec).decode_many(self.elements[at])
         keys = list(self.elements)
-        return [keys[i] for i in positions]
+        return [keys[i] for i in at.tolist()]
 
     def word_length(self, x: Element) -> int | None:
         return self.dist.get(x)
@@ -129,10 +134,11 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     with the vertex cap checked after each.  Finite families step slices of
     ``CODE_SLICE`` codes with ``act_right``, which decodes only the digits a
     generator moves, into one code buffer of the group's order; ``position``
-    records each code's place in it.  Infinite families step slices of
-    ``INF_SLICE`` elements with each generator's ``right_step`` map and grow
-    the table through ``dict.setdefault``, so a cap hit overshoots by at most
-    4 * INF_SLICE.
+    records each code's place in it plus one, in zero-filled pages that only
+    the ball's codes touch, so a small ball costs its size.  Infinite families
+    step slices of ``INF_SLICE`` elements with each generator's ``right_step``
+    map and grow the table through ``dict.setdefault``, so a cap hit
+    overshoots by at most 4 * INF_SLICE.
     """
     gens, cap = generators(spec), int_param(cap, "cap")
     if radius is None:
@@ -149,9 +155,9 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     if spec.finite:
         cs, width = code_space(spec), CODE_SLICE
         codes = np.empty(spec.order, dtype=np.int64)
-        position = np.full(spec.order, UNSEEN, dtype=np.int32)
+        position = np.zeros(spec.order, dtype=np.int32)
         codes[0] = cs.encode(identity(spec))
-        position[codes[0]] = 0
+        position[codes[0]] = 1
     else:
         dist: dict[Element, int] = {identity(spec): 0}
         steps, width = [right_step(spec, g) for g in gens], INF_SLICE
@@ -169,13 +175,13 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
                 part = level[lo:lo + width]
                 if spec.finite:
                     cand = np.stack([cs.act_right(g, part) for g in gens], axis=1).ravel()
-                    cand = cand[position[cand] == UNSEEN]
-                    # np.minimum.at is unbuffered: each code keeps its first index in cand
-                    i = np.arange(len(cand), dtype=np.int32)
+                    cand = cand[position[cand] == 0]
+                    # np.minimum.at is unbuffered: each code keeps its first, most negative mark
+                    i = np.arange(-len(cand), 0, dtype=np.int32)
                     np.minimum.at(position, cand, i)
                     nxt = cand[position[cand] == i]
                     codes[size:size + len(nxt)] = nxt
-                    position[nxt] = np.arange(size, size + len(nxt), dtype=np.int32)
+                    position[nxt] = np.arange(size + 1, size + len(nxt) + 1, dtype=np.int32)
                     size += len(nxt)
                 else:
                     cand = chain.from_iterable(zip(*(map(st, part) for st in steps)))

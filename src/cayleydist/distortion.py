@@ -25,7 +25,7 @@ import numpy as np
 from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
-from .groups import code_space, identity, inv, real_param, to_string
+from .groups import code_space, identity, real_param, to_string
 
 C2_CAP = 16
 C2_SWEEPS = 1500  # alternating projections per feasibility test
@@ -98,16 +98,13 @@ def _as_metric(metric) -> MetricTable:
 
 
 def metric_from_table(table: BallTable) -> MetricTable:
-    """Word metric of a fully enumerated group as a MetricTable."""
+    """Word metric of a fully enumerated group as a MetricTable, the points in
+    BFS order: row i holds the lengths at ``table.in_map(x_i)``, of x_i^-1 x_j."""
     if not table.complete:
         raise BadParam("metric extraction needs a complete enumeration")
-    spec, position, lengths = table.spec, table.position, table.lengths()
-    cs = code_space(spec)
-    payload = cs.payload(table.elements)
-    # row i holds the word lengths of x_i^-1 x_j, the points in BFS order
-    D = [lengths[position[cs.act_left(inv(spec, x), table.elements, payload)]]
-         for x in cs.decode_many(table.elements)]
-    return MetricTable(D)
+    lengths = table.lengths()
+    return MetricTable([lengths[table.in_map(x)]
+                        for x in code_space(table.spec).decode_many(table.elements)])
 
 
 def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> DistortionReport:

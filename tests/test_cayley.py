@@ -156,9 +156,9 @@ class TestCodeBfs:
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
     def test_position_indexes_the_codes(self, spec):
         for table in (bfs_ball(spec, None), bfs_ball(spec, 2)):
-            assert np.array_equal(table.position[table.elements], np.arange(len(table)))
+            assert np.array_equal(table.position[table.elements], np.arange(1, len(table) + 1))
             outside = np.setdiff1d(np.arange(spec.order), table.elements)
-            assert (table.position[outside] == cayley.UNSEEN).all()
+            assert (table.position[outside] == 0).all()
             assert table.ball(1).position is table.position
 
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
@@ -300,6 +300,20 @@ class TestBallPrefix:
             table.ball_size(1.5)
         with pytest.raises(BadParam, match="no radius-3 ball"):
             bfs_ball(make_spec("lamplighter-inf", m=2), 2).ball_size(3)
+
+    @pytest.mark.parametrize("spec", [make_spec("lamplighter-fin", m=2, n=4),
+                                      make_spec("lamplighter-inf", m=2)], ids=str)
+    def test_elements_at_refuses_positions_outside_the_ball(self, spec):
+        # -1, the in-map's mark for outside, read as the last element;
+        # a position past the end leaked IndexError, 1.5 an IndexError or a TypeError
+        table = bfs_ball(spec, 3)
+        ball = table.ball(2)
+        n = len(ball)
+        assert ball.elements_at([0, n - 1]) == table.elements_at([0, n - 1])
+        assert ball.elements_at([]) == []
+        for positions in ([-1], [n], [0, n + 5], np.array([1, -2]), [1.5], ["1"], [True]):
+            with pytest.raises(BadParam, match=f"positions must be integers in 0..{n - 1}"):
+                ball.elements_at(positions)
 
 
 class TestDiameter:

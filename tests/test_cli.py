@@ -586,6 +586,22 @@ def test_whole_group_diameter_memory():
     assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 21
 
 
+@pytest.mark.parametrize("line, bound", [
+    ("cayley ball --family lamplighter-fin --m 2 --n 17 --radius 3", 7),
+    ("expradical --family sol-fin --n 377 --radius 6", 6),
+], ids=["lamplighter-n17-r3", "sol-n377-r6"])
+def test_small_finite_ball_memory(line, bound):
+    """The finite BFS indexes codes in zero-filled pages that only the ball's codes
+    touch, so a small ball of a large group does not write a group-sized index.
+    Above a ``group info`` child, 12 runs a side: the lamplighter n=17 radius-3
+    ball (22 of 2,228,224 elements) reads 4.7-4.9 MB, against 9.2-9.4 MB when the
+    index was filled with a sentinel over the whole group; the sol n=377 radius-6
+    scan (867 of 1,989,806) reads 3.0-3.1 or 5.1-5.2 MB, against 8.1-8.3 MB.  The
+    two sol readings are one or two 2 MB huge pages, which numpy asks for on
+    arrays of 4 MB or more, so the saving is less than the whole index."""
+    assert _child_vmhwm_mb(line) < bound
+
+
 def test_infinite_ball_memory():
     """Time steps share the payload tuple of the element they start from, so the
     lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the

@@ -102,6 +102,14 @@ class TestMetricTable:
         assert M.n == 8
         assert M.matrix.max() == 4  # known diameter
 
+    @pytest.mark.parametrize("spec", [make_spec("lamplighter-fin", m=2, n=2), BS23,
+                                      make_spec("sol-fin", n=2)], ids=str)
+    def test_from_group_table_entries(self, spec):
+        table = bfs_ball(spec, None)
+        points = list(table.dist)
+        want = [[table.pair_distance(x, y) for y in points] for x in points]
+        assert metric_from_table(table).matrix.tolist() == want
+
     def test_from_incomplete_table_rejected(self):
         with pytest.raises(BadParam):
             metric_from_table(bfs_ball(L24, 1))
