@@ -32,12 +32,13 @@ class BallTable:
     """Closed ball of a given radius around the identity, with exact distances.
 
     ``elements`` lists the ball in BFS discovery order, so word lengths are
-    nondecreasing along it: for a finite family it is the int64 array of
-    ``CodeSpace`` codes, for an infinite one the BFS's map from each element to
-    its word length.  ``dist`` is that map for both kinds; a finite table
-    decodes it from the codes the first time it is read.  ``complete`` marks a
-    table covering the whole group.  Equality compares spec, radius, sphere
-    sizes, completeness and gens, not the elements they determine.
+    nondecreasing along it: for a finite family it is the int32 array of
+    ``CodeSpace`` codes (``ORDER_CAP`` keeps every code below 2^31), for an
+    infinite one the BFS's map from each element to its word length.
+    ``dist`` is that map for both kinds; a finite table decodes it from the
+    codes the first time it is read.  ``complete`` marks a table covering the
+    whole group.  Equality compares spec, radius, sphere sizes, completeness
+    and gens, not the elements they determine.
 
     ``in_map`` and ``elements_at`` work on positions along ``elements``
     without decoding the ball.  A finite table reads them in ``position``, the
@@ -65,8 +66,10 @@ class BallTable:
         return dict(zip(code_space(self.spec).decode_many(self.elements), self.lengths().tolist()))
 
     def lengths(self) -> np.ndarray:
-        """Word length of each entry of ``elements``, in order."""
-        return np.repeat(np.arange(len(self.sphere_sizes)), self.sphere_sizes)
+        """Word length of each entry of ``elements``, in order, in the narrowest
+        unsigned dtype that holds the radius; arithmetic with it promotes exactly."""
+        d = len(self.sphere_sizes)
+        return np.repeat(np.arange(d, dtype=np.min_scalar_type(d)), self.sphere_sizes)
 
     @cached_property
     def _index(self) -> dict:
@@ -154,7 +157,7 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     sphere, position = [1], None
     if spec.finite:
         cs, width = code_space(spec), CODE_SLICE
-        codes = np.empty(spec.order, dtype=np.int64)
+        codes = np.empty(spec.order, dtype=np.int32)
         position = np.zeros(spec.order, dtype=np.int32)
         codes[0] = cs.encode(identity(spec))
         position[codes[0]] = 1

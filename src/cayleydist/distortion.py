@@ -136,8 +136,9 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
         top = ratios.max()
         return top, min(cs.decode_many(codes[ratios == top]))
 
-    expansion, g_exp = arg_lex(norms / lengths)
-    contraction, g_con = arg_lex(lengths / norms)
+    ratios = np.empty(len(codes))  # one buffer for both ratios: each is read before the next
+    expansion, g_exp = arg_lex(np.divide(norms, lengths, out=ratios))
+    contraction, g_con = arg_lex(np.divide(lengths, norms, out=ratios))
     e = identity(spec)
     return DistortionReport(R=float(R), expansion=float(expansion),
                             contraction=float(contraction),

@@ -247,6 +247,10 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     already run faster on the Fourier path);
     every other block, and every p != 2, takes the pair path.  Both leave
     rounding residue around 0, which is clamped.
+
+    Each gap is clamped, scaled and summed in place, and the circle term is
+    added per time index (code t + T a has time t), so the sum holds no
+    |G|-sized temporary besides the block's gap.
     """
     spec = bundle.spec
     p = bundle.p
@@ -258,13 +262,17 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
             gap = _gap_sq_fourier(spec, values)
         else:
             gap = _gap_pow_pairs(spec, values, p)
-        total += coef ** p * np.maximum(gap, 0.0)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= coef ** p
+        total += gap
+        del gap  # frees it before the next block's gap is built
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
-        total += chords[cs.split(np.arange(order))[0]] ** p
-    norms = total ** (1.0 / p)
-    norms[cs.encode(identity(spec))] = 0.0  # exact, cancels fp residue
-    return norms
+        by_time = total.reshape(-1, cs.time_order)  # a view: code t + T a has time t
+        by_time += chords ** p
+    total **= 1.0 / p
+    total[cs.encode(identity(spec))] = 0.0  # exact, cancels fp residue
+    return total
 
 
 def embed_point(bundle: EmbeddingBundle, g: Element) -> np.ndarray:

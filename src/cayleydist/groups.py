@@ -629,10 +629,12 @@ class CodeSpace:
         """The index into N of offsets + M digits mod k, M given by its sparse rows."""
         a = np.zeros(len(digits[0]), dtype=np.int64)
         for row, off, w in zip(rows, offsets, self._weights):
+            # digits may be narrow (int32 codes, the character cache): widen before products
+            d = [digits[j].astype(np.int64, copy=False) for j, _ in row]
             if not off and len(row) == 1 and row[0][1] == 1:
-                u = digits[row[0][0]]  # a copied digit is already reduced
+                u = d[0]  # a copied digit is already reduced
             else:
-                u = _mod(sum((digits[j] if c == 1 else c * digits[j] for j, c in row), off),
+                u = _mod(sum((dj if c == 1 else c * dj for dj, (_, c) in zip(d, row)), off),
                          self.radix)
             a += u if w == 1 else u * w
         return a
@@ -646,11 +648,14 @@ class CodeSpace:
         return _mod(t + s, self.time_order) + self.time_order * a
 
     def act_right(self, g: Element, codes: np.ndarray) -> np.ndarray:
-        """Codes of x * g = (a + M_t b, t + s) for every code x = (a, t) in ``codes``."""
+        """Codes of x * g = (a + M_t b, t + s) for every code x = (a, t) in ``codes``,
+        in the dtype of ``codes``: every intermediate stays below the group order."""
         (b, s), T = g, self.time_order
         t = _mod(codes, T)
         out = codes - t + _mod(t + s, T)  # a time step (b = 0) decodes no digit
-        shifts = (self._twists @ np.array(b, dtype=np.int64).reshape(-1)).T  # [i, t]: (M_t b)_i
+        # [i, t]: (M_t b)_i mod k, cast so that no step widens the codes
+        shifts = _mod(self._twists @ np.array(b, dtype=np.int64).reshape(-1), self.radix)
+        shifts = shifts.T.astype(codes.dtype)
         for shift, w in zip(shifts, self._weights):
             if shift.any():  # decode only the digits that some M_t b moves
                 u = _mod(codes // (T * w), self.radix)
@@ -663,7 +668,11 @@ class CodeSpace:
 
     @cached_property
     def _characters(self) -> list[np.ndarray]:
-        return self.payload(np.arange(0, self.order, self.time_order))[0]
+        """The digits of every character k (k indexes N as codes at time 0 do), in
+        the narrowest dtype that holds a digit; decoded one digit at a time, so
+        no more than one int64 digit array is alive at once."""
+        k, narrow = np.arange(self.order // self.time_order), np.min_scalar_type(self.radix - 1)
+        return [_mod(k // w, self.radix).astype(narrow) for w in self._weights]
 
     def dual_twist(self, s: int) -> np.ndarray:
         """phi_s^T on the characters of N, as an index array.
@@ -683,6 +692,6 @@ def code_space(spec: GroupSpec) -> CodeSpace:
 
 
 def _mod(x: np.ndarray, k: int) -> np.ndarray:
-    """x % k for an int64 array: numpy's remainder costs several floor divisions."""
+    """x % k for an integer array: numpy's remainder costs several floor divisions."""
     return x - x // k * k
 

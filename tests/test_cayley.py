@@ -2,6 +2,7 @@ import contextlib
 import gc
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cayleydist import (
     BadParam,
     CapExceeded,
+    CodeSpace,
     FamilyMismatch,
     InfiniteNeedsRadius,
     Overflow,
@@ -160,6 +162,20 @@ class TestCodeBfs:
             outside = np.setdiff1d(np.arange(spec.order), table.elements)
             assert (table.position[outside] == 0).all()
             assert table.ball(1).position is table.position
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_int32_codes_and_narrow_lengths(self, spec):
+        table = bfs_ball(spec, None)
+        assert table.elements.dtype == np.int32
+        want = tuple_bfs(spec, None)
+        assert np.array_equal(table.elements, CodeSpace(spec).encode_many(list(want)))
+        assert table.lengths().dtype == np.uint8
+        assert table.lengths().tolist() == list(want.values())
+        # 300 spheres need a wider dtype; elements are not read
+        sizes = (1,) + tuple(range(1, 300))
+        lengths = replace(table, sphere_sizes=sizes).lengths()
+        assert lengths.dtype == np.uint16
+        assert np.array_equal(lengths, np.repeat(np.arange(300), sizes))
 
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
     def test_slices_keep_the_order(self, spec, monkeypatch):

@@ -576,14 +576,29 @@ def _vmhwm_mb(line: str) -> float:
 
 
 def test_whole_group_diameter_memory():
-    """The finite BFS writes codes into one buffer and steps each level in slices
-    of CODE_SLICE codes, so lamplighter n=16 (1,048,576 elements) peaks 15.5-17.8 MB
-    above a ``group info`` child, against 22.6-23.6 MB when a whole level is
+    """The finite BFS writes int32 codes into one buffer and steps each level in
+    slices of CODE_SLICE codes, so lamplighter n=16 (1,048,576 elements) peaks
+    12.2-12.3 MB above a ``group info`` child (6 runs), against 17.2-18.3 MB with
+    int64 codes, 22.6-23.6 MB when a whole level is
     stepped at once and 21.7-26.5 MB when each level was deduplicated by
     ``np.unique`` and the levels concatenated at the end; it peaked at 320 MB
     with a dict of decoded elements.  The child reads
     its own VmHWM, as in test_infinite_ball_memory."""
     assert _child_vmhwm_mb("cayley diam --family lamplighter-fin --m 2 --n 16") < 21
+
+
+@pytest.mark.parametrize("line, bound", [
+    ("distort --family bs-fin --m 2 --n 15", 49.5),
+    ("distort --family sol-fin --n 377", 110),
+], ids=["bs-fin-n15", "sol-n377"])
+def test_finite_distort_memory(line, bound):
+    """``distort`` holds int32 codes, sums the norms in place, adds the circle
+    per time index and writes both ratios into one buffer.  Above a ``group
+    info`` child, 12 runs a side: bs-fin m=2 n=15 (491,505 elements) reads
+    46.6-47.0 MB, against 51.8-52.1 MB with int64 codes and fresh |G|-sized
+    temporaries; sol-fin n=377 (1,989,806 elements) reads 84.4-85.0 MB, against
+    134.0-134.3 MB."""
+    assert _child_vmhwm_mb(line) < bound
 
 
 @pytest.mark.parametrize("line, bound", [

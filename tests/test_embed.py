@@ -28,7 +28,8 @@ from cayleydist import (
 )
 from cayleydist import embed
 from cayleydist.cli import main
-from cayleydist.embed import _fftn, _gap_pow, _gap_sq_fourier
+from cayleydist.embed import _fftn, _gap_pow, _gap_pow_pairs, _gap_sq_fourier
+from conftest import CODE_FAMILIES
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 L28 = make_spec("lamplighter-fin", m=2, n=8)
@@ -191,6 +192,29 @@ def test_time_order_two_embeds(p):
     for code in range(SOL_T2.order):
         assert norms[code] == pytest.approx(embed_norm(bundle, cs.decode(code)), abs=1e-10)
     assert distortion_equivariant(bundle).dist <= apriori_bound(bundle).dist_bound
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+def test_in_place_norms_are_the_out_of_place_sum(spec, p):
+    """embed_norms_all sums in place and adds the circle per time index; the
+    same floats as clamping, scaling and summing into fresh arrays, with the
+    circle gathered per code (bs-fin m=3 n=4 takes the Fourier path)."""
+    bundle = build_bundle(bfs_ball(spec, None), p)
+    cs = CodeSpace(spec)
+    total = np.zeros(spec.order)
+    for _, coef, values in bundle.blocks():
+        if p == 2 and len(values) ** 2 > spec.order * cs.time_order:
+            gap = _gap_sq_fourier(spec, values)
+        else:
+            gap = _gap_pow_pairs(spec, values, p)
+        total = total + coef ** p * np.maximum(gap, 0.0)
+    if bundle.circle is not None:
+        chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
+        total = total + chords[cs.split(np.arange(spec.order))[0]] ** p
+    want = total ** (1.0 / p)
+    want[cs.encode(identity(spec))] = 0.0
+    assert np.array_equal(embed_norms_all(bundle), want)
 
 
 FOURIER_SPECS = [

@@ -738,6 +738,29 @@ class TestCodeSpace:
             expected = np.array([cs.encode(mul(spec, x, g)) for x in xs])
             assert np.array_equal(cs.act_right(g, codes), expected)
 
+    # bs-fin m=3 n=11 has radix q = 177,146: a twist times a digit passes 2^31
+    @pytest.mark.parametrize("spec", CODE_FAMILIES + [make_spec("bs-fin", m=3, n=11)], ids=str)
+    def test_int32_codes_act_as_int64(self, spec):
+        """The BFS hands act_right int32 codes: it returns the same values in
+        the input's dtype, and act_left and dual_twist widen narrow digits."""
+        cs = CodeSpace(spec)
+        rng = random.Random(23)
+        xs = [random_element(spec, rng) for _ in range(64)]
+        wide = cs.encode_many(xs)
+        narrow = wide.astype(np.int32)
+        for g in list(generators(spec)) + [random_element(spec, rng) for _ in range(20)]:
+            right = [cs.encode(mul(spec, x, g)) for x in xs]
+            for codes in (wide, narrow):
+                assert cs.act_right(g, codes).dtype == codes.dtype
+                assert np.array_equal(cs.act_right(g, codes), right)
+                assert np.array_equal(cs.act_left(g, codes),
+                                      [cs.encode(mul(spec, g, x)) for x in xs])
+        assert all(u.dtype == np.min_scalar_type(cs.radix - 1) for u in cs._characters)
+        if spec.family == "bs-fin":
+            k = np.arange(spec.q, dtype=np.int64)
+            for s in range(cs.time_order):
+                assert np.array_equal(cs.dual_twist(s), pow(spec.m, s, spec.q) * k % spec.q)
+
     @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
     def test_decode_many_inverts_encode_many(self, spec):
         cs = CodeSpace(spec)
