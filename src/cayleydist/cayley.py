@@ -36,9 +36,11 @@ class BallTable:
     ``CodeSpace`` codes (``ORDER_CAP`` keeps every code below 2^31), for an
     infinite one the BFS's map from each element to its word length.
     ``dist`` is that map for both kinds; a finite table decodes it from the
-    codes the first time it is read.  ``complete`` marks a table covering the
-    whole group.  Equality compares spec, radius, sphere sizes, completeness
-    and gens, not the elements they determine.
+    codes the first time it is read.  The fields are what ``bfs_ball`` found;
+    ``radius``, ``complete`` (the table covers the whole group) and ``gens``
+    are read off them.  Equality compares spec and sphere sizes, not the
+    elements they determine, so a finite table grown past its diameter equals
+    the whole-group table.
 
     ``in_map`` and ``elements_at`` work on positions along ``elements``
     without decoding the ball.  A finite table reads them in ``position``, the
@@ -49,15 +51,24 @@ class BallTable:
     """
 
     spec: GroupSpec
-    radius: int
     elements: np.ndarray | dict = field(compare=False, repr=False)
     sphere_sizes: tuple[int, ...]
-    complete: bool
-    gens: tuple[Element, ...]
     position: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @property
+    def radius(self) -> int:
+        return len(self.sphere_sizes) - 1
+
+    @property
+    def complete(self) -> bool:
+        return self.spec.finite and len(self) == self.spec.order
+
+    @cached_property
+    def gens(self) -> tuple[Element, ...]:
+        return generators(self.spec)
 
     @cached_property
     def dist(self) -> dict:
@@ -124,9 +135,7 @@ class BallTable:
         n = self.ball_size(r)
         elements = (self.elements[:n] if self.spec.finite
                     else dict(islice(self.elements.items(), n)))
-        return replace(self, radius=r, elements=elements,
-                       sphere_sizes=self.sphere_sizes[: r + 1],
-                       complete=self.spec.finite and n == self.spec.order)
+        return replace(self, elements=elements, sphere_sizes=self.sphere_sizes[: r + 1])
 
 
 def bfs_ball(spec: GroupSpec, radius: int | None = None,
@@ -142,6 +151,10 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     step slices of ``INF_SLICE`` elements with each generator's ``right_step``
     map and grow the table through ``dict.setdefault``, so a cap hit
     overshoots by at most 4 * INF_SLICE.
+
+    The table's radius is the one asked for, unless a finite group is whole
+    before it: then the BFS stops at the diameter, and the table equals
+    ``bfs_ball(spec, None)``.
     """
     gens, cap = generators(spec), int_param(cap, "cap")
     if radius is None:
@@ -203,15 +216,8 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
         if paused:
             gc.enable()
 
-    return BallTable(
-        spec=spec,
-        radius=radius if radius is not None else len(sphere) - 1,
-        elements=codes[:sum(sphere)] if spec.finite else dist,
-        sphere_sizes=tuple(sphere),
-        complete=spec.finite and sum(sphere) == spec.order,
-        gens=gens,
-        position=position,
-    )
+    return BallTable(spec=spec, elements=codes[:sum(sphere)] if spec.finite else dist,
+                     sphere_sizes=tuple(sphere), position=position)
 
 
 def kernel_diameter(table: BallTable) -> int:
@@ -237,11 +243,10 @@ def diameter(spec: GroupSpec) -> DiameterReport:
     if not spec.finite:
         raise BadParam(f"diameter needs a finite family, got {spec.family}")
     table = bfs_ball(spec, None)
-    diam = len(table.sphere_sizes) - 1
     diam_N = None
     if spec.family == "sol-fin":
         diam_N = kernel_diameter(table)
-    return DiameterReport(spec=spec, diameter=diam, diam_N=diam_N)
+    return DiameterReport(spec=spec, diameter=table.radius, diam_N=diam_N)
 
 
 @dataclass(frozen=True)
@@ -346,7 +351,12 @@ def _sol_norm_inf(spec: GroupSpec, v: tuple[int, int]) -> int:
 
 def exp_radical_scan(spec: GroupSpec, r_max: int,
                      cap: int = VERTEX_CAP) -> ExpRadicalReport:
-    """Per-radius extremes of log-norm over the plane subgroup, plus fit."""
+    """Per-radius extremes of log-norm over the plane subgroup, plus fit.
+
+    ``r_max`` of the report is the table's radius: the one asked for, or the
+    diameter of a finite group reached before it.  A finite table decodes only
+    its time-0 codes, the plane subgroup; an infinite one reads its dict.
+    """
     if spec.family not in ("sol-fin", "sol-inf"):
         raise FamilyMismatch(f"exponential-kernel scan needs a sol family, got {spec.family}")
     r_max = int_param(r_max, "r_max")
@@ -356,10 +366,15 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
         raise CapExceeded(f"r_max {r_max} > 20 on the infinite family")
 
     table = bfs_ball(spec, r_max, cap=cap)
-    r_max = min(r_max, len(table.sphere_sizes) - 1)
+    if spec.finite:
+        t, _ = code_space(spec).split(table.elements)
+        plane = np.flatnonzero(t == 0)
+        items = zip(table.elements_at(plane), table.lengths()[plane].tolist())
+    else:
+        items = table.dist.items()
 
     extremes: dict[int, tuple[int, int]] = {}
-    for x, d in table.dist.items():
+    for x, d in items:
         if d == 0 or x[1] != 0:
             continue
         norm = _sol_norm_inf(spec, x[0])
@@ -373,6 +388,6 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     alpha_upper = max((hi / r for r, _lo, hi in rows), default=0.0)
     alpha_lower = max((r / hi for r, _lo, hi in rows if hi > 0.0), default=None)
     alpha_hat = max(alpha_upper, alpha_lower or 0.0)
-    return ExpRadicalReport(spec=spec, r_max=r_max, rows=rows,
+    return ExpRadicalReport(spec=spec, r_max=table.radius, rows=rows,
                             alpha_upper=alpha_upper, alpha_lower=alpha_lower,
                             alpha_hat=alpha_hat)

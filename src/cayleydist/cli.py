@@ -328,7 +328,7 @@ def _run_c2(args):
 def _scan_row(family: str, m, n: int, p: float) -> dict:
     spec = make_spec(family, m=m, n=n)
     table = bfs_ball(spec, None)
-    diam = len(table.sphere_sizes) - 1
+    diam = table.radius
     bundle = build_bundle(table, p)
     bound = apriori_bound(bundle)
     report = distortion_equivariant(bundle)

@@ -115,13 +115,12 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     """
     table = bundle.table
     spec = bundle.spec
-    diam = len(table.sphere_sizes) - 1
     if R is None:
-        R = diam
+        R = table.radius
     if not real_param(R, "scale R") >= 1:
         raise BadParam(f"scale R = {R} must be >= 1")
-    if R > diam:
-        raise BadScale(f"scale R = {R} exceeds diameter {diam}")
+    if R > table.radius:
+        raise BadScale(f"scale R = {R} exceeds diameter {table.radius}")
 
     cs = code_space(spec)
     ball = table.ball(math.floor(R))  # the elements with |g| <= R, in BFS order

@@ -110,17 +110,16 @@ def bundle_scale(table: BallTable, R: int | None = None) -> tuple[int, int]:
     blocks sit at radii 2^k for k = 1..K with K = floor(log2(R/2)), so every
     block radius is at most R/2.
     """
-    diam = len(table.sphere_sizes) - 1
     if R is None:
         if table.spec.family == "sol-fin":
             R = max(2, kernel_diameter(table))
         else:
-            R = diam
+            R = table.radius
     R = int_param(R, "scale R")
     if R < 2:
         raise BadParam(f"scale R = {R} must be >= 2")
-    if R > diam:
-        raise BadScale(f"scale R = {R} exceeds diameter {diam}")
+    if R > table.radius:
+        raise BadScale(f"scale R = {R} exceeds diameter {table.radius}")
     return R, (R // 2).bit_length() - 1
 
 
@@ -323,15 +322,18 @@ def cocycle_defect(bundle: EmbeddingBundle, g: Element, h: Element) -> float:
 def apriori_bound(bundle: EmbeddingBundle) -> AprioriBound:
     """Certified distortion bound at scale R.
 
-    lip_bound sums the per-generator block gradients: the dirac block moves
-    two unit entries (contribution 2), each profile block is normalized to
-    gradient at most 1, and the circle moves by one chord.  colip_bound is
-    the dyadic lower-bound factor 8 * 2^(-1/p).  closed_form evaluates
-    2 * C_hat * (2 ln(R/2))^(1/p), the linear-profile form of the bound; it
-    degenerates to 0 at R = 2 where the integral is empty.
+    lip_bound sums the per-generator block gradients, each scaled by its
+    coefficient: the dirac block moves two unit entries (contribution 2),
+    each profile block is normalized to gradient at most 1, and the circle
+    moves by one chord.  colip_bound is the dyadic lower-bound factor
+    8 * 2^(-1/p).  closed_form evaluates 2 * C_hat * (2 ln(R/2))^(1/p), the
+    linear-profile form of the bound; it degenerates to 0 at R = 2 where the
+    integral is empty.  colip_bound and closed_form describe the full
+    construction, every block and the bundle's C_hat, so on a bundle with a
+    zeroed block dist_bound is not a bound for the zeroed embedding.
     """
     p = bundle.p
-    lip_pow = 2.0 + math.fsum(c ** p for c in bundle.coefs[1:])
+    lip_pow = 2.0 * bundle.coefs[0] ** p + math.fsum(c ** p for c in bundle.coefs[1:])
     if bundle.circle is not None:
         lip_pow += 1.0
     lip = lip_pow ** (1.0 / p)

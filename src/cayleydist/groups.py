@@ -578,7 +578,6 @@ class CodeSpace:
         if not spec.finite:
             raise FamilyMismatch(f"codes need a finite family, got {spec.family}")
         self.spec = spec
-        self.order = spec.order
         f = spec.family
         if f == "lamplighter-fin":
             T, k, weights = spec.n, spec.m, [spec.m**i for i in range(spec.n)]
@@ -671,7 +670,8 @@ class CodeSpace:
         """The digits of every character k (k indexes N as codes at time 0 do), in
         the narrowest dtype that holds a digit; decoded one digit at a time, so
         no more than one int64 digit array is alive at once."""
-        k, narrow = np.arange(self.order // self.time_order), np.min_scalar_type(self.radix - 1)
+        k = np.arange(self.spec.order // self.time_order)
+        narrow = np.min_scalar_type(self.radix - 1)
         return [_mod(k // w, self.radix).astype(narrow) for w in self._weights]
 
     def dual_twist(self, s: int) -> np.ndarray:

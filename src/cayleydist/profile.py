@@ -260,7 +260,7 @@ def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
     if not table.complete:
         raise BadParam(f"profile curves need a complete table, got radius {table.radius}")
     radii = checked_radii(radii)
-    diam = len(table.sphere_sizes) - 1
+    diam = table.radius
     if radii[-1] > diam / 2:
         raise BadScale(f"radius {radii[-1]} exceeds diameter/2 = {diam / 2}")
 

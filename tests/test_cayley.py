@@ -1,8 +1,9 @@
 import contextlib
 import gc
+import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from cayleydist import (
     project,
 )
 from cayleydist import cayley
-from cayleydist.cayley import VERTEX_CAP, kernel_diameter
+from cayleydist.cayley import VERTEX_CAP, BallTable, kernel_diameter
 from cayleydist.cli import main
 from cayleydist.groups import right_step
 from conftest import CODE_FAMILIES
@@ -332,6 +333,50 @@ class TestBallPrefix:
                 ball.elements_at(positions)
 
 
+class TestDerivedFields:
+    """A table stores what its BFS found; radius, completeness and gens are read off it."""
+
+    @staticmethod
+    def check(table, spec, r):
+        assert table.radius == r
+        assert table.complete == (spec.finite and sum(table.sphere_sizes) == spec.order)
+        assert table.gens == generators(spec)
+
+    def test_fields_are_what_the_bfs_found(self):
+        assert [f.name for f in fields(BallTable)] == [
+            "spec", "elements", "sphere_sizes", "position"]
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_finite_below_at_and_past_the_diameter(self, spec):
+        whole = bfs_ball(spec, None)
+        diam = len(whole.sphere_sizes) - 1
+        self.check(whole, spec, diam)
+        assert whole.complete
+        for r in sorted({0, diam // 2, max(diam - 1, 0), diam, diam + 1, diam + 3}):
+            table = bfs_ball(spec, r)
+            self.check(table, spec, min(r, diam))
+            self.check(whole.ball(r), spec, min(r, diam))
+            assert table.complete == (r >= diam)
+        assert bfs_ball(spec, diam + 3) == whole
+        assert whole.ball(diam + 3) == whole
+
+    @pytest.mark.parametrize("spec", [make_spec("lamplighter-inf", m=2), make_spec("bs-inf", m=3),
+                                      make_spec("sol-inf")], ids=str)
+    def test_infinite_small_radii(self, spec):
+        table = bfs_ball(spec, 5)
+        for r in range(6):
+            self.check(bfs_ball(spec, r), spec, r)
+            self.check(table.ball(r), spec, r)
+
+    def test_cayley_ball_prints_the_diameter_past_it(self, capsys):
+        # printed "radius": 100 beside the 9 spheres of a diameter-8 group
+        assert main("cayley ball --family lamplighter-fin --m 2 --n 4 --radius 100"
+                    " --format json".split()) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["radius"] == 8 == len(blob["sphere_sizes"]) - 1
+        assert blob["complete"]
+
+
 class TestDiameter:
     def test_two_lamp_cycle(self):
         # the order-8 group on two involutive generators is an 8-cycle
@@ -535,6 +580,24 @@ class TestExpRadical:
         report = exp_radical_scan(make_spec("sol-fin", n=144), 6, cap=1000)
         assert report.r_max == 6
         assert [r for r, _lo, _hi in report.rows] == list(range(1, 7))
+
+    @pytest.mark.parametrize("spec", [s for s in CODE_FAMILIES if s.family == "sol-fin"],
+                             ids=str)
+    def test_finite_scan_reads_only_the_plane(self, spec):
+        # the finite scan decodes the time-0 codes; the reference reads the whole dict
+        diam = diameter(spec).diameter
+        for r in (1, max(diam // 2, 1), diam, diam + 2):
+            table = bfs_ball(spec, r)
+            extremes = {}
+            for x, d in table.dist.items():
+                if d and x[1] == 0:
+                    norm = cayley._sol_norm_inf(spec, x[0])
+                    lo, hi = extremes.get(d, (norm, norm))
+                    extremes[d] = (min(lo, norm), max(hi, norm))
+            report = exp_radical_scan(spec, r)
+            assert report.r_max == min(r, diam)
+            assert report.rows == tuple((d, math.log(lo), math.log(hi))
+                                        for d, (lo, hi) in sorted(extremes.items()))
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatch):

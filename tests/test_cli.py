@@ -617,6 +617,16 @@ def test_small_finite_ball_memory(line, bound):
     assert _child_vmhwm_mb(line) < bound
 
 
+def test_finite_expradical_memory():
+    """A finite ``expradical`` decodes only the time-0 codes of its table, the
+    plane subgroup, not the whole group.  Above a ``group info`` child, 5 runs
+    a side: sol-fin n=144 radius 40 (the whole group of 248,832 elements) reads
+    7.6-7.8 MB, against 54.0-54.3 MB when every element was decoded into the
+    tuple dict; sol-fin n=377 radius 40 reads 61.2-61.5 MB, against 470.0 MB
+    (3 runs a side)."""
+    assert _child_vmhwm_mb("expradical --family sol-fin --n 144 --radius 40") < 20
+
+
 def test_infinite_ball_memory():
     """Time steps share the payload tuple of the element they start from, so the
     lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the

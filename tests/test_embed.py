@@ -373,6 +373,16 @@ class TestApriori:
         lips = [apriori_bound(build_bundle(table, 2, R=r)).lip_bound for r in (2, 8, 18)]
         assert lips[0] < lips[1] < lips[2]
 
+    def test_zeroed_dirac_block_leaves_lip(self, b28):
+        # lip_bound counted 2 for the dirac block even with its coefficient at 0
+        zeroed = replace(b28, coefs=(0.0,) + b28.coefs[1:])
+        full, bound = apriori_bound(b28), apriori_bound(zeroed)
+        rest = math.fsum(c ** 2 for c in b28.coefs[1:])
+        assert full.lip_bound == (2.0 + rest) ** 0.5
+        assert bound.lip_bound == pytest.approx(rest ** 0.5, rel=1e-12)
+        assert bound.lip_bound < full.lip_bound
+        assert (bound.colip_bound, bound.closed_form) == (full.colip_bound, full.closed_form)
+
     def test_circle_adds_to_lip(self, bsol3):
         bound = apriori_bound(bsol3)
         bare = replace(bsol3, circle=None)

@@ -92,6 +92,7 @@ COMMANDS = (
     "cayley ball --family bs-inf --m 1000000 --radius 40 --cap 6547",
     "girth --family lamplighter-fin --m 2 --n 4 --cap 4",
     "girth --family bs-fin --m 2 --n 12 --cap 3",
+    "expradical --family sol-fin --n 144 --radius 40",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
