@@ -354,8 +354,9 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     """Per-radius extremes of log-norm over the plane subgroup, plus fit.
 
     ``r_max`` of the report is the table's radius: the one asked for, or the
-    diameter of a finite group reached before it.  A finite table decodes only
-    its time-0 codes, the plane subgroup; an infinite one reads its dict.
+    diameter of a finite group reached before it.  A finite table reads the
+    sup norms off the digits of its time-0 codes, the plane subgroup, and
+    takes their extremes per word length in numpy; an infinite one reads its dict.
     """
     if spec.family not in ("sol-fin", "sol-inf"):
         raise FamilyMismatch(f"exponential-kernel scan needs a sol family, got {spec.family}")
@@ -366,20 +367,25 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
         raise CapExceeded(f"r_max {r_max} > 20 on the infinite family")
 
     table = bfs_ball(spec, r_max, cap=cap)
-    if spec.finite:
-        t, _ = code_space(spec).split(table.elements)
-        plane = np.flatnonzero(t == 0)
-        items = zip(table.elements_at(plane), table.lengths()[plane].tolist())
-    else:
-        items = table.dist.items()
-
     extremes: dict[int, tuple[int, int]] = {}
-    for x, d in items:
-        if d == 0 or x[1] != 0:
-            continue
-        norm = _sol_norm_inf(spec, x[0])
-        lo, hi = extremes.get(d, (norm, norm))
-        extremes[d] = (min(lo, norm), max(hi, norm))
+    if spec.finite:
+        cs, n = code_space(spec), spec.n
+        t, _ = cs.split(table.elements)
+        plane = t == 0
+        (v1, v2), _ = cs.payload(table.elements[plane])
+        norm = np.maximum(np.minimum(v1, n - v1), np.minimum(v2, n - v2))
+        d = table.lengths()[plane]
+        lo, hi = np.full(len(table.sphere_sizes), n), np.full(len(table.sphere_sizes), -1)
+        np.minimum.at(lo, d, norm)
+        np.maximum.at(hi, d, norm)
+        extremes = {r: (int(lo[r]), int(hi[r])) for r in range(1, len(hi)) if hi[r] >= 0}
+    else:
+        for x, d in table.dist.items():
+            if d == 0 or x[1] != 0:
+                continue
+            norm = _sol_norm_inf(spec, x[0])
+            lo, hi = extremes.get(d, (norm, norm))
+            extremes[d] = (min(lo, norm), max(hi, norm))
 
     rows = tuple(
         (r, math.log(lo), math.log(hi))

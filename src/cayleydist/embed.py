@@ -33,7 +33,7 @@ import numpy as np
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
 from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul, real_param
-from .profile import TestVector, profile_curve, translate_gap
+from .profile import TestVector, profile_curve, translate_gaps
 
 POINT_CAP = 1 << 24
 
@@ -145,7 +145,8 @@ def build_bundle(table: BallTable, p: float = 2.0, R: int | None = None) -> Embe
 
 def _gap_pow(spec: GroupSpec, values: dict, g: Element, p: float) -> float:
     """||f - lambda(g)f||_p^p for sparse f."""
-    return math.fsum(abs(v) ** p for v in translate_gap(spec, values, g).values())
+    gap, = translate_gaps(spec, values, [g])
+    return math.fsum(abs(v) ** p for v in gap)
 
 
 def embed_norm(bundle: EmbeddingBundle, g: Element) -> float:

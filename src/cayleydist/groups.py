@@ -23,8 +23,8 @@ The group law everywhere is (x, s)(y, t) = (x + phi_s(y), s + t) where phi_s is
 the relevant twist; residue payloads stay reduced into [0, modulus).  ``mul`` is
 the one statement of the law and the one place an element is reduced: ``inv``
 is the product (0, -s)(-x, 0), ``from_string`` and ``project`` reduce through
-products with the identity, and the fast paths ``right_step`` and ``CodeSpace``
-are tested equal to it.
+products with the identity, and the fast paths ``right_step``, ``left_step`` and
+``CodeSpace`` are tested equal to it.
 """
 
 from __future__ import annotations
@@ -380,6 +380,26 @@ def right_step(spec: GroupSpec, g: Element):
             return ((v1 + d[0], v2 + d[1]), s)
         return plane
     return lambda x: mul(spec, x, g)
+
+
+def left_step(spec: GroupSpec, g: Element):
+    """The map x -> g * x, equal to ``mul(spec, g, x)`` on the group's elements.
+
+    lamplighter-fin takes it in closed form: x's lamps rotated by g's time in
+    one slice-concatenate, then g's lit lamps added one slice each.  Every
+    other family goes through ``mul``.
+    """
+    if spec.family != "lamplighter-fin":
+        return lambda x: mul(spec, g, x)
+    (b, s), n, m = g, spec.n, spec.m
+    cut, lit = n - s % n, [(i, v) for i, v in enumerate(b) if v % m]
+    def step(x):
+        fx, t = x
+        lamps = fx[cut:] + fx[:cut]  # lamp i of g x reads lamp i - s of x
+        for i, v in lit:
+            lamps = lamps[:i] + ((lamps[i] + v) % m,) + lamps[i + 1:]
+        return (lamps, (s + t) % n)
+    return step
 
 
 def inv(spec: GroupSpec, x: Element) -> Element:

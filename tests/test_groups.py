@@ -31,7 +31,7 @@ from cayleydist import (
     to_string,
 )
 from cayleydist.cayley import INF_RADIUS_CAP
-from cayleydist.groups import right_step
+from cayleydist.groups import left_step, right_step
 from conftest import CODE_FAMILIES
 
 A_DEFAULT = ((2, 1), (1, 1))
@@ -326,6 +326,18 @@ def test_right_step_equals_mul(spec, word):
         x, err = want[k % len(gens)]
         if err:
             break  # the word's next letter overflows
+
+
+@pytest.mark.parametrize("spec", CODE_FAMILIES + [make_spec("lamplighter-inf", m=3),
+                                   make_spec("bs-inf", m=2), make_spec("sol-inf")], ids=str)
+def test_left_step_equals_mul(spec):
+    """left_step(spec, g)(x) == mul(spec, g, x) for every g in the radius-3
+    ball (generators, and lamps lit at two places), and every x of a finite
+    group, or of the radius-3 ball of an infinite one, which steps by ``mul``."""
+    xs = list(bfs_ball(spec, None if spec.finite else 3).dist)
+    for g in bfs_ball(spec, 3).dist:
+        step = left_step(spec, g)
+        assert [step(x) for x in xs] == [mul(spec, g, x) for x in xs]
 
 
 @pytest.mark.parametrize("x, message", [

@@ -7,10 +7,12 @@ import pytest
 from cayleydist import (
     BadParam,
     BadScale,
+    CodeSpace,
     DegenerateInput,
     ZeroGradient,
     ZeroNorm,
     bfs_ball,
+    build_bundle,
     dirichlet_pc,
     generators,
     identity,
@@ -25,6 +27,7 @@ from cayleydist import (
 )
 from cayleydist import profile
 from cayleydist.cli import main
+from cayleydist.embed import _gap_pow
 from cayleydist.profile import _structure, checked_radii
 from conftest import CODE_FAMILIES
 
@@ -283,3 +286,97 @@ class TestTransport:
         inf = optimize_profile(bfs_ball(L2INF, r - 1), 2)
         assert fin.certified_J == pytest.approx(inf.certified_J, abs=1e-9)
 
+
+
+def _dict_translate_gap(spec, f, g):
+    """f - lambda(g)f as a dict over the support and its translate by g, the
+    re-check's reference: one ``mul`` per support element."""
+    diff = {mul(spec, g, x): -v for x, v in f.items()}
+    for x, v in f.items():
+        diff[x] = diff.get(x, 0.0) + v
+    return diff
+
+
+def _dict_norm_and_gradients(spec, f, p):
+    norm = lp_norm(f.values(), p)
+    if norm == 0.0:
+        raise ZeroNorm("test function is identically zero")
+    grads = [lp_norm(_dict_translate_gap(spec, f, s).values(), p) for s in generators(spec)]
+    if max(grads) == 0.0:
+        raise ZeroGradient("all generator differences vanish")
+    return norm, grads
+
+
+def _dict_rayleigh(spec, f, p):
+    norm, grads = _dict_norm_and_gradients(spec, f, p)
+    return norm / max(grads), norm / lp_norm(grads, p)
+
+
+def _dict_revalidate(tv):
+    ball = bfs_ball(tv.spec, tv.radius - 1)
+    norm, grads = _dict_norm_and_gradients(tv.spec, tv.values, tv.p)
+    return {"support_ok": all(x in ball.dist for x in tv.values),
+            "gradient_max": max(grads), "max_form": norm / max(grads)}
+
+
+def _result(fn, *args):
+    """fn(*args), or the type of the re-check error it raises."""
+    try:
+        return fn(*args)
+    except (ZeroNorm, ZeroGradient) as exc:
+        return type(exc)
+
+
+def _recheck_cases():
+    """Every certificate ``build_bundle`` makes on each code family at four
+    exponents; per family a function on the whole radius-2 ball, whose
+    translates leave the ball, claimed inside the open balls of radius 3 and
+    (wrongly) 2, and a zero one; a constant on all of C_2 wr C_2."""
+    def case(spec, f, p=2.5, radius=3):
+        return profile.TestVector(spec=spec, radius=radius, p=p, values=f, certified_J=0.0,
+                                  gradient_max=0.0, converged=True)
+    for spec in CODE_FAMILIES:
+        table = bfs_ball(spec, None)
+        for p in (2, 2.5, 3, 4):
+            for tv in build_bundle(table, p).vectors:
+                yield pytest.param(tv, id=f"{spec}-p{p}-r{tv.radius}")
+        boundary = {x: (-1.0) ** i / (i + 3) for i, x in enumerate(table.ball(2).dist)}
+        yield pytest.param(case(spec, boundary), id=f"{spec}-boundary")
+        yield pytest.param(case(spec, boundary, radius=2), id=f"{spec}-past-boundary")
+        yield pytest.param(case(spec, {identity(spec): 0.0}), id=f"{spec}-zero")
+    whole = make_spec("lamplighter-fin", m=2, n=2)
+    constant = dict.fromkeys(bfs_ball(whole, None).dist, 1.0)
+    yield pytest.param(case(whole, constant, 2), id="constant-on-whole-group")
+
+
+class TestTupleRecheck:
+    @pytest.mark.parametrize("tv", list(_recheck_cases()))
+    def test_bit_equal_to_dict_gaps(self, tv):
+        """The support-index gaps give the dict gaps' numbers bit for bit, and
+        raise ZeroNorm and ZeroGradient where they do."""
+        spec, f, p = tv.spec, tv.values, tv.p
+        assert (_result(profile._norm_and_gradients, spec, f, p)
+                == _result(_dict_norm_and_gradients, spec, f, p))
+        assert _result(rayleigh, spec, f, p) == _result(_dict_rayleigh, spec, f, p)
+        assert _result(revalidate, tv) == _result(_dict_revalidate, tv)
+        for g in bfs_ball(spec, 2).dist:
+            want = math.fsum(abs(v) ** p for v in _dict_translate_gap(spec, f, g).values())
+            assert _gap_pow(spec, f, g, p) == want
+
+    def test_revalidate_reads_no_codes(self, monkeypatch):
+        """One certificate per family re-checks with every CodeSpace map refused."""
+        specs = [CODE_FAMILIES[0], CODE_FAMILIES[2], CODE_FAMILIES[4], L2INF,
+                 make_spec("bs-inf", m=3), make_spec("sol-inf")]
+        tvs = [optimize_profile(bfs_ball(spec, 2), 2) for spec in specs]
+        assert all(len(tv.values) > 1 for tv in tvs)  # no dirac fallback
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate re-check read CodeSpace")
+
+        for name in ("encode_many", "decode_many", "act_left", "act_right"):
+            monkeypatch.setattr(CodeSpace, name, refuse)
+        for tv in tvs:
+            check = revalidate(tv)
+            assert check["support_ok"]
+            assert check["max_form"] == tv.certified_J
+            assert check["gradient_max"] == tv.gradient_max
