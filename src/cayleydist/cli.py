@@ -2,8 +2,9 @@
 
 Subcommands: group info, cayley ball|diam, girth, expradical, profile, embed,
 distort, c2, scan, each taking only the flags it reads, or the same keys from a
-JSON config file (--config); explicit flags win.  Exit codes: 0 success,
-1 usage or config error, 2 numerical failure, 3 cap exceeded.
+JSON config file (--config); explicit flags win.  Exit codes: 0 success, else
+the error type's ``exit_code``: 1 usage or config error, 2 numerical failure,
+3 cap exceeded.
 
 Outputs are deterministic for a fixed config: repeated runs emit bit-identical
 bytes.  Every number printed here is reproducible by calling the library
@@ -22,21 +23,9 @@ from itertools import accumulate
 from .cayley import VERTEX_CAP, bfs_ball, diameter, exp_radical_scan, girth
 from .distortion import C2_CAP, distortion_equivariant, exact_c2, metric_from_table
 from .embed import apriori_bound, build_bundle, bundle_scale
-from .errors import (
-    BadParam,
-    CapExceeded,
-    CayleyDistError,
-    DegenerateInput,
-    NoConvergence,
-    Overflow,
-    ZeroGradient,
-    ZeroNorm,
-)
+from .errors import BadParam, CayleyDistError
 from .groups import PARENT_FAMILY, generators, make_spec, spec_to_dict, to_string
 from .profile import checked_radii, profile_curve
-
-_NUMERIC_ERRORS = (NoConvergence, ZeroNorm, ZeroGradient, DegenerateInput)
-_CAP_ERRORS = (CapExceeded, Overflow)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,10 +117,11 @@ def _spec_from_args(args):
     return make_spec(args.family, m=args.m, n=args.n, A=args.A)
 
 
-def _embed_exponent(args) -> float:
+def _exponent(args, lo: int) -> float:
+    """--p, default 2, in [lo, 8]: profiles take lo = 1, embeddings lo = 2."""
     p = 2.0 if args.p is None else args.p
-    if not 2 <= p <= 8:
-        raise BadParam(f"p = {p} outside the supported range [2, 8]")
+    if not lo <= p <= 8:
+        raise BadParam(f"p = {p} outside the supported range [{lo}, 8]")
     return p
 
 
@@ -231,9 +221,7 @@ def _run_expradical(args):
 
 def _run_profile(args):
     spec = _spec_from_args(args)
-    p = 2.0 if args.p is None else args.p
-    if not 1 <= p <= 8:
-        raise BadParam(f"p = {p} outside the supported range [1, 8]")
+    p = _exponent(args, 1)
     if args.radius is None:
         raise BadParam("--radius (comma-separated radii) is required")
     if not spec.finite:
@@ -258,7 +246,7 @@ def _table_from_args(args):
 
 
 def _run_embed(args):
-    p = _embed_exponent(args)
+    p = _exponent(args, 2)
     bundle = build_bundle(_table_from_args(args), p, R=args.radius)
     certified = [None] + [tv.certified_J for tv in bundle.vectors]
     blocks = [{
@@ -280,7 +268,7 @@ def _run_embed(args):
 
 
 def _run_distort(args):
-    p = _embed_exponent(args)
+    p = _exponent(args, 2)
     table = _table_from_args(args)
     R, K = bundle_scale(table, args.radius)
     zero = args.zero_block
@@ -376,7 +364,7 @@ def _run_scan(args):
         raise BadParam(f"scan sweeps finite families, got {args.family}")
     if not args.n:
         raise BadParam("--n (comma-separated sweep values) is required")
-    p = _embed_exponent(args)
+    p = _exponent(args, 2)
 
     rows = [_scan_row(args.family, args.m, n, p) for n in args.n]
 
@@ -438,15 +426,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except _CAP_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (CayleyDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

@@ -79,9 +79,10 @@ class MetricTable:
         off = D[~np.eye(n, dtype=bool)]
         if off.size and off.min() <= 0.0:
             raise BadParam("off-diagonal distances must be positive")
-        for k in range(n):
-            if (D > D[:, k, None] + D[None, k, :] + 1e-9).any():
-                raise BadParam(f"triangle inequality fails through point {k}")
+        with np.errstate(over="ignore"):  # a sum past the float max is inf, never exceeded
+            for k in range(n):
+                if (D > D[:, k, None] + D[None, k, :] + 1e-9).any():
+                    raise BadParam(f"triangle inequality fails through point {k}")
         D.setflags(write=False)
         self.matrix = D
 

@@ -25,6 +25,7 @@ butterflies, and give the same bits as ``np.fft.fftn``/``ifftn``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -160,15 +161,16 @@ def embed_norm(bundle: EmbeddingBundle, g: Element) -> float:
     return total ** (1.0 / p)
 
 
-def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
-    """||f - lambda(g)f||_2^2 for every g, indexed by code, before any clamp.
+def _gap_sq_fourier(spec: GroupSpec, values: dict) -> Iterator[tuple[int, np.ndarray]]:
+    """||f - lambda(g)f||_2^2 for every g, before any clamp, one time index s
+    at a time: yields (s, the gaps at codes s::T in code order).
 
     The gap is 2||f||^2 - 2<f, lambda(g)f>, and for g = (b, s) the inner
     product is sum_t sum_a f_t(a) f_{t-s}(phi_-s(a - b)): per t, a correlation
     over N.  One forward transform per row f_t, |T|^2 pointwise products and
     |T| inverse transforms give it for every g.  The rows are transformed one
     at a time into the complex table that holds them, so that table is the
-    only array of size |G| besides the output.
+    only array of size |G|.
     """
     cs = code_space(spec)
     T = cs.time_order
@@ -179,7 +181,6 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
     rows[t_of, a_of] = v
     for t in range(T):
         _fftn(rows[t].reshape(shape))
-    gap = np.empty(spec.order)
     twice_norm = 2.0 * float(v @ v)
     acc = np.empty(rows.shape[1], dtype=complex)
     for s in range(T):
@@ -188,8 +189,7 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> np.ndarray:
         for t in range(T):
             acc += rows[t] * np.conj(rows[(t - s) % T][twist])
         _fftn(acc.reshape(shape), inverse=True)
-        gap[s::T] = twice_norm - 2.0 * acc.real
-    return gap
+        yield s, twice_norm - 2.0 * acc.real
 
 
 def _fftn(a: np.ndarray, inverse: bool = False) -> None:
@@ -237,6 +237,13 @@ def _gap_pow_pairs(spec: GroupSpec, values: dict, p: float) -> np.ndarray:
     return corr
 
 
+def _add_gap(total: np.ndarray, gap: np.ndarray, scale: float) -> None:
+    """total += scale * max(gap, 0), in place; overwrites gap."""
+    np.maximum(gap, 0.0, out=gap)
+    gap *= scale
+    total += gap
+
+
 def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     """||F(g)|| for every group element, indexed by CodeSpace code.
 
@@ -248,27 +255,26 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
     every other block, and every p != 2, takes the pair path.  Both leave
     rounding residue around 0, which is clamped.
 
-    Each gap is clamped, scaled and summed in place, and the circle term is
-    added per time index (code t + T a has time t), so the sum holds no
-    |G|-sized temporary besides the block's gap.
+    Each gap is clamped, scaled and summed in place, the Fourier path's one
+    time slice at a time as it is made, and the circle term is added per time
+    index (code t + T a has time t), so the sum holds no |G|-sized temporary
+    besides a pair block's gap, which no name keeps once it is added.
     """
     spec = bundle.spec
     p = bundle.p
     cs = code_space(spec)
+    T = cs.time_order
     order = spec.order
     total = np.zeros(order)
     for _, coef, values in bundle.blocks():
-        if p == 2 and len(values) ** 2 > order * cs.time_order:
-            gap = _gap_sq_fourier(spec, values)
+        if p == 2 and len(values) ** 2 > order * T:
+            for s, gap in _gap_sq_fourier(spec, values):
+                _add_gap(total[s::T], gap, coef ** p)
         else:
-            gap = _gap_pow_pairs(spec, values, p)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= coef ** p
-        total += gap
-        del gap  # frees it before the next block's gap is built
+            _add_gap(total, _gap_pow_pairs(spec, values, p), coef ** p)
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
-        by_time = total.reshape(-1, cs.time_order)  # a view: code t + T a has time t
+        by_time = total.reshape(-1, T)  # a view: code t + T a has time t
         by_time += chords ** p
     total **= 1.0 / p
     total[cs.encode(identity(spec))] = 0.0  # exact, cancels fp residue

@@ -4,6 +4,8 @@
 class CayleyDistError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 1  # the CLI's status: 1 usage or config, 2 numerical, 3 cap
+
 
 class BadParam(CayleyDistError):
     """Parameter outside its documented range."""
@@ -16,9 +18,13 @@ class BadMatrix(BadParam):
 class CapExceeded(CayleyDistError):
     """A size or iteration cap was hit before the computation finished."""
 
+    exit_code = 3
+
 
 class Overflow(CayleyDistError):
     """Checked integer overflow in parent-group arithmetic."""
+
+    exit_code = 3
 
 
 class FamilyMismatch(CayleyDistError):
@@ -40,14 +46,22 @@ class BadScale(BadParam):
 class ZeroGradient(CayleyDistError):
     """All generator differences vanish; the Rayleigh quotient is undefined."""
 
+    exit_code = 2
+
 
 class ZeroNorm(CayleyDistError):
     """Embedding sends a non-identity element to zero; contraction is infinite."""
+
+    exit_code = 2
 
 
 class DegenerateInput(CayleyDistError):
     """Coincident embedded points at positive metric distance."""
 
+    exit_code = 2
+
 
 class NoConvergence(CayleyDistError):
     """Iterative solver failed to reach the requested tolerance."""
+
+    exit_code = 2

@@ -174,8 +174,8 @@ def matrix_order(A, n: int, cap: int = MATRIX_ORDER_CAP) -> int:
 
 
 def make_spec(family: str, m: int | None = None, n: int | None = None,
-              A=None, cap: int = ORDER_CAP) -> GroupSpec:
-    """Validate parameters and derive q, o(A, n), and the group order."""
+              A=None) -> GroupSpec:
+    """Validate parameters and derive q, o(A, n), and the group order <= ORDER_CAP."""
     if family not in FAMILIES:
         raise BadParam(f"unknown family {family!r}; expected one of {FAMILIES}")
 
@@ -207,6 +207,7 @@ def make_spec(family: str, m: int | None = None, n: int | None = None,
         raise BadParam(f"family {family} takes no twist matrix")
 
     q = oA = order = None
+    cap = ORDER_CAP
     too_big = f"group order of {family} exceeds cap {cap}"
     # (bit_length(m) - 1) * n <= log2(m^n): reject m^n > cap before building it
     if (family in ("lamplighter-fin", "bs-fin")

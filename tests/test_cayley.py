@@ -599,6 +599,21 @@ class TestExpRadical:
             assert report.rows == tuple((d, math.log(lo), math.log(hi))
                                         for d, (lo, hi) in sorted(extremes.items()))
 
+    def test_infinite_scan_keeps_python_integers(self):
+        # with this A the sup norms pass 2^63 from radius 9 on, where int64
+        # arithmetic would wrap; the reference reads them off the dict as ints
+        spec = make_spec("sol-inf", A=((10**6, 999999), (1, 1)))
+        extremes = {}
+        for ((a, b), t), d in bfs_ball(spec, 10).dist.items():
+            if d and t == 0:
+                norm = max(abs(a), abs(b))
+                lo, hi = extremes.get(d, (norm, norm))
+                extremes[d] = (min(lo, norm), max(hi, norm))
+        assert max(hi for _lo, hi in extremes.values()) > 2**63
+        report = exp_radical_scan(spec, 10)
+        assert report.rows == tuple((d, math.log(lo), math.log(hi))
+                                    for d, (lo, hi) in sorted(extremes.items()))
+
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatch):
             exp_radical_scan(make_spec("lamplighter-fin", m=2, n=4), 5)

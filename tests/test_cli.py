@@ -12,8 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cayleydist
-from cayleydist import cli, embed
+from cayleydist import cli, embed, errors
 from cayleydist.cli import main
+
+
+ERROR_TYPES = sorted((cls for cls in vars(errors).values()
+                      if isinstance(cls, type) and issubclass(cls, errors.CayleyDistError)),
+                     key=lambda cls: cls.__name__)
+# every other error type, BadScale and InfiniteNeedsRadius among them, ends in 1
+EXIT_STATUS = {"CapExceeded": 3, "Overflow": 3, "NoConvergence": 2, "ZeroNorm": 2,
+               "ZeroGradient": 2, "DegenerateInput": 2}
 
 
 def run(capsys, *argv):
@@ -238,6 +246,18 @@ class TestC2:
         assert "16" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_near_float_max_is_one_line(self, capsys, tmp_path):
+        # the triangle check's sum 1e308 + 1e308 overflows; numpy's
+        # RuntimeWarning, raised here, must not come before the refusal
+        cfg = tmp_path / "c2.json"
+        cfg.write_text(json.dumps({"metric": [[0, 1e308], [1e308, 0]]}))
+        code, out, err = run(capsys, "c2", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == "error: largest distance 1e+308 has no finite square\n"
+
+
 class TestScan:
     def test_csv_shape_and_band(self, capsys):
         code, out, _ = run(capsys, "scan", "--family", "lamplighter-fin",
@@ -327,6 +347,20 @@ class TestConfigAndErrors:
                            "--radius", "41")
         assert code == 3
         assert "cap" in err.lower() or "40" in err
+
+    @pytest.mark.parametrize("exc", [*ERROR_TYPES, OSError], ids=lambda exc: exc.__name__)
+    def test_error_type_sets_exit_status(self, capsys, monkeypatch, exc):
+        """Each library error type, and an OSError, ends in the status the CLI
+        gave it when it listed the categories itself, with one stderr line."""
+        def fail(args):
+            raise exc("boom")
+
+        _, *rest = cli._COMMANDS["group info"]
+        monkeypatch.setitem(cli._COMMANDS, "group info", (fail, *rest))
+        code, out, err = run(capsys, "group", "info", "--family", "bs-fin", "--m", "2",
+                             "--n", "4")
+        assert code == EXIT_STATUS.get(exc.__name__, 1)
+        assert (out, err) == ("", "error: boom\n")
 
 
 def test_distort_at_the_fourier_path_size(capsys):
@@ -599,6 +633,15 @@ def test_finite_distort_memory(line, bound):
     temporaries; sol-fin n=377 (1,989,806 elements) reads 84.4-85.0 MB, against
     134.0-134.3 MB."""
     assert _child_vmhwm_mb(line) < bound
+
+
+def test_fourier_distort_memory():
+    """The p = 2 Fourier path adds each time slice of a block's gap into the
+    norms as it is made, so at its peak ``distort`` holds the complex row table
+    and the sum but no group-sized gap.  Above a ``group info`` child, 6 runs a
+    side: lamplighter m=2 n=17 (2,228,224 elements) reads 128.0-128.4 MB,
+    against 136.1-136.2 MB when the whole gap was built before it was added."""
+    assert _child_vmhwm_mb("distort --family lamplighter-fin --m 2 --n 17") < 132
 
 
 @pytest.mark.parametrize("line, bound", [
