@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, combinations, islice, repeat
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BadParam, CapExceeded, FamilyMismatch, InfiniteNeedsRadius, Overflow
 from .groups import (Element, GroupSpec, code_space, generators, identity, int_param, inv, mul,
                      project, right_step)

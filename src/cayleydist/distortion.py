@@ -20,8 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .cayley import BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm

@@ -29,8 +29,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .cayley import BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
 from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul, real_param
@@ -169,32 +168,35 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> Iterator[tuple[int, np.nda
     product is sum_t sum_a f_t(a) f_{t-s}(phi_-s(a - b)): per t, a correlation
     over N.  One forward transform per row f_t, |T|^2 pointwise products and
     |T| inverse transforms give it for every g.  The rows are transformed one
-    at a time into the complex table that holds them, so that table is the
-    only array of size |G|.
+    at a time into the table that holds them, so that table is the only array
+    of size |G|.  When N is (Z/2)^n (the m = 2 lamplighter) every character is
+    +-1, so the table is real: the same floats in half the memory.
     """
     cs = code_space(spec)
     T = cs.time_order
     shape = cs.normal_shape
     t_of, a_of = cs.split(cs.encode_many(list(values)))
     v = np.fromiter(values.values(), dtype=float, count=len(values))
-    rows = np.zeros((T, spec.order // T), dtype=complex)
+    dtype = float if set(shape) == {2} else complex
+    rows = np.zeros((T, spec.order // T), dtype=dtype)
     rows[t_of, a_of] = v
     for t in range(T):
         _fftn(rows[t].reshape(shape))
     twice_norm = 2.0 * float(v @ v)
-    acc = np.empty(rows.shape[1], dtype=complex)
+    acc = np.empty(rows.shape[1], dtype=dtype)
     for s in range(T):
         twist = cs.dual_twist(s)
         acc.fill(0.0)
         for t in range(T):
-            acc += rows[t] * np.conj(rows[(t - s) % T][twist])
+            acc += rows[t] * rows[(t - s) % T][twist].conj()  # no copy when real
         _fftn(acc.reshape(shape), inverse=True)
         yield s, twice_norm - 2.0 * acc.real
 
 
 def _fftn(a: np.ndarray, inverse: bool = False) -> None:
     """Overwrite the C-contiguous complex array ``a`` with ``np.fft.fftn(a)``
-    (``ifftn`` if inverse), bit for bit.
+    (``ifftn`` if inverse), bit for bit.  A real ``a`` whose axes all have
+    length 2 stays real: its butterflies take the real parts' steps alone.
 
     numpy's fftn runs one 1-D transform per axis, last axis first, and so does
     this loop.  On an axis of length 2 pocketfft computes the butterfly

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     BadMatrix,
     BadParam,

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-import numpy as np
-
+from ._lazy import np
 from .cayley import BallTable, bfs_ball  # bfs_ball: the name perfbench's tracer rebinds here
 from .errors import (
     BadParam,

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cayleydist
-from cayleydist import cli, embed, errors
+from cayleydist import _lazy, cli, embed, errors
 from cayleydist.cli import main
 
 
@@ -567,16 +567,22 @@ def test_fuzz_exit_codes(capsys, tmp_path, invocation):
     assert err.count("\n") <= 1
 
 
+def _run_line(line: str) -> str:
+    """Child code that runs ``cayleydist <line>`` as ``python -m`` does and
+    asserts exit status 0."""
+    return (f"sys.argv = 'cayleydist {line}'.split()\n"
+            "try:\n"
+            "    runpy.run_module('cayleydist', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code")
+
+
 _SCIPY_LOADED = "print([k for k in sys.modules if k.partition('.')[0] == 'scipy'])"
 
 
 @pytest.mark.parametrize("code", [
     "import cayleydist",
-    "sys.argv = 'cayleydist group info --family lamplighter-fin --m 2 --n 4'.split()\n"
-    "try:\n"
-    "    runpy.run_module('cayleydist', run_name='__main__')\n"
-    "except SystemExit as exc:\n"
-    "    assert exc.code == 0, exc.code",
+    _run_line("group info --family lamplighter-fin --m 2 --n 4"),
 ], ids=["import", "group-info"])
 def test_scipy_left_unloaded(code):
     """Only the profile solve needs scipy, so commands that never reach it skip its import."""
@@ -587,22 +593,59 @@ def test_scipy_left_unloaded(code):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+# numpy's __init__ always imports numpy.linalg; the name numpy itself is
+# taken by the lazy module from the package's first import on
+_NUMPY_LOADED = "print('numpy.linalg' in sys.modules)"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import cayleydist", False),
+    (_run_line("group info --family lamplighter-fin --m 2 --n 4"), False),
+    (_run_line("--help"), False),
+    (_run_line("cayley ball --family lamplighter-inf --m 2 --radius 6"), False),
+    (_run_line("cayley ball --family bs-inf --m 2 --radius 6"), False),
+    (_run_line("expradical --family sol-inf --radius 6"), False),
+    (_run_line("girth --family bs-fin --m 2 --n 5 --cap 3"), False),
+    (_run_line("cayley diam --family sol-fin --n 5"), True),
+    ("import numpy\nimport cayleydist\nassert cayleydist.groups.np is numpy\n"
+     "assert type(numpy) is type(sys)", True),
+], ids=["import", "group-info", "help", "ball-lamplighter-inf", "ball-bs-inf",
+        "expradical-sol-inf", "girth-bs-fin", "diam-sol-fin", "numpy-first"])
+def test_numpy_left_unloaded(code, loaded):
+    """numpy loads on first array use, so commands that run on tuple tables
+    never import it; a finite whole-group BFS does."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", f"import runpy, sys\n{code}\n{_NUMPY_LOADED}"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_numpy_module_is_shared():
+    """Every layer and every later ``import numpy`` share one module object, and
+    once numpy is imported the helper hands that module back as it is."""
+    for layer in (cayleydist.groups, cayleydist.cayley, cayleydist.distortion,
+                  cayleydist.embed, cayleydist.profile):
+        assert layer.np is sys.modules["numpy"]
+    sys.modules["numpy"].ndarray  # loads numpy if nothing has yet
+    assert _lazy._lazy_numpy() is sys.modules["numpy"]
+    assert type(sys.modules["numpy"]) is type(sys)
+
+
 def _child_vmhwm_mb(line: str) -> float:
     """Peak RSS of ``cayleydist <line>`` run in a fresh interpreter, read by the
     child itself from its VmHWM, less the peak of a ``group info`` child run the
-    same way.  The difference leaves out the interpreter and the imports, whose
-    size moves by about 2 MB with whether ``src/`` holds bytecode."""
-    return _vmhwm_mb(line) - _vmhwm_mb("group info --family lamplighter-fin --m 2 --n 4")
+    same way after ``import numpy``.  The difference leaves out the interpreter
+    and the imports, whose size moves by about 2 MB with whether ``src/`` holds
+    bytecode; ``group info`` alone never loads numpy, so a command that does
+    carries numpy's import in its reading, and one that does not reads lower."""
+    return _vmhwm_mb(line) - _vmhwm_mb("group info --family lamplighter-fin --m 2 --n 4",
+                                       "import numpy\n")
 
 
-def _vmhwm_mb(line: str) -> float:
+def _vmhwm_mb(line: str, setup: str = "") -> float:
     src = str(Path(cayleydist.__file__).resolve().parents[1])
-    code = ("import runpy, sys\n"
-            f"sys.argv = 'cayleydist {line}'.split()\n"
-            "try:\n"
-            "    runpy.run_module('cayleydist', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
+    code = (f"import runpy, sys\n{setup}{_run_line(line)}\n"
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
@@ -637,11 +680,12 @@ def test_finite_distort_memory(line, bound):
 
 def test_fourier_distort_memory():
     """The p = 2 Fourier path adds each time slice of a block's gap into the
-    norms as it is made, so at its peak ``distort`` holds the complex row table
-    and the sum but no group-sized gap.  Above a ``group info`` child, 6 runs a
-    side: lamplighter m=2 n=17 (2,228,224 elements) reads 128.0-128.4 MB,
-    against 136.1-136.2 MB when the whole gap was built before it was added."""
-    assert _child_vmhwm_mb("distort --family lamplighter-fin --m 2 --n 17") < 132
+    norms as it is made, so at its peak ``distort`` holds the row table and the
+    sum but no group-sized gap, and the m = 2 lamplighter's rows are real.
+    Above a ``group info`` child: lamplighter m=2 n=17 (2,228,224 elements)
+    reads 101.6-101.9 MB (3 runs), against 129.5-129.9 MB with complex rows
+    and 136.1-136.2 MB when the whole gap was built before it was added."""
+    assert _child_vmhwm_mb("distort --family lamplighter-fin --m 2 --n 17") < 112
 
 
 @pytest.mark.parametrize("line, bound", [
@@ -674,7 +718,8 @@ def test_finite_expradical_memory():
 def test_infinite_ball_memory():
     """Time steps share the payload tuple of the element they start from, so the
     lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the
-    150 MB it peaked at with a fresh lamp tuple per element; it reads 35-37 MB above
-    a ``group info`` child.  The child reads its own VmHWM: its ru_maxrss would
-    also hold this process's peak, carried over through the exec that starts it."""
+    150 MB it peaked at with a fresh lamp tuple per element; it reads 23.3-23.4 MB
+    above a ``group info`` child, 36.1-36.5 MB when every command loaded numpy.
+    The child reads its own VmHWM: its ru_maxrss would also hold this process's
+    peak, carried over through the exec that starts it."""
     assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 66

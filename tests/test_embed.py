@@ -235,6 +235,49 @@ FOURIER_SPECS = [
 ]
 
 
+def _reference_gap_sq_fourier(spec, values):
+    """The Fourier path as it stood before the m = 2 lamplighter's rows went
+    real: a complex table for every family, conjugated by ``np.conj``."""
+    cs = CodeSpace(spec)
+    T = cs.time_order
+    shape = cs.normal_shape
+    t_of, a_of = cs.split(cs.encode_many(list(values)))
+    v = np.fromiter(values.values(), dtype=float, count=len(values))
+    rows = np.zeros((T, spec.order // T), dtype=complex)
+    rows[t_of, a_of] = v
+    for t in range(T):
+        _fftn(rows[t].reshape(shape))
+    twice_norm = 2.0 * float(v @ v)
+    acc = np.empty(rows.shape[1], dtype=complex)
+    for s in range(T):
+        twist = cs.dual_twist(s)
+        acc.fill(0.0)
+        for t in range(T):
+            acc += rows[t] * np.conj(rows[(t - s) % T][twist])
+        _fftn(acc.reshape(shape), inverse=True)
+        yield s, twice_norm - 2.0 * acc.real
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_real_fourier_rows_bit_identical_to_complex(n):
+    """Every character of (Z/2)^n is +-1, so the m = 2 lamplighter's real rows
+    take the same floating-point steps as the complex ones: the same bits, for
+    the profile witnesses and for random values."""
+    spec = make_spec("lamplighter-fin", m=2, n=n)
+    cs = CodeSpace(spec)
+    rng = np.random.default_rng(n)
+    codes = rng.choice(spec.order, size=40, replace=False)
+    witnesses = [values for _, _, values in build_bundle(bfs_ball(spec, None), 2).blocks()]
+    for values in witnesses + [{cs.decode(int(c)): float(x)
+                                for c, x in zip(codes, rng.standard_normal(40))}]:
+        got = list(_gap_sq_fourier(spec, values))
+        want = list(_reference_gap_sq_fourier(spec, values))
+        assert [s for s, _ in got] == [s for s, _ in want] == list(range(n))
+        for (_, part), (_, want_part) in zip(got, want):
+            assert np.array_equal(part, want_part)
+            assert np.array_equal(np.signbit(part), np.signbit(want_part))
+
+
 class TestFourierGap:
     """The p = 2 correlation path against the per-element oracle, called
     directly: desk-size blocks never reach the cost rule in embed_norms_all.
