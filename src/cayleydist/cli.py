@@ -33,21 +33,21 @@ class _Parser(argparse.ArgumentParser):
         raise BadParam(message)
 
 
-# argparse reports a ValueError from a type as "invalid <name> value"
-def _finite(text: str) -> float:
+# argparse reports a ValueError from a type as "invalid <name> value": name the value
+def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
-def _path(text: str) -> str:
+def file_path(text: str) -> str:
     if "\0" in text:  # open() would raise ValueError: embedded null byte
         raise ValueError(text)
     return text
 
 
-def _ints(text: str) -> list[int]:
+def comma_separated_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
@@ -384,7 +384,7 @@ def _run_scan(args):
 # their types; a config file's keys are the same names.  None marks a key only a
 # config file sets, to a JSON value.
 _GROUP = {"family": str, "m": int, "n": int, "A": None}
-_OUTPUT = {"format": ("json", "csv"), "out": _path}
+_OUTPUT = {"format": ("json", "csv"), "out": file_path}
 
 _COMMANDS = {
     "group info": (_run_group_info, "json", "parameters and derived constants",
@@ -398,16 +398,16 @@ _COMMANDS = {
     "expradical": (_run_expradical, "csv", "kernel norm growth (sol)",
                    {**_GROUP, "radius": int, "cap": int, **_OUTPUT}),
     "profile": (_run_profile, "csv", "certified profile lower bounds",
-                {**_GROUP, "p": _finite, "radius": _ints, **_OUTPUT}),
+                {**_GROUP, "p": finite_float, "radius": comma_separated_ints, **_OUTPUT}),
     "embed": (_run_embed, "json", "embedding manifest",
-              {**_GROUP, "p": _finite, "radius": int, **_OUTPUT}),
+              {**_GROUP, "p": finite_float, "radius": int, **_OUTPUT}),
     "distort": (_run_distort, "json", "measured distortion against the certified bound",
-                {**_GROUP, "p": _finite, "radius": int, "zero_block": int, **_OUTPUT}),
+                {**_GROUP, "p": finite_float, "radius": int, "zero_block": int, **_OUTPUT}),
     "c2": (_run_c2, "json", "heuristic Euclidean distortion bracket, tiny metrics",
-           {**_GROUP, "metric": None, "tol": _finite, **_OUTPUT}),
+           {**_GROUP, "metric": None, "tol": finite_float, **_OUTPUT}),
     "scan": (_run_scan, "csv", "n-sweep distortion table",
-             {"family": str, "m": int, "n": _ints, "p": _finite, "plot_script": _path,
-              **_OUTPUT}),
+             {"family": str, "m": int, "n": comma_separated_ints, "p": finite_float,
+              "plot_script": file_path, **_OUTPUT}),
 }
 
 

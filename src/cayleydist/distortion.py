@@ -17,6 +17,7 @@ metric moved the value by as much as 6.5e-3 relative.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ class MetricTable:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
+        if not _numeric(matrix):
+            raise BadParam("distance matrix must be numeric: every entry an int or a float")
         try:
             D = np.array(matrix, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -91,6 +94,15 @@ class MetricTable:
 
     def __len__(self) -> int:
         return self.n
+
+
+def _numeric(x) -> bool:
+    """Whether x is an int or a float, an int or float array, or a list or tuple
+    of such: ``np.array(x, dtype=float)`` reads "1" and True as 1.0."""
+    if isinstance(x, (list, tuple)):
+        return all(map(_numeric, x))
+    return (x.dtype.kind in "iuf" if isinstance(x, np.ndarray)
+            else isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def _as_metric(metric) -> MetricTable:

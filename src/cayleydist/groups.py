@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -111,8 +112,9 @@ def real_param(value, name: str):
 
 
 def _as_matrix(A) -> Matrix:
-    try:
-        rows = tuple(tuple(operator.index(v) for v in row) for row in A)
+    try:  # operator.index reads a bool as 0 or 1, so a bool goes in as None, refused
+        rows = tuple(tuple(operator.index(None if isinstance(v, bool) else v) for v in row)
+                     for row in A)
     except (TypeError, ValueError) as exc:
         raise BadMatrix(f"matrix must be a 2x2 integer array, got {A!r}") from exc
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
@@ -500,11 +502,12 @@ def to_string(spec: GroupSpec, x: Element) -> str:
 def from_string(spec: GroupSpec, text: str) -> Element:
     """Parse the canonical string form; BadParam on any other string or type.
 
-    The text is accepted only as the string of the element e x e that ``mul``
-    by the identity e on both sides reduces it to, so every range, order and
-    reduction rule is the group law's, and an element on which ``mul``
-    overflows is refused: a payload or time past the caps, or a bs-inf
-    u / m^e at time t with exponent spread |e + t| > BS_EXPONENT_CAP.
+    The text's integers in order give an element x, and the text is accepted
+    only as ``to_string`` of e x e, which ``mul`` by the identity e reduces x
+    to.  So ``to_string`` alone states the syntax, every range and reduction
+    rule is the group law's, and an element on which ``mul`` overflows is
+    refused: a payload or time past the caps, or a bs-inf u / m^e at time t
+    with exponent spread |e + t| > BS_EXPONENT_CAP.
     """
     if not isinstance(text, str):
         raise BadParam(f"element string {text!r} is not a str")
@@ -515,8 +518,8 @@ def from_string(spec: GroupSpec, text: str) -> Element:
         raise BadParam(f"malformed element string {text!r}") from exc
     except Overflow as exc:
         raise BadParam(f"element string {text!r} exceeds the arithmetic caps: {exc}") from exc
-    # refuses wrong keys and brackets, unreduced payloads, and what int() reads
-    # besides plain digits: signs, spaces, underscores, leading zeros and other scripts
+    # refuses wrong keys, separators and brackets, unreduced payloads, and any
+    # sign, leading zero or character that to_string does not write
     canonical = to_string(spec, x)
     if canonical != text:
         raise BadParam(f"element string {text!r} is not in canonical form {canonical!r}")
@@ -524,40 +527,24 @@ def from_string(spec: GroupSpec, text: str) -> Element:
 
 
 def _parse(spec: GroupSpec, text: str) -> Element:
-    """The unreduced element that ``text`` writes, read past the keys and
-    separators that the canonical-form check covers; ValueError on bad syntax."""
+    """The unreduced element whose fields are the integers of ``text`` in order;
+    ValueError unless their count fits the family's element shape."""
     f = spec.family
-    left, right = text.split("|")
-    _, lval = left.split(":", 1)
-    _, rval = right.split(":", 1)
-
-    if f == "lamplighter-fin":
-        if spec.m <= 10:
-            digits = tuple(int(c) for c in lval)
-        else:
-            digits = tuple(int(c) for c in lval.split(","))
-        if len(digits) != spec.n:  # mul reads exactly n lamps
-            raise ValueError(f"{len(digits)} lamps, expected {spec.n}")
-        return (digits, int(rval))
-    if f == "lamplighter-inf":
-        pairs = []
-        if lval:
-            for item in lval.split(","):
-                i, v = item.split("=")
-                pairs.append((int(i), int(v)))
-        return (tuple(pairs), int(rval))
-    if f == "bs-fin":
-        return (int(lval), int(rval))
-    if f == "bs-inf":
-        if "/" in lval:
-            num, den = lval.split("/")
-            _, exp = den.split("^")
-            return ((int(num), int(exp)), int(rval))
-        return ((int(lval), 0), int(rval))
-    if f in ("sol-fin", "sol-inf"):
-        v1, v2 = (int(c) for c in lval[1:-1].split(","))
-        return ((v1, v2), int(rval))
-    raise FamilyMismatch(f"unknown family {f!r}")
+    ints = re.findall(r"-?[0-9]+", text)
+    if f == "lamplighter-fin" and spec.m <= 10 and ints:
+        ints[:1] = ints[0]  # the lamps, one digit each, written together
+    *body, t = map(int, ints)
+    if f == "lamplighter-fin" and len(body) == spec.n:
+        return (tuple(body), t)
+    if f == "lamplighter-inf" and len(body) % 2 == 0:  # (position, value) pairs
+        return (tuple(zip(body[::2], body[1::2])), t)
+    if f == "bs-fin" and len(body) == 1:
+        return (body[0], t)
+    if f == "bs-inf" and len(body) in (1, 3):  # u, or u / m^e
+        return ((body[0], body[2] if len(body) == 3 else 0), t)
+    if f in ("sol-fin", "sol-inf") and len(body) == 2:
+        return (tuple(body), t)
+    raise ValueError(f"{len(ints)} integers do not fill a {f} element")
 
 
 # ---------------------------------------------------------------------------

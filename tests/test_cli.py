@@ -422,6 +422,14 @@ REGRESSIONS = [
     ("group info", [1, 2], 1, "config must be a JSON object"),
     ("profile --family lamplighter-fin --m 2 --n 4", None, 1, "--radius"),
     ("scan --n 3,4", None, 1, "--family is required"),
+    # JSON-valued keys take JSON numbers: float() and operator.index() read "1" and true
+    ("c2", {"metric": [[0, "1"], ["1", 0]]}, 1, "numeric"),
+    ("c2", {"metric": [[0, True], [True, 0]]}, 1, "numeric"),
+    ("group info", {"family": "sol-inf", "A": [[2, 1], [1, True]]}, 1, "integer"),
+    # a flag's type error names the value expected
+    ("distort --family lamplighter-fin --m 2 --n 4 --p abc", None, 1, "finite_float"),
+    ("profile --family lamplighter-fin --m 2 --n 4", {"radius": [2, 4]}, 1,
+     "comma_separated_ints"),
 ]
 
 
@@ -435,6 +443,7 @@ def test_regressions(capsys, tmp_path, line, config, code, text):
     assert time.perf_counter() - start < 10  # each is refused before the costly work
     assert (got, out) == (code, "")
     assert err.count("\n") == 1 and text in err
+    assert not re.search(r"(?<!\w)_\w", err)  # no private function's name
 
 
 # one desk-size invocation of each command

@@ -86,6 +86,21 @@ class TestMetricTable:
         with pytest.raises(BadParam):
             MetricTable([[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("matrix", [[[0, "1"], ["1", 0]], [[0, True], [True, 0]],
+                                        [[0.0, 1], [True, 0]], np.array([[0, 1], [1, 0]], bool),
+                                        [[0, np.True_], [np.True_, 0]], [[0, None], [None, 0]]],
+                             ids=["str", "bool", "float-and-bool", "bool-array", "np-bool", "None"])
+    def test_rejects_entries_that_are_not_numbers(self, matrix):
+        """np.array(..., dtype=float) reads "1" and True as 1.0: each is refused."""
+        with pytest.raises(BadParam, match="must be numeric"):
+            MetricTable(matrix)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float32, np.float64])
+    def test_numeric_arrays_accepted(self, dtype):
+        rows = np.array(path_metric(3), dtype=dtype)
+        assert MetricTable(rows).matrix.tolist() == path_metric(3)
+        assert MetricTable(list(rows)).matrix.tolist() == path_metric(3)
+
     def test_rejects_triangle_violation(self):
         with pytest.raises(BadParam):
             MetricTable([[0, 1, 3], [1, 0, 1], [3, 1, 0]])

@@ -21,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from cayleydist import cli
 from cayleydist.cli import main
+from cayleydist.groups import FAMILIES, PARENT_FAMILY, from_string, make_spec, to_string
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.json"
 FLOAT_RTOL = 1e-9
@@ -153,6 +155,28 @@ def test_cli_output(golden, line):
         assert _c2_value_matches(line, got["stdout"], want["stdout"]), got["stdout"]
     else:
         assert text_matches(got["stdout"], want["stdout"]), got["stdout"]
+
+
+def test_printed_elements_read_back(golden):
+    """from_string reads back every element string the golden outputs hold:
+    distort's witnesses on the finite families, and girth's kernel and isometry
+    witnesses on their parents, each read with the spec its command line names."""
+    families = set()
+    for line, want in golden.items():
+        command = line.split()[0]
+        if command not in ("distort", "girth") or want["exit"] or "--format csv" in line:
+            continue
+        blob = json.loads(want["stdout"])
+        spec = cli._spec_from_args(cli._parse(line.split()))
+        if command == "girth":
+            spec = make_spec(PARENT_FAMILY[spec.family], m=spec.m, A=spec.A)
+            texts = [blob["kernel_witness"], *(blob["iso_witness"] or ())]
+        else:
+            texts = blob["witness_expand"] + blob["witness_contract"]
+        for text in filter(None, texts):
+            assert to_string(spec, from_string(spec, text)) == text
+            families.add(spec.family)
+    assert families == set(FAMILIES)
 
 
 @pytest.mark.parametrize("got, want, same", [

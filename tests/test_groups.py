@@ -145,6 +145,13 @@ class TestMakeSpec:
         with pytest.raises(BadMatrix, match="^matrix must be 2x2"):
             make_spec("sol-fin", n=5, A=A)
 
+    @pytest.mark.parametrize("A", [[[2, 1], [1, True]], [[2, 1], [1, "1"]],
+                                   [[2, 1], [1, np.True_]]], ids=repr)
+    def test_matrix_entries_must_be_integers(self, A):
+        """operator.index reads True as 1: a bool entry is refused like 1.5 or "1"."""
+        with pytest.raises(BadMatrix, match="integer array"):
+            make_spec("sol-inf", A=A)
+
     def test_generators_must_generate(self):
         # (1,0) and t generate exactly when A[1][0] is a unit mod n (of Z for sol-inf)
         A = ((3, 1), (2, 1))
