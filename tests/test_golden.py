@@ -95,6 +95,9 @@ COMMANDS = (
     "girth --family lamplighter-fin --m 2 --n 4 --cap 4",
     "girth --family bs-fin --m 2 --n 12 --cap 3",
     "expradical --family sol-fin --n 144 --radius 40",
+    "expradical --family sol-inf --radius 1",
+    "expradical --family sol-inf --radius 2 --format json",
+    "expradical --family sol-inf --radius 17",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
