@@ -348,14 +348,40 @@ def _sol_norm_inf(spec: GroupSpec, v: tuple[int, int]) -> int:
     return max(min(v[0], n - v[0]), min(v[1], n - v[1]))
 
 
+def _time_cone(spec: GroupSpec, radius: int, cap: int) -> dict[Element, int]:
+    """Word length of each sol-inf element x in the time cone, |x| = d <= radius
+    and |t(x)| <= radius - d, found by a BFS confined to it.  A generator moves
+    t by at most 1, so every geodesic to a cone element stays in the cone, and
+    the BFS reaches each at its word length; the plane (t = 0) of the ball lies
+    in it.  Levels step like ``bfs_ball``'s infinite branch, in slices small
+    enough that the cap is checked at least every ``INF_SLICE`` insertions."""
+    cap = int_param(cap, "cap")
+    steps = [right_step(spec, g) for g in generators(spec)]
+    dist: dict[Element, int] = {identity(spec): 0}
+    start, width = 0, INF_SLICE // len(steps)
+    for d in range(1, radius + 1):
+        end, k = len(dist), radius - d
+        level = list(islice(dist, start, end))
+        for lo in range(0, len(level), width):
+            cand = chain.from_iterable(zip(*(map(st, level[lo:lo + width]) for st in steps)))
+            deque(map(dist.setdefault, (y for y in cand if -k <= y[1] <= k), repeat(d)),
+                  maxlen=0)
+            if len(dist) > cap:
+                raise CapExceeded(f"ball exceeds vertex cap {cap}")
+        start = end
+    return dist
+
+
 def exp_radical_scan(spec: GroupSpec, r_max: int,
                      cap: int = VERTEX_CAP) -> ExpRadicalReport:
     """Per-radius extremes of log-norm over the plane subgroup, plus fit.
 
-    ``r_max`` of the report is the table's radius: the one asked for, or the
-    diameter of a finite group reached before it.  A finite table reads the
+    ``r_max`` of the report is the radius asked for, or the diameter of a
+    finite group reached before it.  A finite scan builds the ball, reads the
     sup norms off the digits of its time-0 codes, the plane subgroup, and
-    takes their extremes per word length in numpy; an infinite one reads its dict.
+    takes their extremes per word length in numpy.  An infinite one reads the
+    dict of ``_time_cone``, so ``cap`` bounds the cone's elements there, not
+    the ball's.
     """
     if spec.family not in ("sol-fin", "sol-inf"):
         raise FamilyMismatch(f"exponential-kernel scan needs a sol family, got {spec.family}")
@@ -365,9 +391,10 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     if spec.family == "sol-inf" and r_max > 20:
         raise CapExceeded(f"r_max {r_max} > 20 on the infinite family")
 
-    table = bfs_ball(spec, r_max, cap=cap)
     extremes: dict[int, tuple[int, int]] = {}
     if spec.finite:
+        table = bfs_ball(spec, r_max, cap=cap)
+        r_max = table.radius
         cs, n = code_space(spec), spec.n
         t, _ = cs.split(table.elements)
         plane = t == 0
@@ -379,7 +406,7 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
         np.maximum.at(hi, d, norm)
         extremes = {r: (int(lo[r]), int(hi[r])) for r in range(1, len(hi)) if hi[r] >= 0}
     else:
-        for x, d in table.dist.items():
+        for x, d in _time_cone(spec, r_max, cap).items():
             if d == 0 or x[1] != 0:
                 continue
             norm = _sol_norm_inf(spec, x[0])
@@ -393,6 +420,6 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     alpha_upper = max((hi / r for r, _lo, hi in rows), default=0.0)
     alpha_lower = max((r / hi for r, _lo, hi in rows if hi > 0.0), default=None)
     alpha_hat = max(alpha_upper, alpha_lower or 0.0)
-    return ExpRadicalReport(spec=spec, r_max=table.radius, rows=rows,
+    return ExpRadicalReport(spec=spec, r_max=r_max, rows=rows,
                             alpha_upper=alpha_upper, alpha_lower=alpha_lower,
                             alpha_hat=alpha_hat)

@@ -97,9 +97,9 @@ class GroupSpec:
 
 
 def int_param(value, name: str = "radius") -> int:
-    """value through ``operator.index``: BadParam for 1.5, "2", nan or None."""
-    try:
-        return operator.index(value)
+    """value through ``operator.index``: BadParam for 1.5, "2", True, nan or None."""
+    try:  # operator.index reads a bool as 0 or 1, so a bool goes in as None, refused
+        return operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise BadParam(f"{name} {value!r} must be an integer") from None
 

@@ -547,6 +547,18 @@ def test_girth_grows_only_the_parent(monkeypatch, parent, quotient, cap):
     assert max(r for _, r in calls) <= max(cap, 2 * (report.iso_lower + 1))
 
 
+def _plane_extremes(spec, dist) -> tuple:
+    """Rows of ``exp_radical_scan`` read off a map from elements to word lengths:
+    the extremes of the plane's sup norms per length, as ints."""
+    extremes = {}
+    for x, d in dist.items():
+        if d and x[1] == 0:
+            norm = cayley._sol_norm_inf(spec, x[0])
+            lo, hi = extremes.get(d, (norm, norm))
+            extremes[d] = (min(lo, norm), max(hi, norm))
+    return tuple((d, math.log(lo), math.log(hi)) for d, (lo, hi) in sorted(extremes.items()))
+
+
 class TestExpRadical:
     def test_infinite_scan_matches_enumeration(self):
         report = exp_radical_scan(make_spec("sol-inf"), 6)
@@ -587,32 +599,38 @@ class TestExpRadical:
         # the finite scan decodes the time-0 codes; the reference reads the whole dict
         diam = diameter(spec).diameter
         for r in (1, max(diam // 2, 1), diam, diam + 2):
-            table = bfs_ball(spec, r)
-            extremes = {}
-            for x, d in table.dist.items():
-                if d and x[1] == 0:
-                    norm = cayley._sol_norm_inf(spec, x[0])
-                    lo, hi = extremes.get(d, (norm, norm))
-                    extremes[d] = (min(lo, norm), max(hi, norm))
             report = exp_radical_scan(spec, r)
             assert report.r_max == min(r, diam)
-            assert report.rows == tuple((d, math.log(lo), math.log(hi))
-                                        for d, (lo, hi) in sorted(extremes.items()))
+            assert report.rows == _plane_extremes(spec, bfs_ball(spec, r).dist)
 
     def test_infinite_scan_keeps_python_integers(self):
         # with this A the sup norms pass 2^63 from radius 9 on, where int64
         # arithmetic would wrap; the reference reads them off the dict as ints
         spec = make_spec("sol-inf", A=((10**6, 999999), (1, 1)))
-        extremes = {}
-        for ((a, b), t), d in bfs_ball(spec, 10).dist.items():
-            if d and t == 0:
-                norm = max(abs(a), abs(b))
-                lo, hi = extremes.get(d, (norm, norm))
-                extremes[d] = (min(lo, norm), max(hi, norm))
-        assert max(hi for _lo, hi in extremes.values()) > 2**63
-        report = exp_radical_scan(spec, 10)
-        assert report.rows == tuple((d, math.log(lo), math.log(hi))
-                                    for d, (lo, hi) in sorted(extremes.items()))
+        dist = bfs_ball(spec, 10).dist
+        assert max(cayley._sol_norm_inf(spec, v) for v, t in dist if t == 0) > 2**63
+        assert exp_radical_scan(spec, 10).rows == _plane_extremes(spec, dist)
+
+    @pytest.mark.parametrize("A", [None, ((1, 1), (1, 2)), ((3, 2), (1, 1))], ids=str)
+    def test_cone_scan_matches_the_ball(self, A):
+        # the scan reads a BFS confined to the time cone |t| <= r - d; the
+        # reference reads the whole ball, whose cone elements it must hold at
+        # the same lengths, the plane's among them
+        spec = make_spec("sol-inf", A=A)
+        for r in range(1, 13):
+            dist = bfs_ball(spec, r).dist
+            cone = cayley._time_cone(spec, r, VERTEX_CAP)
+            assert cone == {x: d for x, d in dist.items() if abs(x[1]) <= r - d}
+            assert all(cone[x] == d for x, d in dist.items() if x[1] == 0)
+            report = exp_radical_scan(spec, r)
+            assert report.r_max == r
+            assert report.rows == _plane_extremes(spec, dist)
+
+    def test_cap_bounds_the_cone(self):
+        # the radius-6 ball has 867 elements and its time cone 241
+        assert exp_radical_scan(make_spec("sol-inf"), 6, cap=300).r_max == 6
+        with pytest.raises(CapExceeded, match="^ball exceeds vertex cap 200$"):
+            exp_radical_scan(make_spec("sol-inf"), 6, cap=200)
 
     def test_rejects_other_families(self):
         with pytest.raises(FamilyMismatch):

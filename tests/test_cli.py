@@ -108,6 +108,13 @@ class TestExpRadical:
         lines = out.strip().split("\n")
         assert lines[0] == "r,min_log_norm,max_log_norm"
 
+    def test_sol_inf_radius_18_runs(self, capsys):
+        # the cap bounds the time cone, 179,251 elements here; the whole ball
+        # exceeded the default cap of 2^22 after 6 s and 697 MB
+        code, out, _ = run(capsys, "expradical", "--family", "sol-inf", "--radius", "18")
+        assert code == 0
+        assert out.strip().split("\n")[-1].startswith("18,")
+
     def test_wrong_family(self, capsys):
         code, _, err = run(capsys, "expradical", "--family", "bs-inf", "--m", "2",
                            "--radius", "6")
@@ -732,3 +739,12 @@ def test_infinite_ball_memory():
     The child reads its own VmHWM: its ru_maxrss would also hold this process's
     peak, carried over through the exec that starts it."""
     assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 66
+
+
+def test_infinite_expradical_memory():
+    """sol-inf ``expradical`` reads its plane off a BFS confined to the time
+    cone |t| <= r - d, which holds 39,609 of the 563,089 elements of the
+    radius-15 ball, and loads no numpy.  Against a ``group info`` child that
+    imported numpy it reads -8.3 to -8.0 MB (6 runs), against 74.9-75.0 MB
+    (3 runs) when the whole ball was built."""
+    assert _child_vmhwm_mb("expradical --family sol-inf --radius 15") < 15

@@ -34,6 +34,7 @@ from cayleydist import (
 from cayleydist import distortion
 from cayleydist.cli import main
 from cayleydist.distortion import C2_RESID_TOL, C2_SWEEPS
+from cayleydist.profile import checked_radii
 
 L24 = make_spec("lamplighter-fin", m=2, n=4)
 BS23 = make_spec("bs-fin", m=2, n=3)
@@ -475,6 +476,7 @@ _L23 = make_spec("lamplighter-fin", m=2, n=3)
 _T23 = bfs_ball(_L23, None)
 _PTS = np.array([[0.0, 0.0], [1.0, 0.0]])
 _UNIT = [[0, 1], [1, 0]]
+_SOL = make_spec("sol-inf")
 NON_NUMBER_CALLS = {
     "optimize_profile p='2'": lambda: optimize_profile(_T23.ball(1), "2"),
     "optimize_profile p=None": lambda: optimize_profile(_T23.ball(1), None),
@@ -485,6 +487,12 @@ NON_NUMBER_CALLS = {
     "exact_c2 tol='1'": lambda: exact_c2(_UNIT, tol="1"),
     "bfs_ball cap='9'": lambda: bfs_ball(_L23, 3, cap="9"),
     "exp_radical_scan cap='9'": lambda: exp_radical_scan(make_spec("sol-fin", n=5), 3, cap="9"),
+    "bfs_ball radius=True": lambda: bfs_ball(_L23, True),
+    "checked_radii [True, 2]": lambda: checked_radii([True, 2]),
+    "exp_radical_scan sol-inf r_max=True": lambda: exp_radical_scan(_SOL, True),
+    "exp_radical_scan sol-inf cap='9'": lambda: exp_radical_scan(_SOL, 3, cap="9"),
+    "exp_radical_scan sol-inf cap=True": lambda: exp_radical_scan(_SOL, 3, cap=True),
+    "exp_radical_scan sol-inf cap=1.5": lambda: exp_radical_scan(_SOL, 3, cap=1.5),
     "matrix_order n='5'": lambda: matrix_order(((2, 1), (1, 1)), "5"),
     "CircleMap q='3'": lambda: CircleMap("3"),
     "profile_curve radii=None": lambda: profile_curve(_T23, 2, None),
@@ -493,7 +501,8 @@ NON_NUMBER_CALLS = {
 
 @pytest.mark.parametrize("call", NON_NUMBER_CALLS.values(), ids=NON_NUMBER_CALLS.keys())
 def test_non_number_scalars_refused(call):
-    # each leaked a TypeError from a comparison, a ufunc or an iteration
+    # each leaked a TypeError from a comparison, a ufunc or an iteration, or
+    # (the bools) ran as 0 or 1
     with pytest.raises(BadParam, match="must be (a real number|an integer|an iterable of integers)"):
         call()
 
