@@ -98,6 +98,9 @@ COMMANDS = (
     "expradical --family sol-inf --radius 1",
     "expradical --family sol-inf --radius 2 --format json",
     "expradical --family sol-inf --radius 17",
+    "expradical --family sol-inf --radius 6 --cap 241",
+    "expradical --family sol-inf --radius 6 --cap 240",
+    "cayley ball --family bs-inf --m 2 --radius 0 --cap 1",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
