@@ -142,14 +142,12 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     """Enumerate the closed ball of the given radius (whole group if None),
     level by level, in FIFO discovery order: x * g for x in level order and g
     in generator order, first occurrence kept, one slice of a level at a time
-    with the vertex cap checked after each.  Finite families step slices of
+    with the vertex cap checked after each, and once the identity is in.
+    Infinite families run ``_tuple_bfs``.  Finite families step slices of
     ``CODE_SLICE`` codes with ``act_right``, which decodes only the digits a
     generator moves, into one code buffer of the group's order; ``position``
     records each code's place in it plus one, in zero-filled pages that only
-    the ball's codes touch, so a small ball costs its size.  Infinite families
-    step slices of ``INF_SLICE`` elements with each generator's ``right_step``
-    map and grow the table through ``dict.setdefault``, so a cap hit
-    overshoots by at most 4 * INF_SLICE.
+    the ball's codes touch, so a small ball costs its size.
 
     The table's radius is the one asked for, unless a finite group is whole
     before it: then the BFS stops at the diameter, and the table equals
@@ -165,58 +163,78 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             raise BadParam(f"radius {radius} must be >= 0")
         if not spec.finite and radius > INF_RADIUS_CAP:
             raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
+    if cap < 1:  # the identity alone passes it
+        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+    if not spec.finite:
+        return BallTable(spec, *_tuple_bfs(spec, radius, cap))
 
-    sphere, position = [1], None
-    if spec.finite:
-        cs, width = code_space(spec), CODE_SLICE
-        codes = np.empty(spec.order, dtype=np.int32)
-        position = np.zeros(spec.order, dtype=np.int32)
-        codes[0] = cs.encode(identity(spec))
-        position[codes[0]] = 1
-    else:
-        dist: dict[Element, int] = {identity(spec): 0}
-        steps, width = [right_step(spec, g) for g in gens], INF_SLICE
-    # The infinite table holds only tuples of ints, which the cyclic collector
-    # keeps re-scanning but can never free: pause it for the level loop.
-    paused = not spec.finite and gc.isenabled()
-    if paused:
-        gc.disable()
+    cs, sphere = code_space(spec), [1]
+    codes = np.empty(spec.order, dtype=np.int32)
+    position = np.zeros(spec.order, dtype=np.int32)
+    codes[0] = cs.encode(identity(spec))
+    position[codes[0]] = 1
+    while len(sphere) - 1 != radius:
+        size = end = sum(sphere)
+        for lo in range(end - sphere[-1], end, CODE_SLICE):
+            part = codes[lo:min(lo + CODE_SLICE, end)]
+            cand = np.stack([cs.act_right(g, part) for g in gens], axis=1).ravel()
+            cand = cand[position[cand] == 0]
+            # np.minimum.at is unbuffered: each code keeps its first, most negative mark
+            i = np.arange(-len(cand), 0, dtype=np.int32)
+            np.minimum.at(position, cand, i)
+            nxt = cand[position[cand] == i]
+            codes[size:size + len(nxt)] = nxt
+            position[nxt] = np.arange(size + 1, size + len(nxt) + 1, dtype=np.int32)
+            size += len(nxt)
+            if size > cap:
+                raise CapExceeded(f"ball exceeds vertex cap {cap}")
+        if size == end:
+            break
+        sphere.append(size - end)
+    return BallTable(spec, codes[:sum(sphere)], tuple(sphere), position)
+
+
+def _tuple_bfs(spec: GroupSpec, radius: int, cap: int,
+               cone: bool = False) -> tuple[dict[Element, int], tuple[int, ...]]:
+    """The BFS of an infinite family: the map from each element of the radius
+    ball to its word length, in discovery order, and the sphere sizes.  Levels
+    step in slices of ``INF_SLICE // len(gens)`` elements through each
+    generator's ``right_step`` map into ``dict.setdefault``, so the cap is
+    checked after at most ``INF_SLICE`` insertions; an ``Overflow`` met once
+    the map is past the cap reads as the cap, which the map hit first.
+
+    ``cone`` (sol-inf) keeps only the time cone |t(x)| <= radius - |x|: a
+    generator moves t by at most 1, so every geodesic to a cone element stays
+    in it and the BFS reaches each at its word length; the ball's plane
+    (t = 0) lies in it.
+    """
+    steps = [right_step(spec, g) for g in generators(spec)]
+    dist: dict[Element, int] = {identity(spec): 0}
+    sphere, width = [1], INF_SLICE // len(steps)
+    # The map holds only tuples of ints, which the cyclic collector keeps
+    # re-scanning but can never free: pause it while the levels grow.
+    paused = gc.isenabled()
+    gc.disable()
     try:
-        while len(sphere) - 1 != radius:
-            d, start, end = len(sphere), sum(sphere[:-1]), sum(sphere)
-            size = end
-            level = codes[start:end] if spec.finite else list(islice(dist, start, end))
+        for d in range(1, radius + 1):
+            end, k = len(dist), radius - d
+            level = list(islice(dist, end - sphere[-1], end))
             for lo in range(0, len(level), width):
-                part = level[lo:lo + width]
-                if spec.finite:
-                    cand = np.stack([cs.act_right(g, part) for g in gens], axis=1).ravel()
-                    cand = cand[position[cand] == 0]
-                    # np.minimum.at is unbuffered: each code keeps its first, most negative mark
-                    i = np.arange(-len(cand), 0, dtype=np.int32)
-                    np.minimum.at(position, cand, i)
-                    nxt = cand[position[cand] == i]
-                    codes[size:size + len(nxt)] = nxt
-                    position[nxt] = np.arange(size + 1, size + len(nxt) + 1, dtype=np.int32)
-                    size += len(nxt)
-                else:
-                    cand = chain.from_iterable(zip(*(map(st, part) for st in steps)))
-                    try:
-                        deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
-                    except Overflow:
-                        if len(dist) <= cap:  # a table past the cap hit it before the Overflow
-                            raise
-                    size = len(dist)
-                if size > cap:
+                cand = chain.from_iterable(zip(*(map(st, level[lo:lo + width]) for st in steps)))
+                if cone:
+                    cand = (y for y in cand if -k <= y[1] <= k)
+                try:
+                    deque(map(dist.setdefault, cand, repeat(d)), maxlen=0)
+                except Overflow:
+                    if len(dist) <= cap:
+                        raise
+                if len(dist) > cap:
                     raise CapExceeded(f"ball exceeds vertex cap {cap}")
-            if size == end:
-                break
-            sphere.append(size - end)
+            sphere.append(len(dist) - end)
     finally:
         if paused:
             gc.enable()
-
-    return BallTable(spec=spec, elements=codes[:sum(sphere)] if spec.finite else dist,
-                     sphere_sizes=tuple(sphere), position=position)
+    return dist, tuple(sphere)
 
 
 def kernel_diameter(table: BallTable) -> int:
@@ -348,30 +366,6 @@ def _sol_norm_inf(spec: GroupSpec, v: tuple[int, int]) -> int:
     return max(min(v[0], n - v[0]), min(v[1], n - v[1]))
 
 
-def _time_cone(spec: GroupSpec, radius: int, cap: int) -> dict[Element, int]:
-    """Word length of each sol-inf element x in the time cone, |x| = d <= radius
-    and |t(x)| <= radius - d, found by a BFS confined to it.  A generator moves
-    t by at most 1, so every geodesic to a cone element stays in the cone, and
-    the BFS reaches each at its word length; the plane (t = 0) of the ball lies
-    in it.  Levels step like ``bfs_ball``'s infinite branch, in slices small
-    enough that the cap is checked at least every ``INF_SLICE`` insertions."""
-    cap = int_param(cap, "cap")
-    steps = [right_step(spec, g) for g in generators(spec)]
-    dist: dict[Element, int] = {identity(spec): 0}
-    start, width = 0, INF_SLICE // len(steps)
-    for d in range(1, radius + 1):
-        end, k = len(dist), radius - d
-        level = list(islice(dist, start, end))
-        for lo in range(0, len(level), width):
-            cand = chain.from_iterable(zip(*(map(st, level[lo:lo + width]) for st in steps)))
-            deque(map(dist.setdefault, (y for y in cand if -k <= y[1] <= k), repeat(d)),
-                  maxlen=0)
-            if len(dist) > cap:
-                raise CapExceeded(f"ball exceeds vertex cap {cap}")
-        start = end
-    return dist
-
-
 def exp_radical_scan(spec: GroupSpec, r_max: int,
                      cap: int = VERTEX_CAP) -> ExpRadicalReport:
     """Per-radius extremes of log-norm over the plane subgroup, plus fit.
@@ -380,8 +374,8 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
     finite group reached before it.  A finite scan builds the ball, reads the
     sup norms off the digits of its time-0 codes, the plane subgroup, and
     takes their extremes per word length in numpy.  An infinite one reads the
-    dict of ``_time_cone``, so ``cap`` bounds the cone's elements there, not
-    the ball's.
+    map of ``_tuple_bfs`` confined to the time cone, so ``cap`` bounds the
+    cone's elements there, not the ball's.
     """
     if spec.family not in ("sol-fin", "sol-inf"):
         raise FamilyMismatch(f"exponential-kernel scan needs a sol family, got {spec.family}")
@@ -406,7 +400,7 @@ def exp_radical_scan(spec: GroupSpec, r_max: int,
         np.maximum.at(hi, d, norm)
         extremes = {r: (int(lo[r]), int(hi[r])) for r in range(1, len(hi)) if hi[r] >= 0}
     else:
-        for x, d in _time_cone(spec, r_max, cap).items():
+        for x, d in _tuple_bfs(spec, r_max, int_param(cap, "cap"), cone=True)[0].items():
             if d == 0 or x[1] != 0:
                 continue
             norm = _sol_norm_inf(spec, x[0])

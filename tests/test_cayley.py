@@ -127,6 +127,13 @@ class TestBfsBall:
         with pytest.raises(CapExceeded):
             bfs_ball(make_spec("lamplighter-fin", m=2, n=8), None, cap=100)
 
+    @pytest.mark.parametrize("spec", SIX_FAMILIES, ids=str)
+    def test_vertex_cap_holds_at_radius_zero(self, spec):
+        # cap 0 returned the one-element ball
+        assert len(bfs_ball(spec, 0, cap=1)) == 1
+        with pytest.raises(CapExceeded, match="^ball exceeds vertex cap 0$"):
+            bfs_ball(spec, 0, cap=0)
+
     def test_negative_radius(self):
         with pytest.raises(BadParam):
             bfs_ball(make_spec("bs-fin", m=2, n=3), -1)
@@ -247,28 +254,53 @@ class TestInfiniteBfs:
         with pytest.raises(CapExceeded, match=f"ball exceeds vertex cap {size - 1}$"):
             _reference_bfs(spec, radius, size - 1)
 
+    @pytest.mark.parametrize("spec, radius, cone", [(s, r, False) for s, r in CASES]
+                             + [(make_spec("sol-inf"), 10, True)], ids=str)
+    def test_slices_keep_the_order(self, spec, radius, cone, monkeypatch):
+        # slices of 8 // len(gens) elements split every level past the first into many
+        def grow(cap=VERTEX_CAP):
+            if cone:
+                return cayley._tuple_bfs(spec, radius, cap, cone=True)
+            table = bfs_ball(spec, radius, cap=cap)
+            return table.elements, table.sphere_sizes
+
+        want, want_sphere = grow()
+        monkeypatch.setattr(cayley, "INF_SLICE", 8)
+        got, got_sphere = grow()
+        assert list(got.items()) == list(want.items())
+        assert got_sphere == want_sphere
+        size = len(want)
+        assert len(grow(size)[0]) == size
+        with pytest.raises(CapExceeded, match=f"^ball exceeds vertex cap {size - 1}$"):
+            grow(size - 1)
+
 
 class TestBfsCollectorState:
     """The infinite BFS pauses the cyclic collector only while its levels grow."""
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-    @pytest.mark.parametrize("spec, radius, cap, error", [
-        (make_spec("bs-inf", m=2), 8, VERTEX_CAP, None),
-        (make_spec("bs-fin", m=2, n=5), None, VERTEX_CAP, None),
-        (make_spec("bs-inf", m=2), 18, 1000, CapExceeded),
-        (make_spec("bs-inf", m=10**21), 3, VERTEX_CAP, Overflow),
-    ], ids=["returned", "finite", "cap-exceeded", "overflow"])
-    def test_left_as_found(self, spec, radius, cap, error, enabled):
+    @pytest.mark.parametrize("grow, spec, radius, cap, error", [
+        (bfs_ball, make_spec("bs-inf", m=2), 8, VERTEX_CAP, None),
+        (bfs_ball, make_spec("bs-fin", m=2, n=5), None, VERTEX_CAP, None),
+        (bfs_ball, make_spec("bs-inf", m=2), 18, 1000, CapExceeded),
+        (bfs_ball, make_spec("bs-inf", m=10**21), 3, VERTEX_CAP, Overflow),
+        (exp_radical_scan, make_spec("sol-inf"), 8, VERTEX_CAP, None),
+        (exp_radical_scan, make_spec("sol-inf"), 8, 100, CapExceeded),
+    ], ids=["returned", "finite", "cap-exceeded", "overflow", "cone", "cone-cap-exceeded"])
+    def test_left_as_found(self, grow, spec, radius, cap, error, enabled):
         was = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             with pytest.raises(error) if error else contextlib.nullcontext():
-                bfs_ball(spec, radius, cap=cap)
+                grow(spec, radius, cap=cap)
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
 
-    def test_paused_while_levels_grow(self, monkeypatch):
+    @pytest.mark.parametrize("grow, spec", [(bfs_ball, make_spec("lamplighter-inf", m=2)),
+                                            (exp_radical_scan, make_spec("sol-inf"))],
+                             ids=["ball", "cone"])
+    def test_paused_while_levels_grow(self, grow, spec, monkeypatch):
         states = []
 
         def spy(spec, g):
@@ -277,7 +309,7 @@ class TestBfsCollectorState:
 
         monkeypatch.setattr(cayley, "right_step", spy)
         assert gc.isenabled()
-        bfs_ball(make_spec("lamplighter-inf", m=2), 6)
+        grow(spec, 6)
         assert states and not any(states)
         assert gc.isenabled()
 
@@ -619,8 +651,11 @@ class TestExpRadical:
         spec = make_spec("sol-inf", A=A)
         for r in range(1, 13):
             dist = bfs_ball(spec, r).dist
-            cone = cayley._time_cone(spec, r, VERTEX_CAP)
+            cone = cayley._tuple_bfs(spec, r, VERTEX_CAP, cone=True)[0]
             assert cone == {x: d for x, d in dist.items() if abs(x[1]) <= r - d}
+            assert exp_radical_scan(spec, r, cap=len(cone)).r_max == r
+            with pytest.raises(CapExceeded, match=f"^ball exceeds vertex cap {len(cone) - 1}$"):
+                exp_radical_scan(spec, r, cap=len(cone) - 1)
             assert all(cone[x] == d for x, d in dist.items() if x[1] == 0)
             report = exp_radical_scan(spec, r)
             assert report.r_max == r

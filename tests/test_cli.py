@@ -409,6 +409,9 @@ REGRESSIONS = [
     ("group info", {"family": "sol-fin", "n": 5, "A": [[2, 1], [1, 1.5]]}, 1, "integer"),
     ("c2 --family bs-fin --m 2 --n 2 --tol nan", None, 1, "finite"),
     ("cayley ball --family lamplighter-fin --m 2 --n 4 --cap 0", None, 3, "cap 0"),
+    # at radius 0 cap 0 returned the identity alone
+    ("cayley ball --family lamplighter-fin --m 2 --n 4 --radius 0 --cap 0", None, 3, "cap 0"),
+    ("cayley ball --family bs-inf --m 2 --radius 0 --cap 0", None, 3, "cap 0"),
     ("cayley diam --family bs-fin --m 2 --n 4 --cap 1", None, 1, "--cap"),
     ("group info --family bs-fin --m 2 --n 20000", None, 3, "group order"),
     ("group info --family sol-fin --n 2000", None, 3, "group order"),
@@ -648,15 +651,15 @@ def test_numpy_module_is_shared():
     assert type(sys.modules["numpy"]) is type(sys)
 
 
-def _child_vmhwm_mb(line: str) -> float:
+def _child_vmhwm_mb(line: str, numpy: bool = True) -> float:
     """Peak RSS of ``cayleydist <line>`` run in a fresh interpreter, read by the
     child itself from its VmHWM, less the peak of a ``group info`` child run the
-    same way after ``import numpy``.  The difference leaves out the interpreter
-    and the imports, whose size moves by about 2 MB with whether ``src/`` holds
-    bytecode; ``group info`` alone never loads numpy, so a command that does
-    carries numpy's import in its reading, and one that does not reads lower."""
+    same way, after ``import numpy`` when ``numpy`` says the command loads it.
+    The difference leaves out the interpreter and the imports, whose size moves
+    by about 2 MB with whether ``src/`` holds bytecode; ``group info`` alone
+    never loads numpy, so a numpy-free command is read against it alone."""
     return _vmhwm_mb(line) - _vmhwm_mb("group info --family lamplighter-fin --m 2 --n 4",
-                                       "import numpy\n")
+                                       "import numpy\n" if numpy else "")
 
 
 def _vmhwm_mb(line: str, setup: str = "") -> float:
@@ -734,17 +737,18 @@ def test_finite_expradical_memory():
 def test_infinite_ball_memory():
     """Time steps share the payload tuple of the element they start from, so the
     lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the
-    150 MB it peaked at with a fresh lamp tuple per element; it reads 23.3-23.4 MB
-    above a ``group info`` child, 36.1-36.5 MB when every command loaded numpy.
-    The child reads its own VmHWM: its ru_maxrss would also hold this process's
-    peak, carried over through the exec that starts it."""
-    assert _child_vmhwm_mb("cayley ball --family lamplighter-inf --m 2 --radius 20") < 66
+    150 MB it peaked at with a fresh lamp tuple per element; it loads no numpy
+    and reads 35.4-35.5 MB above a ``group info`` child that did not either
+    (4 runs).  The child reads its own VmHWM: its ru_maxrss would also hold
+    this process's peak, carried over through the exec that starts it."""
+    line = "cayley ball --family lamplighter-inf --m 2 --radius 20"
+    assert _child_vmhwm_mb(line, numpy=False) < 40
 
 
 def test_infinite_expradical_memory():
     """sol-inf ``expradical`` reads its plane off a BFS confined to the time
     cone |t| <= r - d, which holds 39,609 of the 563,089 elements of the
-    radius-15 ball, and loads no numpy.  Against a ``group info`` child that
-    imported numpy it reads -8.3 to -8.0 MB (6 runs), against 74.9-75.0 MB
-    (3 runs) when the whole ball was built."""
-    assert _child_vmhwm_mb("expradical --family sol-inf --radius 15") < 15
+    radius-15 ball, and loads no numpy.  Above a ``group info`` child that did
+    not either it reads 4.8-5.0 MB (4 runs); against a child that imported
+    numpy it read 74.9-75.0 MB (3 runs) when the whole ball was built."""
+    assert _child_vmhwm_mb("expradical --family sol-inf --radius 15", numpy=False) < 8
