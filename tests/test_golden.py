@@ -101,6 +101,9 @@ COMMANDS = (
     "expradical --family sol-inf --radius 6 --cap 241",
     "expradical --family sol-inf --radius 6 --cap 240",
     "cayley ball --family bs-inf --m 2 --radius 0 --cap 1",
+    "cayley ball --family lamplighter-inf --m 2 --radius 21 --format json",
+    "cayley ball --family bs-inf --m 3 --radius 16",
+    "cayley ball --family bs-inf --m 2 --radius 18 --cap 100000",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
