@@ -24,6 +24,9 @@ VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
 INF_SLICE = 4096  # elements of an infinite level grown between two cap checks
 CODE_SLICE = 1 << 16  # codes of a finite level stepped at once, bounding the temporaries
+# the least radius at which counting spheres on int64 codes, numpy's import
+# included, beats the tuple BFS (lamplighter-inf and bs-inf at m = 2)
+CODE_CROSSOVER = {"lamplighter-inf": 19, "bs-inf": 16}
 
 
 @dataclass(frozen=True)
@@ -153,22 +156,11 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
     before it: then the BFS stops at the diameter, and the table equals
     ``bfs_ball(spec, None)``.
     """
-    gens, cap = generators(spec), int_param(cap, "cap")
-    if radius is None:
-        if not spec.finite:
-            raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
-    else:
-        radius = int_param(radius)
-        if radius < 0:
-            raise BadParam(f"radius {radius} must be >= 0")
-        if not spec.finite and radius > INF_RADIUS_CAP:
-            raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
-    if cap < 1:  # the identity alone passes it
-        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+    radius, cap = _ball_args(spec, radius, cap)
     if not spec.finite:
         return BallTable(spec, *_tuple_bfs(spec, radius, cap))
 
-    cs, sphere = code_space(spec), [1]
+    gens, cs, sphere = generators(spec), code_space(spec), [1]
     codes = np.empty(spec.order, dtype=np.int32)
     position = np.zeros(spec.order, dtype=np.int32)
     codes[0] = cs.encode(identity(spec))
@@ -192,6 +184,116 @@ def bfs_ball(spec: GroupSpec, radius: int | None = None,
             break
         sphere.append(size - end)
     return BallTable(spec, codes[:sum(sphere)], tuple(sphere), position)
+
+
+def _ball_args(spec: GroupSpec, radius: int | None, cap: int) -> tuple[int | None, int]:
+    """The radius and cap ``bfs_ball`` is given, checked: an integer radius >= 0,
+    present and at most ``INF_RADIUS_CAP`` on an infinite family, and a cap >= 1."""
+    cap = int_param(cap, "cap")
+    if radius is None:
+        if not spec.finite:
+            raise InfiniteNeedsRadius(f"{spec.family} needs an explicit radius")
+    else:
+        radius = int_param(radius)
+        if radius < 0:
+            raise BadParam(f"radius {radius} must be >= 0")
+        if not spec.finite and radius > INF_RADIUS_CAP:
+            raise CapExceeded(f"radius {radius} > {INF_RADIUS_CAP} on an infinite family")
+    if cap < 1:  # the identity alone passes it
+        raise CapExceeded(f"ball exceeds vertex cap {cap}")
+    return radius, cap
+
+
+def sphere_sizes(spec: GroupSpec, radius: int | None = None,
+                 cap: int = VERTEX_CAP) -> tuple[int, ...]:
+    """``bfs_ball(spec, radius, cap).sphere_sizes``, with the same checks and errors.
+
+    A lamplighter-inf or bs-inf ball from the family's ``CODE_CROSSOVER``
+    radius on, whose codes fit in 63 bits, is counted by ``_code_spheres``
+    without building its table; every other ball is built by ``bfs_ball``.
+    """
+    radius, cap = _ball_args(spec, radius, cap)
+    if spec.family in CODE_CROSSOVER and radius >= CODE_CROSSOVER[spec.family]:
+        width = _code_width(spec, radius)
+        if width is not None:
+            return _code_spheres(spec, radius, cap, width)
+    return bfs_ball(spec, radius, cap).sphere_sizes
+
+
+def _code_width(spec: GroupSpec, radius: int) -> int | None:
+    """W = (2 radius).bit_length(), the bits of the time field t + radius of a
+    radius-ball code, if the ball's codes fit in 63 bits, else None.
+
+    Above the time field, a lamplighter-inf code holds the lamp digits
+    sum_{|j| <= radius} d_j m^(j + radius) < m^(2 radius + 1), and a bs-inf
+    code the signed payload P = x m^radius, an integer of modulus at most
+    radius * m^(2 radius - 1): each of at most radius plane steps adds
+    +-m^(t + radius) with |t| < radius.
+    """
+    m, width = spec.m, (2 * radius).bit_length()
+    if spec.family == "lamplighter-inf" and m ** (2 * radius + 1) << width <= 1 << 63:
+        return width
+    if spec.family == "bs-inf" and radius * m ** (2 * radius) << width < 1 << 62:
+        return width
+    return None
+
+
+def _code_spheres(spec: GroupSpec, radius: int, cap: int, width: int) -> tuple[int, ...]:
+    """The sphere sizes of a lamplighter-inf or bs-inf ball, counted on the
+    int64 codes of ``_code_width``: (payload << width) + t + radius.
+
+    Each generator steps a whole level at once, read at each code's own time
+    t: a lamp generator moves the digit at position t by its value mod m, a
+    bs-inf plane generator adds +-m^(t + radius) to P, and a time generator
+    adds +-1 to the time field.  Neighbours of a sphere lie in it or in the
+    spheres next to it, so level d + 1 is the distinct steps of level d less
+    levels d and d - 1, found by sorting the steps and ``np.searchsorted``.
+    The levels are sorted, not in BFS order, and only their sizes are kept.
+    ``cap`` bounds the running total as in ``bfs_ball``.
+    """
+    m, mask = spec.m, (1 << width) - 1
+    # per t + radius, m^(t + radius) << width: the unit of the lamp digit at
+    # position t, or the bs-inf plane step at time t
+    unit = np.array([m ** i << width for i in range(2 * radius + 1)], dtype=np.int64)
+
+    def step(g):
+        b, k = g
+        if b == identity(spec)[0]:
+            return lambda c: c + k
+        if spec.family == "bs-inf":
+            return lambda c: c + b[0] * unit[c & mask]
+        ((_, v),) = b
+        def lamp(c):
+            u = unit[c & mask]
+            d = c // u % m
+            return c + u * np.where(d + v >= m, v - m, v)
+        return lamp
+
+    steps = [step(g) for g in generators(spec)]
+    prev, level = np.empty(0, dtype=np.int64), np.array([radius], dtype=np.int64)
+    sphere = [1]
+    for _ in range(radius):
+        prev, level = level, _new_codes(np.concatenate([st(level) for st in steps]),
+                                        (level, prev))
+        sphere.append(len(level))
+        if sum(sphere) > cap:
+            raise CapExceeded(f"ball exceeds vertex cap {cap}")
+    return tuple(sphere)
+
+
+def _new_codes(cand: np.ndarray, seen) -> np.ndarray:
+    """The distinct entries of ``cand`` that no sorted array of ``seen`` holds,
+    in increasing order; sorts ``cand`` in place."""
+    cand.sort()
+    keep = np.empty(len(cand), dtype=bool)
+    keep[:1] = True
+    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+    for old in seen:
+        if len(old):
+            at = np.searchsorted(old, cand)
+            np.minimum(at, len(old) - 1, out=at)
+            keep &= old[at] != cand
+    return cand[keep]
 
 
 def _tuple_bfs(spec: GroupSpec, radius: int, cap: int,

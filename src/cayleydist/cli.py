@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from itertools import accumulate
 
-from .cayley import VERTEX_CAP, bfs_ball, diameter, exp_radical_scan, girth
+from .cayley import VERTEX_CAP, bfs_ball, diameter, exp_radical_scan, girth, sphere_sizes
 from .distortion import C2_CAP, distortion_equivariant, exact_c2, metric_from_table
 from .embed import apriori_bound, build_bundle, bundle_scale
 from .errors import BadParam, CayleyDistError
@@ -168,14 +168,14 @@ def _run_group_info(args):
 
 def _run_cayley_ball(args):
     spec = _spec_from_args(args)
-    table = bfs_ball(spec, args.radius, cap=VERTEX_CAP if args.cap is None else args.cap)
-    sizes = list(table.sphere_sizes)
+    sizes = list(sphere_sizes(spec, args.radius,
+                              cap=VERTEX_CAP if args.cap is None else args.cap))
     balls = list(accumulate(sizes))
     return {
-        "radius": table.radius,
+        "radius": len(sizes) - 1,
         "sphere_sizes": sizes,
         "ball_sizes": balls,
-        "complete": table.complete,
+        "complete": spec.finite and balls[-1] == spec.order,
     }, [{"r": r, "sphere": s, "cumulative": b}
         for r, (s, b) in enumerate(zip(sizes, balls))]
 

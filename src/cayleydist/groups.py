@@ -356,8 +356,8 @@ def right_step(spec: GroupSpec, g: Element):
             p = bisect_left(fx, (j,))
             if p < len(fx) and fx[p][0] == j:
                 w = (fx[p][1] + v) % m
-                return (fx[:p] + (((j, w),) if w else ()) + fx[p + 1:], s)
-            return (fx[:p] + ((j, v),) + fx[p:], s)
+                return (fx[:p] + ((_lamp_pair(j, w),) if w else ()) + fx[p + 1:], s)
+            return (fx[:p] + (_lamp_pair(j, v),) + fx[p:], s)
         return lamp
     if spec.family == "bs-inf":
         (c, _), m = b, spec.m
@@ -382,6 +382,14 @@ def right_step(spec: GroupSpec, g: Element):
             return ((v1 + d[0], v2 + d[1]), s)
         return plane
     return lambda x: mul(spec, x, g)
+
+
+@lru_cache(maxsize=1 << 14)
+def _lamp_pair(j: int, w: int) -> tuple[int, int]:
+    """The one (position, value) tuple that every lamplighter-inf step lighting
+    lamp j to w shares.  A BFS of radius r meets at most (2r + 1) min(m - 1, 2r)
+    pairs, 6,480 at ``INF_RADIUS_CAP``, each value r steps of +-1 from 0 at most."""
+    return (j, w)
 
 
 def left_step(spec: GroupSpec, g: Element):

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -273,6 +274,91 @@ class TestInfiniteBfs:
         assert len(grow(size)[0]) == size
         with pytest.raises(CapExceeded, match=f"^ball exceeds vertex cap {size - 1}$"):
             grow(size - 1)
+
+
+class _Taken(Exception):
+    """Raised by a spy in place of the BFS path it stands for."""
+
+
+class TestCodeSpheres:
+    """Parent balls counted on int64 codes against the tuple BFS."""
+
+    WINDOWS = [(make_spec("lamplighter-inf", m=2), 28), (make_spec("lamplighter-inf", m=3), 17),
+               (make_spec("bs-inf", m=2), 25), (make_spec("bs-inf", m=3), 16)]
+
+    @pytest.mark.parametrize("spec, window", WINDOWS, ids=str)
+    def test_every_radius_of_the_window(self, spec, window):
+        """Up to the last radius whose codes fit in 63 bits, the code path gives
+        bfs_ball's sphere sizes, or refuses the cap as it does; a ball larger
+        than the cap is refused once it passes it, so every radius is cheap."""
+        assert cayley._code_width(spec, window + 1) is None
+        cap = 30000
+
+        def outcome(count):
+            try:
+                return count()
+            except CapExceeded as exc:
+                return str(exc)
+
+        for r in range(window + 1):
+            width = cayley._code_width(spec, r)
+            assert width == (2 * r).bit_length()
+            got = outcome(lambda: cayley._code_spheres(spec, r, cap, width))
+            assert got == outcome(lambda: bfs_ball(spec, r, cap=cap).sphere_sizes), r
+        assert got == f"ball exceeds vertex cap {cap}"
+
+    @pytest.mark.parametrize("spec, radius", [(make_spec("lamplighter-inf", m=3), 10),
+                                              (make_spec("bs-inf", m=2), 12)], ids=str)
+    def test_cap_boundary_as_bfs_ball(self, spec, radius):
+        size = len(bfs_ball(spec, radius))
+        width = cayley._code_width(spec, radius)
+        assert sum(cayley._code_spheres(spec, radius, size, width)) == size
+        with pytest.raises(CapExceeded, match=f"^ball exceeds vertex cap {size - 1}$"):
+            cayley._code_spheres(spec, radius, size - 1, width)
+
+    @pytest.mark.parametrize("spec, radius, path", [
+        (make_spec("lamplighter-inf", m=2), 18, "tuples"),
+        (make_spec("lamplighter-inf", m=2), 19, "codes"),
+        (make_spec("lamplighter-inf", m=2), 28, "codes"),
+        (make_spec("lamplighter-inf", m=2), 29, "tuples"),
+        (make_spec("lamplighter-inf", m=3), 17, "tuples"),
+        (make_spec("bs-inf", m=2), 15, "tuples"),
+        (make_spec("bs-inf", m=2), 16, "codes"),
+        (make_spec("bs-inf", m=2), 25, "codes"),
+        (make_spec("bs-inf", m=2), 26, "tuples"),
+        (make_spec("bs-inf", m=3), 16, "codes"),
+        (make_spec("bs-inf", m=3), 17, "tuples"),
+        (make_spec("sol-inf"), 30, "tuples"),
+    ], ids=str)
+    def test_path_taken(self, spec, radius, path, monkeypatch):
+        """sphere_sizes counts on codes from the family's crossover radius to
+        the end of the 63-bit window, and falls back to the tuple BFS past it."""
+        for name, taken in (("_code_spheres", "codes"), ("_tuple_bfs", "tuples")):
+            monkeypatch.setattr(cayley, name, lambda *args, taken=taken, **kw: _raise(taken))
+        with pytest.raises(_Taken, match=f"^{path}$"):
+            cayley.sphere_sizes(spec, radius)
+
+    @pytest.mark.parametrize("spec, radius", [(make_spec("bs-fin", m=2, n=6), None),
+                                              (make_spec("bs-fin", m=2, n=6), 3),
+                                              (make_spec("sol-inf"), 5),
+                                              (make_spec("bs-inf", m=2), 16)], ids=str)
+    def test_equals_bfs_ball(self, spec, radius):
+        assert cayley.sphere_sizes(spec, radius) == bfs_ball(spec, radius).sphere_sizes
+
+    @pytest.mark.parametrize("radius, cap, error", [
+        (None, VERTEX_CAP, InfiniteNeedsRadius), (-1, VERTEX_CAP, BadParam),
+        (19.0, VERTEX_CAP, BadParam), (41, VERTEX_CAP, CapExceeded), (20, 0, CapExceeded),
+        (20, True, BadParam)])
+    def test_checks_as_bfs_ball(self, radius, cap, error):
+        spec = make_spec("lamplighter-inf", m=2)
+        with pytest.raises(error) as want:
+            bfs_ball(spec, radius, cap=cap)
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            cayley.sphere_sizes(spec, radius, cap=cap)
+
+
+def _raise(taken):
+    raise _Taken(taken)
 
 
 class TestBfsCollectorState:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cayleydist
-from cayleydist import _lazy, cli, embed, errors
+from cayleydist import _lazy, cayley, cli, embed, errors
 from cayleydist.cli import main
 
 
@@ -72,6 +72,19 @@ class TestCayley:
         blob = json.loads(out)
         assert blob["complete"] is False
         assert blob["sphere_sizes"][0] == 1
+
+    @pytest.mark.parametrize("line", [
+        "cayley ball --family lamplighter-inf --m 2 --radius 21 --cap 100000",
+        "cayley ball --family bs-inf --m 2 --radius 16 --cap 123004",
+        "cayley ball --family bs-inf --m 2 --radius 16 --cap 123005",
+    ], ids=["lamplighter-inf-refused", "bs-inf-refused", "bs-inf-at-the-cap"])
+    def test_code_path_as_tuple_path(self, capsys, monkeypatch, line):
+        """A parent ball counted on codes prints what the tuple BFS prints, the
+        cap's refusal included: its stderr and exit code 3."""
+        got = run(capsys, *line.split())
+        monkeypatch.setattr(cayley, "CODE_CROSSOVER", {})
+        assert got == run(capsys, *line.split())
+        assert got[0] == (0 if line.endswith("123005") else 3)
 
     def test_infinite_needs_radius(self, capsys):
         code, _, err = run(capsys, "cayley", "ball", "--family", "bs-inf", "--m", "2")
@@ -623,16 +636,19 @@ _NUMPY_LOADED = "print('numpy.linalg' in sys.modules)"
     (_run_line("--help"), False),
     (_run_line("cayley ball --family lamplighter-inf --m 2 --radius 6"), False),
     (_run_line("cayley ball --family bs-inf --m 2 --radius 6"), False),
+    (_run_line("cayley ball --family lamplighter-inf --m 2 --radius 18"), False),
+    (_run_line("cayley ball --family bs-inf --m 2 --radius 16"), True),
     (_run_line("expradical --family sol-inf --radius 6"), False),
     (_run_line("girth --family bs-fin --m 2 --n 5 --cap 3"), False),
     (_run_line("cayley diam --family sol-fin --n 5"), True),
     ("import numpy\nimport cayleydist\nassert cayleydist.groups.np is numpy\n"
      "assert type(numpy) is type(sys)", True),
 ], ids=["import", "group-info", "help", "ball-lamplighter-inf", "ball-bs-inf",
-        "expradical-sol-inf", "girth-bs-fin", "diam-sol-fin", "numpy-first"])
+        "ball-lamplighter-inf-tuples", "ball-bs-inf-codes", "expradical-sol-inf", "girth-bs-fin", "diam-sol-fin", "numpy-first"])
 def test_numpy_left_unloaded(code, loaded):
     """numpy loads on first array use, so commands that run on tuple tables
-    never import it; a finite whole-group BFS does."""
+    never import it, parent balls below ``CODE_CROSSOVER`` among them; a
+    finite whole-group BFS and a parent ball counted on codes do."""
     src = str(Path(cayleydist.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", f"import runpy, sys\n{code}\n{_NUMPY_LOADED}"],
                           capture_output=True, text=True, check=True,
@@ -735,14 +751,25 @@ def test_finite_expradical_memory():
 
 
 def test_infinite_ball_memory():
-    """Time steps share the payload tuple of the element they start from, so the
-    lamplighter-inf m=2 ball of radius 20 (229,735 elements) stays far below the
-    150 MB it peaked at with a fresh lamp tuple per element; it loads no numpy
-    and reads 35.4-35.5 MB above a ``group info`` child that did not either
-    (4 runs).  The child reads its own VmHWM: its ru_maxrss would also hold
-    this process's peak, carried over through the exec that starts it."""
+    """The lamplighter-inf m=2 ball of radius 20 (229,735 elements) is counted on
+    int64 codes, one level at a time, so it loads numpy and reads 4.8-4.9 MB
+    above a ``group info`` child that imported numpy (4 runs); built as the
+    tuple dict it read 35.4-35.5 MB above a child that loaded no numpy, and 150
+    MB before time steps shared the payload tuple of the element they start
+    from.  The child reads its own VmHWM: its ru_maxrss would also hold this
+    process's peak, carried over through the exec that starts it."""
     line = "cayley ball --family lamplighter-inf --m 2 --radius 20"
-    assert _child_vmhwm_mb(line, numpy=False) < 40
+    assert _child_vmhwm_mb(line, numpy=True) < 8
+
+
+def test_tuple_ball_memory():
+    """Below ``CODE_CROSSOVER`` a parent ball is the tuple dict and loads no
+    numpy.  Its steps share payload tuples and (position, value) pairs, so the
+    lamplighter-inf m=2 ball of radius 18 (85,806 elements) reads 10.0-10.3 MB
+    above a ``group info`` child that loaded no numpy either (4 runs), against
+    11.8-11.9 MB with a fresh pair per lit lamp."""
+    line = "cayley ball --family lamplighter-inf --m 2 --radius 18"
+    assert _child_vmhwm_mb(line, numpy=False) < 11.5
 
 
 def test_infinite_expradical_memory():

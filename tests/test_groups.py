@@ -334,6 +334,16 @@ def test_right_step_equals_mul(spec, word):
             break  # the word's next letter overflows
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_lamp_pairs_are_shared(m):
+    """Every lit lamp of a tuple ball is one shared (position, value) object per
+    distinct pair, whichever generator lit it, not one per insertion."""
+    table = bfs_ball(make_spec("lamplighter-inf", m=m), 6)
+    pairs = [pair for lamps, _ in table.elements for pair in lamps]
+    assert len(pairs) > 10 * len(set(pairs))
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+
 @pytest.mark.parametrize("spec", CODE_FAMILIES + [make_spec("lamplighter-inf", m=3),
                                    make_spec("bs-inf", m=2), make_spec("sol-inf")], ids=str)
 def test_left_step_equals_mul(spec):
