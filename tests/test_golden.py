@@ -104,6 +104,11 @@ COMMANDS = (
     "cayley ball --family lamplighter-inf --m 2 --radius 21 --format json",
     "cayley ball --family bs-inf --m 3 --radius 16",
     "cayley ball --family bs-inf --m 2 --radius 18 --cap 100000",
+    "cayley ball --family bs-inf --m 2 --radius 26 --cap 300000",
+    "cayley ball --family bs-inf --m 3 --radius 17 --cap 300000",
+    "cayley ball --family lamplighter-inf --m 2 --radius 40 --cap 1000000",
+    "cayley ball --family bs-inf --m 2 --radius 40 --cap 1000000",
+    "cayley diam --family lamplighter-fin --m 3 --n 8",
 )
 
 _NUMBER = re.compile(r"(-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)")
