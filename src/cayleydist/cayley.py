@@ -209,71 +209,48 @@ def sphere_sizes(spec: GroupSpec, radius: int | None = None,
     """``bfs_ball(spec, radius, cap).sphere_sizes``, with the same checks and errors.
 
     A lamplighter-inf or bs-inf ball from the family's ``CODE_CROSSOVER``
-    radius on, whose codes fit in 63 bits, is counted by ``_code_spheres``
-    without building its table; every other ball is built by ``bfs_ball``.
+    radius on is counted by ``_code_spheres`` on the codes of its ``_window``
+    quotient, without building its table.  Past the last radius that has a
+    window, that radius is counted first, so a cap it passes is refused on
+    codes; every other ball is built by ``bfs_ball``.
     """
     radius, cap = _ball_args(spec, radius, cap)
     if spec.family in CODE_CROSSOVER and radius >= CODE_CROSSOVER[spec.family]:
-        width = _code_width(spec, radius)
-        if width is not None:
-            return _code_spheres(spec, radius, cap, width)
+        r = next((r for r in range(radius, -1, -1) if _window(spec, r)), None)
+        sphere = None if r is None else _code_spheres(_window(spec, r), r, cap)
+        if r == radius:
+            return sphere
     return bfs_ball(spec, radius, cap).sphere_sizes
 
 
-def _code_width(spec: GroupSpec, radius: int) -> int | None:
-    """W = (2 radius).bit_length(), the bits of the time field t + radius of a
-    radius-ball code, if the ball's codes fit in 63 bits, else None.
-
-    Above the time field, a lamplighter-inf code holds the lamp digits
-    sum_{|j| <= radius} d_j m^(j + radius) < m^(2 radius + 1), and a bs-inf
-    code the signed payload P = x m^radius, an integer of modulus at most
-    radius * m^(2 radius - 1): each of at most radius plane steps adds
-    +-m^(t + radius) with |t| < radius.
+def _window(spec: GroupSpec, radius: int) -> GroupSpec | None:
+    """The quotient C_m wr C_n or C_{m^n - 1} x| C_n, n = 2 radius + 1, of a
+    lamplighter-inf or bs-inf spec, built past ``ORDER_CAP`` for int64 codes,
+    or None once its order reaches 2^63.  Its shortest kernel word is t^n (one
+    in the plane has length >= 2n - 1), so the projection maps the parent's
+    radius ball one to one onto the quotient's, keeping word length, and
+    their sphere sizes agree.
     """
-    m, width = spec.m, (2 * radius).bit_length()
-    if spec.family == "lamplighter-inf" and m ** (2 * radius + 1) << width <= 1 << 63:
-        return width
-    if spec.family == "bs-inf" and radius * m ** (2 * radius) << width < 1 << 62:
-        return width
-    return None
+    m, n, bs = spec.m, 2 * radius + 1, spec.family == "bs-inf"
+    k = m**n - bs
+    if k * n >= 1 << 63:
+        return None
+    return GroupSpec(spec.family.replace("inf", "fin"), m, n, q=k if bs else None, order=k * n)
 
 
-def _code_spheres(spec: GroupSpec, radius: int, cap: int, width: int) -> tuple[int, ...]:
-    """The sphere sizes of a lamplighter-inf or bs-inf ball, counted on the
-    int64 codes of ``_code_width``: (payload << width) + t + radius.
-
-    Each generator steps a whole level at once, read at each code's own time
-    t: a lamp generator moves the digit at position t by its value mod m, a
-    bs-inf plane generator adds +-m^(t + radius) to P, and a time generator
-    adds +-1 to the time field.  Neighbours of a sphere lie in it or in the
-    spheres next to it, so level d + 1 is the distinct steps of level d less
-    levels d and d - 1, found by sorting the steps and ``np.searchsorted``.
-    The levels are sorted, not in BFS order, and only their sizes are kept.
-    ``cap`` bounds the running total as in ``bfs_ball``.
+def _code_spheres(quotient: GroupSpec, radius: int, cap: int) -> tuple[int, ...]:
+    """The sphere sizes of the radius ball of a ``_window`` quotient, counted
+    on its int64 codes: each generator steps a whole level through
+    ``act_right``, and level d + 1 is the distinct steps of level d less
+    levels d and d - 1, the only other spheres they can reach (``_new_codes``).
+    The levels are sorted, not in BFS order.  ``cap`` bounds the running total
+    as in ``bfs_ball``.
     """
-    m, mask = spec.m, (1 << width) - 1
-    # per t + radius, m^(t + radius) << width: the unit of the lamp digit at
-    # position t, or the bs-inf plane step at time t
-    unit = np.array([m ** i << width for i in range(2 * radius + 1)], dtype=np.int64)
-
-    def step(g):
-        b, k = g
-        if b == identity(spec)[0]:
-            return lambda c: c + k
-        if spec.family == "bs-inf":
-            return lambda c: c + b[0] * unit[c & mask]
-        ((_, v),) = b
-        def lamp(c):
-            u = unit[c & mask]
-            d = c // u % m
-            return c + u * np.where(d + v >= m, v - m, v)
-        return lamp
-
-    steps = [step(g) for g in generators(spec)]
-    prev, level = np.empty(0, dtype=np.int64), np.array([radius], dtype=np.int64)
-    sphere = [1]
+    cs, gens = code_space(quotient), generators(quotient)
+    level = np.array([cs.encode(identity(quotient))], dtype=np.int64)
+    prev, sphere = np.empty(0, dtype=np.int64), [1]
     for _ in range(radius):
-        prev, level = level, _new_codes(np.concatenate([st(level) for st in steps]),
+        prev, level = level, _new_codes(np.concatenate([cs.act_right(g, level) for g in gens]),
                                         (level, prev))
         sphere.append(len(level))
         if sum(sphere) > cap:
@@ -290,9 +267,8 @@ def _new_codes(cand: np.ndarray, seen) -> np.ndarray:
     np.not_equal(cand[1:], cand[:-1], out=keep[1:])
     for old in seen:
         if len(old):
-            at = np.searchsorted(old, cand)
-            np.minimum(at, len(old) - 1, out=at)
-            keep &= old[at] != cand
+            # a candidate past the end of old reads its last entry
+            keep &= old.take(np.searchsorted(old, cand), mode="clip") != cand
     return cand[keep]
 
 

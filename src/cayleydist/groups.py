@@ -593,24 +593,26 @@ class CodeSpace:
         if not spec.finite:
             raise FamilyMismatch(f"codes need a finite family, got {spec.family}")
         self.spec = spec
-        f = spec.family
-        if f == "lamplighter-fin":
-            T, k, weights = spec.n, spec.m, [spec.m**i for i in range(spec.n)]
-            twists = [np.roll(np.eye(spec.n, dtype=np.int64), s, axis=0) for s in range(T)]
+        # per s, the rows and the columns of M_s as the (index, coefficient)
+        # pairs of their nonzero entries, in exact Python integers
+        def sparse(Ms):
+            return [[[(j, c) for j, c in enumerate(row) if c] for row in M] for M in Ms]
+        f, n = spec.family, spec.n
+        if f == "lamplighter-fin":  # row i of M_s reads digit i - s, column j feeds j + s
+            T, k, weights = n, spec.m, [spec.m**i for i in range(n)]
+            lamps = [[(j, 1)] for j in range(n)]
+            self._rows = [lamps[-s:] + lamps[:-s] for s in range(T)]
+            self._cols = [lamps[s:] + lamps[:s] for s in range(T)]
         elif f == "bs-fin":
-            T, k, weights, twists = spec.n, spec.q, [1], [[[c]] for c in _bs_pows(spec)]
+            T, k, weights = n, spec.q, [1]
+            self._rows = self._cols = [[[(0, c)]] for c in _bs_pows(spec)]
         else:
-            T, k, weights, twists = spec.oA, spec.n, [spec.n, 1], _sol_pows(spec)
+            T, k, weights, Ms = spec.oA, n, [n, 1], _sol_pows(spec)
+            self._rows, self._cols = sparse(Ms), sparse(zip(*M) for M in Ms)
         self.time_order, self.radix = T, k
         self.normal_shape = (k,) * len(weights)
         self._scalar = f == "bs-fin"
         self._weights = weights
-        self._twists = np.array(twists, dtype=np.int64)
-
-        def sparse(M):  # the (column, coefficient) pairs of each row's nonzero entries
-            return [[(j, int(c)) for j, c in enumerate(row) if c] for row in M]
-        self._rows = [sparse(M) for M in self._twists]
-        self._cols = [sparse(M.T) for M in self._twists]
 
     def encode(self, x: Element) -> int:
         a, t = x
@@ -663,18 +665,39 @@ class CodeSpace:
 
     def act_right(self, g: Element, codes: np.ndarray) -> np.ndarray:
         """Codes of x * g = (a + M_t b, t + s) for every code x = (a, t) in ``codes``,
-        in the dtype of ``codes``: every intermediate stays below the group order."""
-        (b, s), T = g, self.time_order
+        in the dtype of ``codes``: every intermediate stays below the group order.
+        Each code decodes only the digits that M_t b moves at its own time t."""
+        (b, s), typed = g, codes.dtype.type  # typed scalars, so that no product widens
+        T, k = typed(self.time_order), typed(self.radix)
         t = _mod(codes, T)
-        out = codes - t + _mod(t + s, T)  # a time step (b = 0) decodes no digit
-        # [i, t]: (M_t b)_i mod k, cast so that no step widens the codes
-        shifts = _mod(self._twists @ np.array(b, dtype=np.int64).reshape(-1), self.radix)
-        shifts = shifts.T.astype(codes.dtype)
-        for shift, w in zip(shifts, self._weights):
-            if shift.any():  # decode only the digits that some M_t b moves
-                u = _mod(codes // (T * w), self.radix)
-                out += (_mod(u + shift[t], self.radix) - u) * (T * w)
+        out = codes + s  # a time step (b = 0) decodes no digit
+        if s:
+            out -= (t >= T - s) * T  # t + s wraps past T
+        for unit, shift in self._moves(b, codes.dtype):
+            if not isinstance(unit, int):
+                unit = unit.take(t)
+            u = _mod(codes // unit, k)
+            v = u + shift.take(t)
+            v -= (v >= k) * k  # the digit u + shift, mod k
+            out += (v - u) * unit
         return out
+
+    @lru_cache(maxsize=64)  # a BFS steps every level by the same few generators
+    def _moves(self, b, dtype) -> tuple:
+        """(unit, shift) for each rank j: over the time index t, the unit T w_i
+        and (M_t b)_i of the j-th digit i that M_t b moves, padded with the
+        no-op shift 0; a unit equal at every t is one int, a cheaper divisor.
+        M_t b is the payload of (0, t)(b, 0), reduced by ``mul`` in Python ints."""
+        e, T = identity(self.spec)[0], self.time_order
+        moved = []
+        for t in range(T):
+            a = mul(self.spec, (e, t), (b, 0))[0]
+            a = (a,) if self._scalar else a
+            moved.append([(T * w, v) for w, v in zip(self._weights, a) if v])
+        depth = max(map(len, moved))
+        ranks = zip(*(m + [(T, 0)] * (depth - len(m)) for m in moved))
+        return tuple((int(unit[0]) if (unit == unit[0]).all() else unit, shift)
+                     for unit, shift in (np.array(rank, dtype=dtype).T for rank in ranks))
 
     def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, a) of each code: the time index and the flat index into N."""

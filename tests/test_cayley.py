@@ -277,21 +277,24 @@ class TestInfiniteBfs:
 
 
 class _Taken(Exception):
-    """Raised by a spy in place of the BFS path it stands for."""
+    """Raised by a spy in place of the tuple BFS."""
 
 
 class TestCodeSpheres:
-    """Parent balls counted on int64 codes against the tuple BFS."""
+    """Parent balls counted on the int64 codes of their window quotient against
+    the tuple BFS."""
 
-    WINDOWS = [(make_spec("lamplighter-inf", m=2), 28), (make_spec("lamplighter-inf", m=3), 17),
-               (make_spec("bs-inf", m=2), 25), (make_spec("bs-inf", m=3), 16)]
+    WINDOWS = [(make_spec(family, m=m), window) for family in ("lamplighter-inf", "bs-inf")
+               for m, window in ((2, 28), (3, 17), (5, 12))]
 
     @pytest.mark.parametrize("spec, window", WINDOWS, ids=str)
     def test_every_radius_of_the_window(self, spec, window):
-        """Up to the last radius whose codes fit in 63 bits, the code path gives
-        bfs_ball's sphere sizes, or refuses the cap as it does; a ball larger
-        than the cap is refused once it passes it, so every radius is cheap."""
-        assert cayley._code_width(spec, window + 1) is None
+        """Up to the last radius whose quotient's order is below 2^63, the code
+        path gives bfs_ball's sphere sizes, or refuses the cap as it does; a
+        ball larger than the cap is refused once it passes it, so every radius
+        is cheap."""
+        assert cayley._window(spec, window) is not None
+        assert cayley._window(spec, window + 1) is None
         cap = 30000
 
         def outcome(count):
@@ -301,42 +304,88 @@ class TestCodeSpheres:
                 return str(exc)
 
         for r in range(window + 1):
-            width = cayley._code_width(spec, r)
-            assert width == (2 * r).bit_length()
-            got = outcome(lambda: cayley._code_spheres(spec, r, cap, width))
+            got = outcome(lambda: cayley._code_spheres(cayley._window(spec, r), r, cap))
             assert got == outcome(lambda: bfs_ball(spec, r, cap=cap).sphere_sizes), r
         assert got == f"ball exceeds vertex cap {cap}"
+
+    @pytest.mark.parametrize("family", ["lamplighter-inf", "bs-inf"])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_window_holds_the_ball(self, family, m, radius):
+        """The lemma the window rests on: t^n, n = 2R + 1, is the shortest
+        kernel word, so the projection maps the parent R-ball one to one onto
+        the quotient's and keeps word length.  Keeping every distance in the
+        R-ball needs kernel words longer than 4r, so girth reads R // 2 there."""
+        parent, n = make_spec(family, m=m), 2 * radius + 1
+        quotient = cayley._window(parent, radius)
+        assert quotient == make_spec(family.replace("inf", "fin"), m=m, n=n)
+        report = girth(parent, quotient, cap=n + 1)
+        assert (report.g_lower, report.iso_lower) == (n, radius // 2)
+        assert report.kernel_witness in ((identity(parent)[0], n), (identity(parent)[0], -n))
+        ball = bfs_ball(parent, radius).dist
+        images = {project(parent, quotient, x): d for x, d in ball.items()}
+        assert len(images) == len(ball)
+        assert images == bfs_ball(quotient, radius).dist
+
+    def test_act_right_exact_past_int64_products(self):
+        """bs-fin n = 37 has radix 2^37 - 1, so a twist times a digit passes
+        2^63: act_right still equals the group law on every generator."""
+        quotient = cayley._window(make_spec("bs-inf", m=2), 18)
+        assert quotient.q == 2**37 - 1
+        cs = CodeSpace(quotient)
+        codes = np.random.default_rng(37).integers(0, quotient.order, 1000, dtype=np.int64)
+        codes[:2] = 0, quotient.order - 1
+        for g in generators(quotient):
+            want = [cs.encode(mul(quotient, cs.decode(x), g)) for x in codes.tolist()]
+            assert cs.act_right(g, codes).tolist() == want
 
     @pytest.mark.parametrize("spec, radius", [(make_spec("lamplighter-inf", m=3), 10),
                                               (make_spec("bs-inf", m=2), 12)], ids=str)
     def test_cap_boundary_as_bfs_ball(self, spec, radius):
         size = len(bfs_ball(spec, radius))
-        width = cayley._code_width(spec, radius)
-        assert sum(cayley._code_spheres(spec, radius, size, width)) == size
+        quotient = cayley._window(spec, radius)
+        assert sum(cayley._code_spheres(quotient, radius, size)) == size
         with pytest.raises(CapExceeded, match=f"^ball exceeds vertex cap {size - 1}$"):
-            cayley._code_spheres(spec, radius, size - 1, width)
+            cayley._code_spheres(quotient, radius, size - 1)
 
     @pytest.mark.parametrize("spec, radius, path", [
         (make_spec("lamplighter-inf", m=2), 18, "tuples"),
-        (make_spec("lamplighter-inf", m=2), 19, "codes"),
-        (make_spec("lamplighter-inf", m=2), 28, "codes"),
-        (make_spec("lamplighter-inf", m=2), 29, "tuples"),
+        (make_spec("lamplighter-inf", m=2), 19, "codes 19"),
+        (make_spec("lamplighter-inf", m=2), 28, "codes 28"),
+        (make_spec("lamplighter-inf", m=2), 29, "codes 28, tuples"),
+        (make_spec("lamplighter-inf", m=2), 40, "codes 28, tuples"),
         (make_spec("lamplighter-inf", m=3), 17, "tuples"),
+        (make_spec("lamplighter-inf", m=3), 19, "codes 17, tuples"),
         (make_spec("bs-inf", m=2), 15, "tuples"),
-        (make_spec("bs-inf", m=2), 16, "codes"),
-        (make_spec("bs-inf", m=2), 25, "codes"),
-        (make_spec("bs-inf", m=2), 26, "tuples"),
-        (make_spec("bs-inf", m=3), 16, "codes"),
-        (make_spec("bs-inf", m=3), 17, "tuples"),
+        (make_spec("bs-inf", m=2), 16, "codes 16"),
+        (make_spec("bs-inf", m=2), 28, "codes 28"),
+        (make_spec("bs-inf", m=2), 29, "codes 28, tuples"),
+        (make_spec("bs-inf", m=3), 16, "codes 16"),
+        (make_spec("bs-inf", m=3), 17, "codes 17"),
+        (make_spec("bs-inf", m=3), 18, "codes 17, tuples"),
+        (make_spec("bs-inf", m=10**6), 40, "codes 1, tuples"),
+        (make_spec("bs-inf", m=10**21), 20, "tuples"),
         (make_spec("sol-inf"), 30, "tuples"),
     ], ids=str)
     def test_path_taken(self, spec, radius, path, monkeypatch):
         """sphere_sizes counts on codes from the family's crossover radius to
-        the end of the 63-bit window, and falls back to the tuple BFS past it."""
-        for name, taken in (("_code_spheres", "codes"), ("_tuple_bfs", "tuples")):
-            monkeypatch.setattr(cayley, name, lambda *args, taken=taken, **kw: _raise(taken))
-        with pytest.raises(_Taken, match=f"^{path}$"):
+        the end of the 63-bit window; past it, it counts the window's last
+        radius first, then falls back to the tuple BFS."""
+        taken = []
+
+        def codes(quotient, r, cap):
+            taken.append(f"codes {r}")
+            return (1,) * (r + 1)
+
+        def tuples(*args, **kw):
+            taken.append("tuples")
+            raise _Taken
+
+        monkeypatch.setattr(cayley, "_code_spheres", codes)
+        monkeypatch.setattr(cayley, "_tuple_bfs", tuples)
+        with contextlib.suppress(_Taken):
             cayley.sphere_sizes(spec, radius)
+        assert ", ".join(taken) == path
 
     @pytest.mark.parametrize("spec, radius", [(make_spec("bs-fin", m=2, n=6), None),
                                               (make_spec("bs-fin", m=2, n=6), 3),
@@ -355,10 +404,6 @@ class TestCodeSpheres:
             bfs_ball(spec, radius, cap=cap)
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
             cayley.sphere_sizes(spec, radius, cap=cap)
-
-
-def _raise(taken):
-    raise _Taken(taken)
 
 
 class TestBfsCollectorState:
