@@ -182,7 +182,7 @@ def _gap_sq_fourier(spec: GroupSpec, values: dict) -> Iterator[tuple[int, np.nda
     rows[t_of, a_of] = v
     for t in range(T):
         _fftn(rows[t].reshape(shape))
-    twice_norm = 2.0 * float(v @ v)
+    twice_norm = 2.0 * float(np.sum(v * v))
     acc = np.empty(rows.shape[1], dtype=dtype)
     for s in range(T):
         twist = cs.dual_twist(s)

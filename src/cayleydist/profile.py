@@ -118,10 +118,9 @@ def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
             f"Dirichlet eigensolve stalled after {DIRICHLET_MAXITER} iterations") from exc
     v = np.abs(vec[:, 0])
     # ARPACK stops once |W v - theta v| <= tol |theta|; re-measure it on |v|
-    residual = float(np.linalg.norm(W @ v - theta[0] * v))
+    residual = math.sqrt(float(np.sum((W @ v - theta[0] * v) ** 2)))
     if residual > DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
         raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {DIRICHLET_TOL:.3e}")
-    v /= np.linalg.norm(v)
     return v
 
 

@@ -206,6 +206,65 @@ class TestCodeBfs:
         assert diam_N == max(d for x, d in table.dist.items() if x[1] == 0)
 
 
+def _lengths_by_code(table):
+    """Word length of every code of a complete finite table, -1 where no
+    entry of ``elements`` holds the code."""
+    lengths = np.full(table.spec.order, -1, dtype=np.int64)
+    lengths[table.elements] = table.lengths()
+    return lengths
+
+
+def _is_word_metric(spec, lengths) -> bool:
+    """Whether ``lengths``, indexed by code, is the word length of ``spec``:
+    L(e) = 0 and, for every x != e, min_s L(x s) = L(x) - 1 and
+    max_s L(x s) <= L(x) + 1.  The minimum makes L 1-Lipschitz, so L <= d,
+    and walks every x down to e in L(x) steps, so d <= L."""
+    cs = CodeSpace(spec)
+    codes = np.arange(spec.order)
+    steps = np.stack([lengths[cs.act_right(s, codes)] for s in generators(spec)])
+    e = cs.encode(identity(spec))
+    rest = codes != e
+    return bool(lengths[e] == 0 and (steps.min(axis=0) == lengths - 1)[rest].all()
+                and (steps.max(axis=0) <= lengths + 1)[rest].all())
+
+
+class TestWordMetricAtFullSize:
+    """The code BFS checked on whole groups far past the tuple BFS's reach,
+    by the local characterisation of the word metric."""
+
+    SPECS = [make_spec("lamplighter-fin", m=2, n=12), make_spec("bs-fin", m=2, n=12),
+             make_spec("sol-fin", n=144)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_complete_table_is_the_word_metric(self, spec):
+        table = bfs_ball(spec, None)
+        assert table.complete
+        assert np.array_equal(np.sort(table.position), np.arange(1, spec.order + 1))
+        assert _is_word_metric(spec, _lengths_by_code(table))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_code_steps_match_tuple_products(self, spec):
+        # the local check shares act_right with the BFS; tuple mul does not
+        cs = CodeSpace(spec)
+        sample = np.random.default_rng(0).choice(spec.order, size=64, replace=False)
+        for s in generators(spec):
+            want = [cs.encode(mul(spec, cs.decode(int(c)), s)) for c in sample]
+            assert cs.act_right(s, sample).tolist() == want
+
+    @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+    def test_one_corrupted_length_fails(self, spec):
+        lengths = _lengths_by_code(bfs_ball(spec, None))
+        assert _is_word_metric(spec, lengths)
+        x = int(np.argmax(lengths))  # a farthest element, never e
+        for delta in (-1, 1):
+            corrupt = lengths.copy()
+            corrupt[x] += delta
+            assert not _is_word_metric(spec, corrupt)
+        corrupt = lengths.copy()
+        corrupt[CodeSpace(spec).encode(identity(spec))] = 1
+        assert not _is_word_metric(spec, corrupt)
+
+
 def _reference_bfs(spec, radius, cap):
     """The infinite BFS as it stood before right_step: one mul per element and
     generator, the cap checked before each insertion.  Returns (dist, sphere)."""

@@ -667,6 +667,21 @@ def test_numpy_module_is_shared():
     assert type(sys.modules["numpy"]) is type(sys)
 
 
+def test_stdout_independent_of_blas_threads():
+    """The certificate and norm layers reduce every printed float with numpy's
+    pairwise sum, which never threads, so one BLAS thread and two print the
+    same bytes.  This command's Fourier norms sum a vector long enough for a
+    BLAS dot product to split it across threads."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "cayleydist", "distort", "--family", "lamplighter-fin",
+            "--m", "2", "--n", "14"]
+    one, two = (subprocess.run(argv, capture_output=True, check=True,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "OPENBLAS_NUM_THREADS": threads}).stdout
+                for threads in ("1", "2"))
+    assert one == two
+
+
 def _child_vmhwm_mb(line: str, numpy: bool = True) -> float:
     """Peak RSS of ``cayleydist <line>`` run in a fresh interpreter, read by the
     child itself from its VmHWM, less the peak of a ``group info`` child run the

@@ -247,7 +247,7 @@ def _reference_gap_sq_fourier(spec, values):
     rows[t_of, a_of] = v
     for t in range(T):
         _fftn(rows[t].reshape(shape))
-    twice_norm = 2.0 * float(v @ v)
+    twice_norm = 2.0 * float(np.sum(v * v))
     acc = np.empty(rows.shape[1], dtype=complex)
     for s in range(T):
         twist = cs.dual_twist(s)
