@@ -10,7 +10,8 @@ Pipeline: a p = 2 Dirichlet principal vector bootstraps a projected ascent on
 log of the max-form Rayleigh quotient (softmax-smoothed subgradient of the max
 over generators, step halving).  Falls back to the dirac witness 2^(-1/p) when
 ascent cannot beat it.  Everything is deterministic: the bootstrap starts from
-the constant vector and no randomness is used anywhere.
+the constant vector, and the random vectors ARPACK may ask for when it
+restarts come from a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 
-from ._lazy import np
+from ._lazy import arpack, np
 from .cayley import BallTable, bfs_ball  # bfs_ball: the name perfbench's tracer rebinds here
 from .errors import (
     BadParam,
@@ -36,6 +37,16 @@ DIRICHLET_TOL = 1e-10  # eigensolver tolerance, also the residual bound checked 
 DIRICHLET_MAXITER = 10**4
 ASCENT_MAXITER = 500  # ascent steps after the Dirichlet start
 SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generators
+ARPACK_NCV = 20  # Lanczos basis size, eigsh's max(2k + 1, 20) for k = 1
+ARPACK_LA = 6  # ARPACK's code for which="LA", the largest algebraic eigenvalue
+ARPACK_SEED = 0  # seeds the vectors ARPACK asks for when it restarts at random
+# the state dict of scipy's ARPACK wrappers: every key must be present, zero at start
+_ARPACK_FLOATS = ("getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm", "aup2_rnorm")
+_ARPACK_INTS = ("ido", "bmat", "iter", "nconv", "np", "getv0_first", "getv0_iter",
+                "getv0_itry", "getv0_orth", "aitr_iter", "aitr_j", "aitr_orth1", "aitr_orth2",
+                "aitr_restart", "aitr_step3", "aitr_step4", "aitr_ierr", "aup2_initv",
+                "aup2_iter", "aup2_getv0", "aup2_cnorm", "aup2_kplusp", "aup2_nev",
+                "aup2_nev0", "aup2_np0", "aup2_numcnv", "aup2_update", "aup2_ushift")
 
 
 def lp_norm(values, p: float) -> float:
@@ -87,6 +98,38 @@ def rayleigh(spec: GroupSpec, f: dict, p: float):
     return norm / max(grads), norm / lp_norm(grads, p)
 
 
+def _adjacency_matvec(in_maps, n: int):
+    """x -> W x for the ball's adjacency W (``W[i, j]`` counts the generators s
+    with s^-1 x_i = x_j), in exactly the arithmetic of scipy's CSR product.
+
+    Per row, the distinct neighbour positions in increasing order, each
+    weighted by its multiplicity, are added left to right from +0.0: row k
+    of ``cols`` holds every row's k-th neighbour, and ``np.add.reduce`` over
+    axis 0 adds those rows in order.  A row with fewer neighbours reads a
+    padding entry of +0.0, and adding +0.0 leaves a sum begun at +0.0
+    unchanged, as such a sum is never -0.0.
+    """
+    cols = np.sort(np.stack([np.where(im >= 0, im, n) for im in in_maps], axis=1), axis=1).T
+    weights = np.ones(cols.shape)
+    for k in range(len(cols) - 1, 0, -1):  # right to left: a run's count gathers at its first entry
+        dup = (cols[k] == cols[k - 1]) & (cols[k] < n)
+        weights[k - 1, dup] += weights[k, dup]
+        cols[k, dup] = n
+    cols = np.ascontiguousarray(cols)
+    if (weights == 1.0).all():
+        weights = None  # 1.0 * x == x
+    padded = np.zeros(n + 1)
+
+    def matvec(x):
+        padded[:n] = x
+        terms = padded.take(cols)
+        if weights is not None:
+            terms *= weights
+        return np.add.reduce(terms, axis=0, initial=0.0)
+
+    return matvec
+
+
 def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
     """Principal vector of the Dirichlet quadratic form on the ball, by
     position along it; ``in_maps`` is ``[ball.in_map(s) for s in ball.gens]``.
@@ -94,34 +137,64 @@ def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
     Maximizes the p = 2 sum-form Rayleigh value over functions vanishing
     outside the ball: the top eigenvector of the ball-restricted adjacency
     with multiplicities, computed from the deterministic constant start.
+    ARPACK's implicitly restarted Lanczos (``dsaupd``/``dseupd``) is driven
+    as scipy's ``eigsh(W, k=1, which="LA")`` drives it, with the same
+    workspaces, so the bits match; its requests for a random vector are
+    answered from a fixed seed.
     """
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")
     n = len(ball)
     if n == 1:
         return np.ones(1)
-    # imported here: scipy.sparse is most of the import time, and only this solve uses it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    # W[i, j] counts the generators s with s^-1 x_i = x_j
-    neighbors = np.stack(in_maps, axis=1)
-    rows, cols = np.nonzero(neighbors >= 0)
-    W = csr_matrix((np.ones(len(rows)), (rows, neighbors[rows, cols])), shape=(n, n))
-
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    try:
-        theta, vec = eigsh(W, k=1, which="LA", v0=v0, tol=DIRICHLET_TOL,
-                           maxiter=DIRICHLET_MAXITER)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(
-            f"Dirichlet eigensolve stalled after {DIRICHLET_MAXITER} iterations") from exc
+    lib = arpack()
+    matvec = _adjacency_matvec(in_maps, n)
+    ncv = min(ARPACK_NCV, n)
+    state = {**dict.fromkeys(_ARPACK_FLOATS, 0.0), **dict.fromkeys(_ARPACK_INTS, 0),
+             "tol": DIRICHLET_TOL, "which": ARPACK_LA, "info": 1,  # info 1: start from resid
+             "maxiter": DIRICHLET_MAXITER, "mode": 1, "n": n, "ncv": ncv, "nev": 1, "shift": 1}
+    resid = np.full(n, 1.0 / math.sqrt(n))
+    lanczos = np.zeros((n, ARPACK_NCV))
+    ipntr = np.zeros(11, dtype=np.int32)
+    workd = np.zeros(3 * n)
+    workl = np.zeros(ncv * (ncv + 8))
+    rng = None
+    while True:
+        lib.dsaupd_wrap(state, resid, lanczos, ipntr, workd, workl)
+        ido = state["ido"]
+        if ido in (1, 5):
+            x, y = int(ipntr[0]), int(ipntr[1])
+            workd[y:y + n] = matvec(workd[x:x + n])
+        elif ido == 4:
+            if rng is None:
+                rng = np.random.default_rng(ARPACK_SEED)
+            resid[:] = rng.uniform(low=-1.0, high=1.0, size=n)
+        else:  # 99: done, or stopped with a nonzero info
+            break
+    _arpack_check(state, "dsaupd")
+    theta = np.zeros(1)
+    vec = np.zeros((n, ncv), order="F")
+    state["info"] = 0
+    lib.dseupd_wrap(state, True, 0, np.zeros(ncv, dtype=np.int32), theta, vec, 0,
+                    resid, lanczos, ipntr, workd, workl)  # rvec, all Ritz vectors, sigma 0
+    _arpack_check(state, "dseupd")
+    theta = float(theta[0])
     v = np.abs(vec[:, 0])
     # ARPACK stops once |W v - theta v| <= tol |theta|; re-measure it on |v|
-    residual = math.sqrt(float(np.sum((W @ v - theta[0] * v) ** 2)))
-    if residual > DIRICHLET_TOL * max(1.0, abs(float(theta[0]))):
+    residual = math.sqrt(float(np.sum((matvec(v) - theta * v) ** 2)))
+    if residual > DIRICHLET_TOL * max(1.0, abs(theta)):
         raise NoConvergence(f"Dirichlet residual {residual:.3e} above tol {DIRICHLET_TOL:.3e}")
     return v
+
+
+def _arpack_check(state: dict, routine: str) -> None:
+    """NoConvergence for a nonzero ``info`` from an ARPACK call."""
+    info = state["info"]
+    if info == 1 and routine == "dsaupd":
+        raise NoConvergence(
+            f"Dirichlet eigensolve stalled after {DIRICHLET_MAXITER} iterations")
+    if info != 0:
+        raise NoConvergence(f"Dirichlet eigensolve: ARPACK {routine} returned info {info}")
 
 
 @dataclass(frozen=True)

@@ -615,9 +615,14 @@ _SCIPY_LOADED = "print([k for k in sys.modules if k.partition('.')[0] == 'scipy'
 @pytest.mark.parametrize("code", [
     "import cayleydist",
     _run_line("group info --family lamplighter-fin --m 2 --n 4"),
-], ids=["import", "group-info"])
+    _run_line("distort --family lamplighter-fin --m 2 --n 6"),
+    _run_line("embed --family bs-fin --m 2 --n 6"),
+    _run_line("profile --family sol-fin --n 7 --radius 1,2 --p 3"),
+    _run_line("scan --family lamplighter-fin --m 2 --n 4,5"),
+], ids=["import", "group-info", "distort", "embed", "profile", "scan"])
 def test_scipy_left_unloaded(code):
-    """Only the profile solve needs scipy, so commands that never reach it skip its import."""
+    """No command imports a scipy module: the profile certificates, which run
+    in distort, embed, profile and scan, load only scipy's ARPACK library."""
     src = str(Path(cayleydist.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", f"import runpy, sys\n{code}\n{_SCIPY_LOADED}"],
                           capture_output=True, text=True, check=True,

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cayleydist import (
     BadScale,
     CodeSpace,
     DegenerateInput,
+    NoConvergence,
     ZeroGradient,
     ZeroNorm,
     bfs_ball,
@@ -25,7 +27,7 @@ from cayleydist import (
     rayleigh,
     revalidate,
 )
-from cayleydist import profile
+from cayleydist import _lazy, profile
 from cayleydist.cli import main
 from cayleydist.embed import _gap_pow
 from cayleydist.profile import _structure, checked_radii
@@ -136,6 +138,117 @@ class TestDirichlet:
         _, tent_sum = rayleigh(L28, tent, 2)
         _, pc_sum = rayleigh(L28, dict(zip(ball.dist, pc(ball))), 2)
         assert pc_sum >= tent_sum - 1e-12
+
+
+def _scipy_pc(n, in_maps, rng=None):
+    """The Dirichlet solve as scipy's own ``csr_matrix`` and ``eigsh`` compute it:
+    the reference ``dirichlet_pc`` must match bit for bit."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    neighbors = np.stack(in_maps, axis=1)
+    rows, cols = np.nonzero(neighbors >= 0)
+    W = csr_matrix((np.ones(len(rows)), (rows, neighbors[rows, cols])), shape=(n, n))
+    _, vec = eigsh(W, k=1, which="LA", v0=np.full(n, 1.0 / math.sqrt(n)),
+                   tol=profile.DIRICHLET_TOL, maxiter=profile.DIRICHLET_MAXITER, rng=rng)
+    return np.abs(vec[:, 0])
+
+
+def _assert_same_bits(ours, ref):
+    assert np.array_equal(ours, ref)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+def _scipy_cases():
+    for spec in CODE_FAMILIES:
+        table = bfs_ball(spec, None)
+        for r in range(1, table.radius // 2 + 1):
+            yield pytest.param(table.ball(r), id=f"{spec}-r{r}")
+    yield pytest.param(bfs_ball(make_spec("lamplighter-fin", m=2, n=10), 8), id="L2_10-r8")
+    yield pytest.param(bfs_ball(make_spec("sol-fin", n=144), 4), id="sol144-r4")
+
+
+@pytest.mark.parametrize("ball", _scipy_cases())
+def test_dirichlet_matches_scipy_eigsh_bit_for_bit(ball):
+    """Driving ARPACK directly keeps eigsh's arithmetic; this also catches drift
+    in scipy's private ``_arpacklib`` interface."""
+    in_maps = [ball.in_map(s) for s in ball.gens]
+    _assert_same_bits(dirichlet_pc(ball, in_maps), _scipy_pc(len(ball), in_maps))
+
+
+class _Cycle:
+    """Just what ``dirichlet_pc`` reads of a ball, for the cycle on n vertices."""
+    complete = False
+
+    def __init__(self, n):
+        self.n = n
+        self.in_maps = [(np.arange(n) + step) % n for step in (-1, 1)]
+
+    def __len__(self):
+        return self.n
+
+
+@pytest.mark.parametrize("n", [3, 30])
+def test_dirichlet_random_restart_matches_eigsh_at_the_seed(n, monkeypatch):
+    """On a cycle the constant start is already an eigenvector, so ARPACK asks
+    for a random vector (``ido`` 4); it comes from ``ARPACK_SEED``."""
+    lib = _lazy.arpack()
+    actions = []
+
+    def dsaupd_wrap(state, *args):
+        lib.dsaupd_wrap(state, *args)
+        actions.append(state["ido"])
+
+    monkeypatch.setattr(profile, "arpack", lambda: SimpleNamespace(
+        dsaupd_wrap=dsaupd_wrap, dseupd_wrap=lib.dseupd_wrap))
+    cycle = _Cycle(n)
+    ours = dirichlet_pc(cycle, cycle.in_maps)
+    assert 4 in actions
+    _assert_same_bits(ours, _scipy_pc(n, cycle.in_maps, rng=profile.ARPACK_SEED))
+
+
+def test_adjacency_matvec_is_the_csr_product():
+    """A position met by several in-maps of a row is one CSR entry, weighted
+    by the count; a -1 is no entry."""
+    from scipy.sparse import csr_matrix
+
+    i = np.arange(9)
+    in_maps = [(i + 1) % 9, np.where(i % 2, 0, -1), (i + 1) % 9, (i - 1) % 9, (i + 1) % 9]
+    neighbors = np.stack(in_maps, axis=1)
+    rows, cols = np.nonzero(neighbors >= 0)
+    W = csr_matrix((np.ones(len(rows)), (rows, neighbors[rows, cols])), shape=(9, 9))
+    x = np.random.default_rng(5).standard_normal(9) * 10.0 ** np.arange(-4, 5)
+    _assert_same_bits(profile._adjacency_matvec(in_maps, 9)(x), W @ x)
+
+
+def test_dirichlet_iteration_cap_is_no_convergence(monkeypatch):
+    monkeypatch.setattr(profile, "DIRICHLET_MAXITER", 1)
+    with pytest.raises(NoConvergence, match="stalled after 1 iterations"):
+        pc(bfs_ball(make_spec("lamplighter-fin", m=2, n=10), 8))
+
+
+@pytest.mark.parametrize("routine, info", [("dsaupd", -9999), ("dseupd", -14)])
+def test_dirichlet_arpack_errors_are_no_convergence(monkeypatch, routine, info):
+    """Every nonzero ``info`` from either ARPACK call ends in NoConvergence."""
+    lib = _lazy.arpack()
+
+    def failing(name):
+        def call(state, *args):
+            getattr(lib, name + "_wrap")(state, *args)
+            if name == routine:
+                state.update(ido=99, info=info)
+        return call
+
+    monkeypatch.setattr(profile, "arpack", lambda: SimpleNamespace(
+        dsaupd_wrap=failing("dsaupd"), dseupd_wrap=failing("dseupd")))
+    with pytest.raises(NoConvergence, match=f"ARPACK {routine} returned info {info}"):
+        pc(bfs_ball(L28, 3))
+
+
+def test_arpack_loader_names_the_scipy_requirement(monkeypatch):
+    monkeypatch.setattr(_lazy.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.17"):
+        _lazy.arpack.__wrapped__()
 
 
 class TestOptimizeProfile:
