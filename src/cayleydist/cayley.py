@@ -24,8 +24,9 @@ VERTEX_CAP = 1 << 22
 INF_RADIUS_CAP = 40
 INF_SLICE = 4096  # elements of an infinite level grown between two cap checks
 CODE_SLICE = 1 << 16  # codes of a finite level stepped at once, bounding the temporaries
-# the least radius at which counting spheres on int64 codes, numpy's import
-# included, beats the tuple BFS (lamplighter-inf and bs-inf at m = 2)
+# the least radius at which counting spheres on int64 codes, numpy's import included,
+# beats the tuple BFS, measured at m = 2.  From m = 3 on, the lamplighter-inf window ends
+# below 19 (at 17 for m = 3), so tuples count its balls, after a window pre-count from r = 19
 CODE_CROSSOVER = {"lamplighter-inf": 19, "bs-inf": 16}
 
 

@@ -99,48 +99,37 @@ def rayleigh(spec: GroupSpec, f: dict, p: float):
 
 
 def _adjacency_matvec(in_maps, n: int):
-    """x -> W x for the ball's adjacency W (``W[i, j]`` counts the generators s
-    with s^-1 x_i = x_j), in exactly the arithmetic of scipy's CSR product.
+    """x -> W x for the ball's adjacency W (``W[i, j]`` = 1 when s^-1 x_i = x_j
+    for a generator s), in exactly the arithmetic of scipy's CSR product.
 
-    Per row, the distinct neighbour positions in increasing order, each
-    weighted by its multiplicity, are added left to right from +0.0: row k
-    of ``cols`` holds every row's k-th neighbour, and ``np.add.reduce`` over
-    axis 0 adds those rows in order.  A row with fewer neighbours reads a
-    padding entry of +0.0, and adding +0.0 leaves a sum begun at +0.0
-    unchanged, as such a sum is never -0.0.
+    No row meets a neighbour twice: the generators are distinct, and
+    s^-1 x = s'^-1 x gives s = s'.  So each row's neighbour positions are
+    added in increasing order from +0.0: row k of ``cols`` holds every row's
+    k-th neighbour, and ``np.add.reduce`` over axis 0 adds those rows in
+    order.  A row with fewer neighbours reads a padding entry of +0.0, which
+    leaves a sum begun at +0.0 unchanged, as such a sum is never -0.0.
     """
-    cols = np.sort(np.stack([np.where(im >= 0, im, n) for im in in_maps], axis=1), axis=1).T
-    weights = np.ones(cols.shape)
-    for k in range(len(cols) - 1, 0, -1):  # right to left: a run's count gathers at its first entry
-        dup = (cols[k] == cols[k - 1]) & (cols[k] < n)
-        weights[k - 1, dup] += weights[k, dup]
-        cols[k, dup] = n
-    cols = np.ascontiguousarray(cols)
-    if (weights == 1.0).all():
-        weights = None  # 1.0 * x == x
+    cols = np.sort(np.stack([np.where(im >= 0, im, n) for im in in_maps]), axis=0)
     padded = np.zeros(n + 1)
 
     def matvec(x):
         padded[:n] = x
-        terms = padded.take(cols)
-        if weights is not None:
-            terms *= weights
-        return np.add.reduce(terms, axis=0, initial=0.0)
+        return np.add.reduce(padded.take(cols), axis=0, initial=0.0)
 
     return matvec
 
 
 def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
     """Principal vector of the Dirichlet quadratic form on the ball, by
-    position along it; ``in_maps`` is ``[ball.in_map(s) for s in ball.gens]``.
+    position along it; ``in_maps`` is ``[ball.in_map(s) for s in ball.gens]``,
+    whose generators are distinct.
 
     Maximizes the p = 2 sum-form Rayleigh value over functions vanishing
-    outside the ball: the top eigenvector of the ball-restricted adjacency
-    with multiplicities, computed from the deterministic constant start.
-    ARPACK's implicitly restarted Lanczos (``dsaupd``/``dseupd``) is driven
-    as scipy's ``eigsh(W, k=1, which="LA")`` drives it, with the same
-    workspaces, so the bits match; its requests for a random vector are
-    answered from a fixed seed.
+    outside the ball: the top eigenvector of the ball-restricted adjacency,
+    computed from the deterministic constant start.  ARPACK's implicitly
+    restarted Lanczos (``dsaupd``/``dseupd``) is driven as scipy's
+    ``eigsh(W, k=1, which="LA")`` drives it, with the same workspaces, so the
+    bits match; its requests for a random vector are answered from a fixed seed.
     """
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")

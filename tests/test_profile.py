@@ -108,6 +108,9 @@ def test_structure_escapes_are_translates_leaving_the_ball(spec, prefix):
     for s, im, esc in zip(ball.gens, in_maps, escapes):
         assert list(esc) == [mul(spec, s, x) not in ball.dist for x in ball.dist]
         assert list(im) == [pos.get(mul(spec, inv(spec, s), x), -1) for x in ball.dist]
+    # distinct generators: no row repeats a neighbour, so the matvec weights none
+    rows = np.sort(np.stack(in_maps, axis=1), axis=1)
+    assert not ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] >= 0)).any()
 
 
 class TestDirichlet:
@@ -208,12 +211,12 @@ def test_dirichlet_random_restart_matches_eigsh_at_the_seed(n, monkeypatch):
 
 
 def test_adjacency_matvec_is_the_csr_product():
-    """A position met by several in-maps of a row is one CSR entry, weighted
-    by the count; a -1 is no entry."""
+    """Each row's neighbours, distinct and listed out of position order, are
+    its CSR entries; a -1 is no entry."""
     from scipy.sparse import csr_matrix
 
     i = np.arange(9)
-    in_maps = [(i + 1) % 9, np.where(i % 2, 0, -1), (i + 1) % 9, (i - 1) % 9, (i + 1) % 9]
+    in_maps = [(i + 1) % 9, np.where(i % 2, 0, -1), (i + 5) % 9, (i + 3) % 9, (i - 2) % 9]
     neighbors = np.stack(in_maps, axis=1)
     rows, cols = np.nonzero(neighbors >= 0)
     W = csr_matrix((np.ones(len(rows)), (rows, neighbors[rows, cols])), shape=(9, 9))
