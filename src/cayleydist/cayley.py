@@ -48,7 +48,8 @@ class BallTable:
     ``in_map`` and ``elements_at`` work on positions along ``elements``
     without decoding the ball.  A finite table reads them in ``position``, the
     BFS's zero-filled int32 array of each code's place along ``elements`` plus
-    one (0 if never reached), read nowhere else; a prefix ``ball(r)`` shares it
+    one (0 if never reached), read elsewhere only by ``embed``'s pair gaps,
+    which index a ball's positions with it; a prefix ``ball(r)`` shares it
     and reads a place past its own length as absent.  An infinite table looks
     elements up in a dict.
     """

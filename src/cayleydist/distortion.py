@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import np
-from .cayley import BallTable
+from .cayley import CODE_SLICE, BallTable
 from .embed import EmbeddingBundle, embed_norms_all
 from .errors import BadParam, BadScale, DegenerateInput, NoConvergence, ZeroNorm
 from .groups import code_space, identity, real_param, to_string
@@ -123,7 +123,9 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
     """Distortion of the bundle's embedding over the whole group at scale R.
 
     R defaults to the diameter of the bundle's table, making the result the
-    unrestricted distortion.
+    unrestricted distortion.  Norms, lengths and both ratios are read over
+    the ball in slices of ``CODE_SLICE`` elements, carrying each running max
+    with the codes that reach it, so no ball-sized float array is made.
     """
     table = bundle.table
     spec = bundle.spec
@@ -136,25 +138,41 @@ def distortion_equivariant(bundle: EmbeddingBundle, R: float | None = None) -> D
 
     cs = code_space(spec)
     ball = table.ball(math.floor(R))  # the elements with |g| <= R, in BFS order
-    codes = ball.elements[1:]
-    norms = embed_norms_all(bundle)[codes]
-    lengths = ball.lengths()[1:]
-    if (norms == 0.0).any():
-        bad = cs.decode(int(codes[norms == 0.0].min()))
+    all_norms = embed_norms_all(bundle)
+    lengths = ball.lengths()
+    collapsed = []
+    expand, contract = (-math.inf, []), (-math.inf, [])  # running max, codes reaching it
+    for lo in range(1, len(ball), CODE_SLICE):  # position 0 is the identity
+        codes = ball.elements[lo:lo + CODE_SLICE]
+        norms = all_norms[codes]
+        if (norms == 0.0).any():
+            collapsed.append(codes[norms == 0.0].min())
+        if collapsed:
+            continue
+        part = lengths[lo:lo + CODE_SLICE]
+        expand = _running_top(*expand, norms / part, codes)
+        contract = _running_top(*contract, part / norms, codes)
+    if collapsed:
+        bad = cs.decode(int(min(collapsed)))
         raise ZeroNorm(f"embedding collapses {to_string(spec, bad)}")
-
-    def arg_lex(ratios):
-        top = ratios.max()
-        return top, min(cs.decode_many(codes[ratios == top]))
-
-    ratios = np.empty(len(codes))  # one buffer for both ratios: each is read before the next
-    expansion, g_exp = arg_lex(np.divide(norms, lengths, out=ratios))
-    contraction, g_con = arg_lex(np.divide(lengths, norms, out=ratios))
+    (expansion, g_exp), (contraction, g_con) = (
+        (top, min(cs.decode_many(np.concatenate(at)))) for top, at in (expand, contract))
     e = identity(spec)
     return DistortionReport(R=float(R), expansion=float(expansion),
                             contraction=float(contraction),
                             dist=float(expansion * contraction),
                             witness_expand=(e, g_exp), witness_contract=(e, g_con))
+
+
+def _running_top(top, at: list, ratios: np.ndarray, codes: np.ndarray):
+    """The max of ``top`` and ``ratios``, with the list of code arrays that
+    reach it: ``at`` for ``top``, plus the codes at ``ratios``' own max."""
+    m = ratios.max()
+    if m > top:
+        return m, [codes[ratios == m]]
+    if m == top:
+        at.append(codes[ratios == m])
+    return top, at
 
 
 def distortion_pairwise(points, metric, p: float = 2.0,

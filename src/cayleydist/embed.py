@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._lazy import np
-from .cayley import BallTable, kernel_diameter
+from .cayley import CODE_SLICE, BallTable, kernel_diameter
 from .errors import BadParam, BadScale, CapExceeded
 from .groups import Element, GroupSpec, code_space, identity, int_param, inv, mul, real_param
 from .profile import TestVector, profile_curve, translate_gaps
@@ -218,25 +218,33 @@ def _fftn(a: np.ndarray, inverse: bool = False) -> None:
             a.view(np.float64)[...] *= 0.5
 
 
-def _gap_pow_pairs(spec: GroupSpec, values: dict, p: float) -> np.ndarray:
-    """||f - lambda(g)f||_p^p for every g, indexed by code, before any clamp.
+def _gap_pow_pairs(table: BallTable, values: dict, p: float, radius: int):
+    """||f - lambda(g)f||_p^p before any clamp, for f supported in the open
+    ball of ``radius`` of the complete ``table``: (the gap at every g outside
+    the ball of radius 2 radius - 2, the gap at each g of that ball by its
+    position along ``table.elements``).
 
     Uses the correlation identity ||f - lambda(g)f||_p^p =
     2||f||_p^p + sum over support pairs (x, y) with x y^-1 = g of
     |f(x) - f(y)|^p - |f(x)|^p - |f(y)|^p, which costs one vectorized pass
-    per support element instead of one per group element.
+    per support element instead of one per group element.  |x y^-1| <=
+    |x| + |y| <= 2 radius - 2, so pairs meet that ball alone; outside it the
+    gap is 2||f||_p^p.
     """
+    spec = table.spec
     cs = code_space(spec)
     supp = list(values)
     v = np.array([values[x] for x in supp])
     inv_codes = cs.encode_many([inv(spec, x) for x in supp])
     payload = cs.payload(inv_codes)
     vpow = np.abs(v) ** p
-    corr = np.full(spec.order, 2.0 * vpow.sum())
+    twice_norm = 2.0 * vpow.sum()
+    corr = np.full(table.ball_size(min(2 * radius - 2, table.radius)), twice_norm)
     for i, x in enumerate(supp):
-        prod = cs.act_left(x, inv_codes, payload)
-        np.add.at(corr, prod, np.abs(v[i] - v) ** p - vpow[i] - vpow)
-    return corr
+        at = table.position[cs.act_left(x, inv_codes, payload)]
+        at -= 1  # in place: the gather is a fresh array
+        np.add.at(corr, at, np.abs(v[i] - v) ** p - vpow[i] - vpow)
+    return twice_norm, corr
 
 
 def _add_gap(total: np.ndarray, gap: np.ndarray, scale: float) -> None:
@@ -259,21 +267,36 @@ def embed_norms_all(bundle: EmbeddingBundle) -> np.ndarray:
 
     Each gap is clamped, scaled and summed in place, the Fourier path's one
     time slice at a time as it is made, and the circle term is added per time
-    index (code t + T a has time t), so the sum holds no |G|-sized temporary
-    besides a pair block's gap, which no name keeps once it is added.
+    index (code t + T a has time t), so the sum holds no |G|-sized temporary.
+    No pair block builds a |G|-sized gap either: a block of radius r has a gap
+    of its own only on the ball of radius 2r - 2 (``_gap_pow_pairs``).  That
+    ball's sums plus their gaps are saved, slice by slice, the constant gap
+    outside it is added to all of the sum as one scalar, and the saved entries
+    are written back, so every entry still takes exactly one addition, of its
+    own clamped and scaled gap.
     """
+    table = bundle.table
     spec = bundle.spec
     p = bundle.p
     cs = code_space(spec)
     T = cs.time_order
     order = spec.order
     total = np.zeros(order)
-    for _, coef, values in bundle.blocks():
+    for radius, coef, values in bundle.blocks():
         if p == 2 and len(values) ** 2 > order * T:
             for s, gap in _gap_sq_fourier(spec, values):
                 _add_gap(total[s::T], gap, coef ** p)
-        else:
-            _add_gap(total, _gap_pow_pairs(spec, values, p), coef ** p)
+            continue
+        twice_norm, gap = _gap_pow_pairs(table, values, p, radius)
+        ball = table.elements[:len(gap)]
+        parts = [slice(lo, lo + CODE_SLICE) for lo in range(0, len(gap), CODE_SLICE)]
+        for part in parts:
+            saved = total[ball[part]]
+            _add_gap(saved, gap[part], coef ** p)
+            gap[part] = saved
+        total += max(twice_norm, 0.0) * coef ** p
+        for part in parts:
+            total[ball[part]] = gap[part]
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])
         by_time = total.reshape(-1, T)  # a view: code t + T a has time t

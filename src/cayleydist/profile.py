@@ -11,7 +11,9 @@ log of the max-form Rayleigh quotient (softmax-smoothed subgradient of the max
 over generators, step halving).  Falls back to the dirac witness 2^(-1/p) when
 ascent cannot beat it.  Everything is deterministic: the bootstrap starts from
 the constant vector, and the random vectors ARPACK may ask for when it
-restarts come from a fixed seed.
+restarts are numpy's ``default_rng(ARPACK_SEED).uniform(-1, 1)`` draws,
+computed here in Python integers (``_restart_stream``) so that numpy.random
+is never imported.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ ASCENT_MAXITER = 500  # ascent steps after the Dirichlet start
 SOFTMAX_KAPPA = 50.0  # inverse temperature of the ascent's weights over generators
 ARPACK_NCV = 20  # Lanczos basis size, eigsh's max(2k + 1, 20) for k = 1
 ARPACK_LA = 6  # ARPACK's code for which="LA", the largest algebraic eigenvalue
-ARPACK_SEED = 0  # seeds the vectors ARPACK asks for when it restarts at random
+ARPACK_SEED = 0  # numpy's seed for the vectors ARPACK asks for when it restarts at random
+# the 128-bit state and increment of numpy's PCG64 after default_rng(ARPACK_SEED)
+PCG64_STATE = 35399562948360463058890781895381311971
+PCG64_INC = 87136372517582989555478159403783844777
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
 # the state dict of scipy's ARPACK wrappers: every key must be present, zero at start
 _ARPACK_FLOATS = ("getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm", "aup2_rnorm")
 _ARPACK_INTS = ("ido", "bmat", "iter", "nconv", "np", "getv0_first", "getv0_iter",
@@ -98,6 +104,23 @@ def rayleigh(spec: GroupSpec, f: dict, p: float):
     return norm / max(grads), norm / lp_norm(grads, p)
 
 
+def _restart_stream():
+    """numpy's ``default_rng(ARPACK_SEED).uniform(-1.0, 1.0)`` draws, one
+    float at a time, bit for bit, without importing numpy.random.
+
+    PCG64 steps its 128-bit state as state * MULT + inc and outputs the
+    XSL-RR word of the new state: the xor of its halves rotated right by its
+    top 6 bits.  A double is the word's top 53 bits times 2^-53, and
+    ``uniform`` maps it to -1.0 + 2.0 * double.
+    """
+    state, mask64 = PCG64_STATE, (1 << 64) - 1
+    while True:
+        state = (state * PCG64_MULT + PCG64_INC) & ((1 << 128) - 1)
+        word, rot = ((state >> 64) ^ state) & mask64, state >> 122
+        word = ((word >> rot) | (word << (-rot & 63))) & mask64
+        yield -1.0 + 2.0 * ((word >> 11) * 2.0 ** -53)
+
+
 def _adjacency_matvec(in_maps, n: int):
     """x -> W x for the ball's adjacency W (``W[i, j]`` = 1 when s^-1 x_i = x_j
     for a generator s), in exactly the arithmetic of scipy's CSR product.
@@ -129,7 +152,8 @@ def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
     computed from the deterministic constant start.  ARPACK's implicitly
     restarted Lanczos (``dsaupd``/``dseupd``) is driven as scipy's
     ``eigsh(W, k=1, which="LA")`` drives it, with the same workspaces, so the
-    bits match; its requests for a random vector are answered from a fixed seed.
+    bits match.  Its requests for a random vector take the next n draws of
+    ``_restart_stream``, as eigsh's ``rng=ARPACK_SEED`` generator would give them.
     """
     if ball.complete:
         raise DegenerateInput("ball covers the whole group; constants have zero gradient")
@@ -147,7 +171,7 @@ def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
     ipntr = np.zeros(11, dtype=np.int32)
     workd = np.zeros(3 * n)
     workl = np.zeros(ncv * (ncv + 8))
-    rng = None
+    restarts = _restart_stream()
     while True:
         lib.dsaupd_wrap(state, resid, lanczos, ipntr, workd, workl)
         ido = state["ido"]
@@ -155,9 +179,7 @@ def dirichlet_pc(ball: BallTable, in_maps) -> np.ndarray:
             x, y = int(ipntr[0]), int(ipntr[1])
             workd[y:y + n] = matvec(workd[x:x + n])
         elif ido == 4:
-            if rng is None:
-                rng = np.random.default_rng(ARPACK_SEED)
-            resid[:] = rng.uniform(low=-1.0, high=1.0, size=n)
+            resid[:] = np.fromiter(restarts, dtype=float, count=n)
         else:  # 99: done, or stopped with a nonzero info
             break
     _arpack_check(state, "dsaupd")

@@ -630,6 +630,23 @@ def test_scipy_left_unloaded(code):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("line", [
+    "distort --family lamplighter-fin --m 2 --n 6",
+    "embed --family bs-fin --m 2 --n 6",
+    "profile --family sol-fin --n 7 --radius 1,2 --p 3",
+    "scan --family lamplighter-fin --m 2 --n 4,5",
+], ids=["distort", "embed", "profile", "scan"])
+def test_numpy_random_left_unloaded(line):
+    """ARPACK asks each of these commands' Dirichlet solves for random restart
+    vectors (on balls of 4, 5, 17, 20 or 21 elements), and they come from
+    ``profile._restart_stream``, so numpy.random, about 6 MB, is never imported."""
+    src = str(Path(cayleydist.__file__).resolve().parents[1])
+    code = f"import runpy, sys\n{_run_line(line)}\nprint('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # numpy's __init__ always imports numpy.linalg; the name numpy itself is
 # taken by the lazy module from the package's first import on
 _NUMPY_LOADED = "print('numpy.linalg' in sys.modules)"
@@ -720,16 +737,26 @@ def test_whole_group_diameter_memory():
 
 
 @pytest.mark.parametrize("line, bound", [
-    ("distort --family bs-fin --m 2 --n 15", 49.5),
-    ("distort --family sol-fin --n 377", 110),
-], ids=["bs-fin-n15", "sol-n377"])
+    ("distort --family bs-fin --m 2 --n 15", 17),
+    ("distort --family bs-fin --m 2 --n 16", 28),
+    ("distort --family lamplighter-fin --m 2 --n 14", 19),
+    ("distort --family sol-fin --n 377", 48),
+], ids=["bs-fin-n15", "bs-fin-n16", "lamplighter-n14", "sol-n377"])
 def test_finite_distort_memory(line, bound):
     """``distort`` holds int32 codes, sums the norms in place, adds the circle
-    per time index and writes both ratios into one buffer.  Above a ``group
-    info`` child, 12 runs a side: bs-fin m=2 n=15 (491,505 elements) reads
-    46.6-47.0 MB, against 51.8-52.1 MB with int64 codes and fresh |G|-sized
-    temporaries; sol-fin n=377 (1,989,806 elements) reads 84.4-85.0 MB, against
-    134.0-134.3 MB."""
+    per time index, accumulates each pair block's gap over its ball of radius
+    2r - 2 alone, reads the ratios over the ball in CODE_SLICE slices and
+    answers ARPACK's restarts without numpy.random.  Above a ``group info``
+    child that imported numpy, 6 runs a side, against the whole-group pair
+    gaps, a ball-sized gather of the norms and a ball-sized ratio buffer,
+    with numpy.random loaded for the restarts: bs-fin m=2 n=15 (491,505
+    elements) reads 12.2-12.5 MB against 21.6-21.8 MB; bs-fin m=2 n=16
+    (1,048,560) 22.0-22.1 against 34.9-35.3 MB; lamplighter m=2 n=14
+    (229,376) 15.5-15.7 against 21.2-21.5 MB; sol-fin n=377 (1,989,806)
+    37.2-37.5 against 59.2-59.4 MB.  Earlier, above a ``group info`` child
+    that had not imported numpy, int32 codes and in-place sums had taken
+    bs-fin n=15 from 51.8-52.1 to 46.6-47.0 MB and sol-fin n=377 from
+    134.0-134.3 to 84.4-85.0 MB."""
     assert _child_vmhwm_mb(line) < bound
 
 

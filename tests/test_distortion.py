@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from cayleydist import (
     BadParam,
     BadScale,
     CircleMap,
+    CodeSpace,
     DegenerateInput,
     MetricTable,
     ZeroNorm,
@@ -18,6 +20,7 @@ from cayleydist import (
     distortion_equivariant,
     distortion_pairwise,
     embed_norm,
+    embed_norms_all,
     embed_point,
     exact_c2,
     exp_radical_scan,
@@ -30,8 +33,10 @@ from cayleydist import (
     optimize_profile,
     profile_curve,
     rayleigh,
+    to_string,
 )
 from cayleydist import distortion
+from cayleydist.cayley import CODE_SLICE
 from cayleydist.cli import main
 from cayleydist.distortion import C2_RESID_TOL, C2_SWEEPS
 from cayleydist.profile import checked_radii
@@ -272,6 +277,84 @@ class TestEquivariant:
                              "lip_bound", "colip_bound", "dist_bound", "closed_form"}
         assert blob["dist"] == report.dist
         assert all(isinstance(s, str) for s in blob["witness_expand"])
+
+
+L2_13 = make_spec("lamplighter-fin", m=2, n=13)  # 106,496 elements: two CODE_SLICE slices
+
+
+@pytest.fixture(scope="module")
+def b2_13():
+    return build_bundle(bfs_ball(L2_13, None), 2)
+
+
+def _reference_equivariant(bundle, R, all_norms):
+    """distortion_equivariant's sup as it stood before it read the ball in
+    slices, on whole-ball arrays: (expansion, its witness, contraction, its
+    witness), or the text of the element the smallest collapsed code decodes to."""
+    cs = CodeSpace(bundle.spec)
+    ball = bundle.table.ball(math.floor(R))
+    codes = ball.elements[1:]
+    norms = all_norms[codes]
+    lengths = ball.lengths()[1:]
+    if (norms == 0.0).any():
+        return to_string(bundle.spec, cs.decode(int(codes[norms == 0.0].min())))
+    tops = []
+    for ratios in (norms / lengths, lengths / norms):
+        top = ratios.max()
+        tops += [top, min(cs.decode_many(codes[ratios == top]))]
+    return tuple(tops)
+
+
+def _check_against_reference(bundle, R, all_norms):
+    want = _reference_equivariant(bundle, bundle.table.radius if R is None else R, all_norms)
+    if isinstance(want, str):
+        with pytest.raises(ZeroNorm, match=re.escape(want) + "$"):
+            distortion_equivariant(bundle, R)
+        return
+    report = distortion_equivariant(bundle, R)
+    e = identity(bundle.spec)
+    assert (report.expansion, report.witness_expand, report.contraction,
+            report.witness_contract) == (want[0], (e, want[1]), want[2], (e, want[3]))
+    assert report.dist == want[0] * want[2]
+
+
+@pytest.mark.parametrize("R", [None, 20, 12])
+def test_sliced_ratios_are_the_whole_ball_sup(b2_13, R):
+    """Reading the ball in CODE_SLICE slices gives the whole-ball arrays'
+    floats and witnesses; R = 20 (80,328 elements) still spans two slices,
+    R = 12 (3,807) one."""
+    _check_against_reference(b2_13, R, embed_norms_all(b2_13))
+
+
+def test_sliced_ratios_keep_ties_and_zeros_across_slices(b2_13, monkeypatch):
+    """Maxima tied across slices give the lex-smallest witness of them all,
+    whether it lies in the later slice (expansion) or the earlier one
+    (contraction), and ZeroNorm names the smallest collapsed code, which lies
+    in the later slice, not the first one met."""
+    cs = CodeSpace(L2_13)
+    table = b2_13.table
+    at = np.flatnonzero(table.lengths() == 19)  # word length 19 spans both slices
+    first = sorted(table.elements[at[at <= CODE_SLICE]].tolist(), key=cs.decode)
+    second = sorted(table.elements[at[at > CODE_SLICE]].tolist(), key=cs.decode)
+    expand, contract = [first[-1], second[0]], [first[0], second[-1]]
+    assert cs.decode(second[0]) < cs.decode(first[-1])
+    assert cs.decode(first[0]) < cs.decode(second[-1])
+    tied = embed_norms_all(b2_13)
+    tied[expand], tied[contract] = 100.0, 1e-3
+    monkeypatch.setattr(distortion, "embed_norms_all", lambda bundle: tied)
+    _check_against_reference(b2_13, None, tied)
+    report = distortion_equivariant(b2_13)
+    assert (report.witness_expand[1], report.witness_contract[1]) == tuple(
+        cs.decode(c) for c in (second[0], first[0]))
+
+    collapsed = embed_norms_all(b2_13)
+    zeros = [max(first), min(second)]
+    assert zeros[1] < zeros[0]
+    collapsed[zeros] = 0.0
+    monkeypatch.setattr(distortion, "embed_norms_all", lambda bundle: collapsed)
+    _check_against_reference(b2_13, None, collapsed)
+    with pytest.raises(ZeroNorm, match=re.escape(to_string(L2_13, cs.decode(zeros[1]))) + "$"):
+        distortion_equivariant(b2_13)
 
 
 class TestExactC2:

@@ -203,20 +203,67 @@ def _fourier_gap(spec, values):
     return gap
 
 
+def _whole_group_gap(table, values, p, radius):
+    """The pair path's ball-local gap spread over the group, indexed by code."""
+    twice_norm, ball_gap = _gap_pow_pairs(table, values, p, radius)
+    gap = np.full(table.spec.order, twice_norm)
+    gap[table.elements[:len(ball_gap)]] = ball_gap
+    return gap
+
+
+def _reference_gap_pow_pairs(spec, values, p):
+    """The pair path as it stood before its gaps became ball-local: the same
+    pair sums, accumulated by code into an array over the whole group."""
+    cs = CodeSpace(spec)
+    supp = list(values)
+    v = np.array([values[x] for x in supp])
+    inv_codes = cs.encode_many([inv(spec, x) for x in supp])
+    payload = cs.payload(inv_codes)
+    vpow = np.abs(v) ** p
+    corr = np.full(spec.order, 2.0 * vpow.sum())
+    for i, x in enumerate(supp):
+        prod = cs.act_left(x, inv_codes, payload)
+        np.add.at(corr, prod, np.abs(v[i] - v) ** p - vpow[i] - vpow)
+    return corr
+
+
+@pytest.mark.parametrize("p", [2, 3, 2.5])
+@pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
+def test_ball_local_pair_gaps_are_the_whole_group_sum(spec, p):
+    """A block of radius r meets pairs only in the ball of radius 2r - 2, so
+    its ball-local gap, spread over the group, is the whole-group pair sum bit
+    for bit, for every block and for values on that open ball drawn at random;
+    the ball reaches the whole group on these desk-size groups."""
+    table = bfs_ball(spec, None)
+    cs = CodeSpace(spec)
+    rng = np.random.default_rng(int(p * 10) + spec.order)
+    blocks = [(radius, values) for radius, _, values in build_bundle(table, p).blocks()]
+    for radius in range(1, table.radius // 2 + 3):  # up to 2r - 2 past the diameter
+        inner = table.ball(radius - 1).elements
+        picked = rng.choice(inner, size=min(len(inner), 12), replace=False)
+        blocks.append((radius, {cs.decode(int(c)): float(x)
+                                for c, x in zip(picked, rng.standard_normal(len(picked)))}))
+    for radius, values in blocks:
+        got = _whole_group_gap(table, values, p, radius)
+        want = _reference_gap_pow_pairs(spec, values, p)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("spec", CODE_FAMILIES, ids=str)
 def test_in_place_norms_are_the_out_of_place_sum(spec, p):
     """embed_norms_all sums in place and adds the circle per time index; the
     same floats as clamping, scaling and summing into fresh arrays, with the
     circle gathered per code (bs-fin m=3 n=4 takes the Fourier path)."""
-    bundle = build_bundle(bfs_ball(spec, None), p)
+    table = bfs_ball(spec, None)
+    bundle = build_bundle(table, p)
     cs = CodeSpace(spec)
     total = np.zeros(spec.order)
-    for _, coef, values in bundle.blocks():
+    for radius, coef, values in bundle.blocks():
         if p == 2 and len(values) ** 2 > spec.order * cs.time_order:
             gap = _fourier_gap(spec, values)
         else:
-            gap = _gap_pow_pairs(spec, values, p)
+            gap = _whole_group_gap(table, values, p, radius)
         total = total + coef ** p * np.maximum(gap, 0.0)
     if bundle.circle is not None:
         chords = np.array([bundle.circle.chord(k) for k in range(spec.oA)])

@@ -210,6 +210,22 @@ def test_dirichlet_random_restart_matches_eigsh_at_the_seed(n, monkeypatch):
     _assert_same_bits(ours, _scipy_pc(n, cycle.in_maps, rng=profile.ARPACK_SEED))
 
 
+def test_restart_stream_is_numpys_uniform_at_the_seed():
+    """The PCG64 constants are numpy's seeding of ``ARPACK_SEED``, and the
+    stream's consecutive requests, of the ball sizes that restart in
+    perfbench's commands and of 100,000, are ``default_rng(ARPACK_SEED)``'s
+    uniform draws on [-1, 1) bit for bit."""
+    assert profile.ARPACK_SEED == 0
+    state = np.random.default_rng(profile.ARPACK_SEED).bit_generator.state
+    assert state["bit_generator"] == "PCG64"
+    assert state["state"] == {"state": profile.PCG64_STATE, "inc": profile.PCG64_INC}
+    stream = profile._restart_stream()
+    rng = np.random.default_rng(profile.ARPACK_SEED)
+    for size in (4, 5, 22, 53, 100_000):
+        _assert_same_bits(np.fromiter(stream, dtype=float, count=size),
+                          rng.uniform(-1.0, 1.0, size))
+
+
 def test_adjacency_matvec_is_the_csr_product():
     """Each row's neighbours, distinct and listed out of position order, are
     its CSR entries; a -1 is no entry."""
